@@ -15,20 +15,24 @@ Layout, all little-endian:
             ``tensors`` first then ``aux``
 
 Tensor names are sorted lexicographically, so identical parameter sets
-serialize to identical bytes and a save/load cycle is bit-exact.
+serialize to identical bytes and a save/load cycle is bit-exact. That is
+also the layout of ``Params.flat``, so the model tensors of the payload
+are exactly the parameter buffer's bytes. A save goes to a temporary file
+that replaces ``path`` only when complete.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AgeScaler, Standardizer
+from .data import AgeScaler, Standardizer, atomic_open
 from .errors import DataFormatError
-from .model import ModelConfig
+from .model import ModelConfig, Params
 
 MAGIC = b"PMCK"
 VERSION = 1
@@ -36,7 +40,7 @@ VERSION = 1
 
 @dataclass(frozen=True)
 class Checkpoint:
-    params: dict[str, np.ndarray]
+    params: Params
     config: ModelConfig
     age_scaler: AgeScaler
     standardizer: Standardizer | None
@@ -46,7 +50,7 @@ def _tensor_index(tensors: dict[str, np.ndarray]) -> list[list]:
     return [[name, list(tensors[name].shape)] for name in sorted(tensors)]
 
 
-def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
+def save_checkpoint(path, params: Params, config: ModelConfig,
                     age_scaler: AgeScaler, standardizer: Standardizer | None = None) -> None:
     aux: dict[str, np.ndarray] = {}
     std_meta = None
@@ -65,12 +69,11 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         "tensors": _tensor_index(params),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HI", VERSION, len(blob)))
         fh.write(blob)
-        for name, _ in header["tensors"]:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
         for name, _ in header["aux"]:
             fh.write(np.ascontiguousarray(aux[name], dtype="<f8").tobytes())
 
@@ -111,7 +114,13 @@ def load_checkpoint(path) -> Checkpoint:
         if key not in header:
             raise DataFormatError(f"header missing {key!r}", path)
     payload = blob[10 + header_len:]
-    params, offset = _read_tensors(header["tensors"], payload, 0, path)
+    shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in header["tensors"]}
+    if [entry[0] for entry in header["tensors"]] != sorted(shapes):
+        raise DataFormatError("tensor names are not unique and sorted", path)
+    offset = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(payload) < offset:
+        raise DataFormatError("truncated payload for the model tensors", path)
+    params = Params(shapes, np.frombuffer(payload[:offset], dtype="<f8").copy())
     aux, offset = _read_tensors(header["aux"], payload, offset, path)
     if offset != len(payload):
         raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)

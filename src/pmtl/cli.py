@@ -24,6 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     STANDARDIZE_MODES,
     SynthSpec,
+    atomic_open,
     build_part,
     join_splits,
     load_features,
@@ -78,7 +79,7 @@ def _read_json(path, kind: str) -> dict:
 
 
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -120,11 +121,17 @@ def parse_train_config(raw: dict, input_dim: int | None = None):
 
 
 def _apply_overrides(raw: dict, args) -> dict:
+    """Flags beat the config file. A ``--max-epochs`` given without
+    ``--patience`` clamps the configured (or default) patience to it."""
     d = dict(raw)
     for key in ("seed", "batch_size", "learning_rate", "max_epochs", "patience"):
         value = getattr(args, key, None)
         if value is not None:
             d[key] = value
+    if args.max_epochs is not None and args.patience is None:
+        patience = d.get("patience", TrainConfig.patience)
+        if isinstance(patience, int) and patience > args.max_epochs:
+            d["patience"] = args.max_epochs
     if getattr(args, "standardize", None) is not None:
         d["standardize"] = args.standardize
     return d

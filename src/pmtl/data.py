@@ -18,8 +18,10 @@ by id, so results never depend on file row order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -47,6 +49,23 @@ STANDARDIZE_MODES = ("none", "zscore", "minmax")
 def fmt_float(x: float) -> str:
     """Shortest decimal string that round-trips the float64 exactly."""
     return repr(float(x))
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write ``path`` atomically: yield a temporary file in the same
+    directory and move it over ``path`` with ``os.replace`` only once the
+    block has finished. If the block raises, the temporary file is deleted
+    and an existing ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # -- tables -----------------------------------------------------------------

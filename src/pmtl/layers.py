@@ -5,6 +5,12 @@ in rows. Each ``*_forward`` returns ``(output, cache)`` and the matching
 ``*_backward`` consumes that cache, so no global state or autodiff graph
 is involved. Gradients here are exact analytic derivatives; they are
 cross-checked against central finite differences in the test suite.
+
+These functions sit on the training hot path and do not validate their
+operands: shapes, the leaky slope and the layer-norm eps are checked once
+at the model boundary (``ModelConfig``, ``forward``, ``backward`` and
+``check_params`` in ``pmtl.model``). Parameter-gradient backward passes accept ``out``
+arrays and write into them, so gradients can land in preallocated views.
 """
 
 from __future__ import annotations
@@ -16,18 +22,11 @@ import numpy as np
 from .errors import ShapeError
 
 
-def as_matrix(a, name="matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(name, a.shape)
-    return a
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with explicit shape validation."""
-    a = as_matrix(a, "matmul lhs")
-    b = as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     return a @ b
 
@@ -45,23 +44,22 @@ def linear_forward(x, w, b):
 
     x: (n, d_in), w: (d_in, d_out), b: (d_out,).
     """
-    x = as_matrix(x, "linear input")
-    w = as_matrix(w, "linear weight")
-    b = np.asarray(b, dtype=np.float64)
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError("linear_forward", x.shape, w.shape)
-    if b.shape != (w.shape[1],):
-        raise ShapeError("linear_forward bias", b.shape, w.shape)
-    return x @ w + b, LinearCache(x, w)
+    y = x @ w
+    y += b
+    return y, LinearCache(x, w)
 
 
-def linear_backward(cache: LinearCache, dy):
-    """Gradients of linear_forward: dx = dy wᵀ, dw = xᵀ dy, db = Σ_rows dy."""
-    dy = as_matrix(dy, "linear upstream grad")
+def linear_backward(cache: LinearCache, dy, dw=None, db=None, input_grad=True):
+    """Gradients of linear_forward: dx = dy wᵀ, dw = xᵀ dy, db = Σ_rows dy.
+
+    ``dw`` and ``db``, when given, receive the parameter gradients in
+    place. With ``input_grad=False`` the input gradient is not computed
+    and ``dx`` is None (the first layer of a network has no use for it).
+    """
     x, w = cache
-    if dy.shape != (x.shape[0], w.shape[1]):
-        raise ShapeError("linear_backward", dy.shape, (x.shape[0], w.shape[1]))
-    return dy @ w.T, x.T @ dy, dy.sum(axis=0)
+    dw = np.matmul(x.T, dy, out=dw)
+    db = np.add.reduce(dy, axis=0, out=db)
+    return (dy @ w.T if input_grad else None), dw, db
 
 
 # -- layer normalization ----------------------------------------------------
@@ -78,23 +76,23 @@ def layer_norm_forward(x, gamma, beta, eps=1e-5):
 
     Uses the population (1/d) variance; eps is added inside the square
     root, so a constant row maps to zeros rather than dividing by zero.
+    The mean is one row sum divided by d and the variance reuses the
+    centred rows, the same operations ``np.mean`` and ``np.var`` perform,
+    so the result is bit-identical to them.
     """
-    x = as_matrix(x, "layer_norm input")
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
     d = x.shape[1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError("layer_norm_forward affine", gamma.shape, x.shape)
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be > 0, got {eps}")
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gamma * xhat + beta, LayerNormCache(xhat, inv_std, gamma)
+    mu = np.add.reduce(x, axis=1, keepdims=True)
+    mu /= d
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True)
+    var /= d
+    var += eps
+    inv_std = 1.0 / np.sqrt(var)
+    xc *= inv_std
+    return gamma * xc + beta, LayerNormCache(xc, inv_std, gamma)
 
 
-def layer_norm_backward(cache: LayerNormCache, dy):
+def layer_norm_backward(cache: LayerNormCache, dy, dgamma=None, dbeta=None):
     """Gradients of layer_norm_forward.
 
     With x̂ the normalized rows and s the per-row 1/√(var+eps):
@@ -103,20 +101,22 @@ def layer_norm_backward(cache: LayerNormCache, dy):
         dx = s · (g − mean(g) − x̂ · mean(g·x̂)),   g = dy·γ
 
     The mean terms come from differentiating through the row mean and
-    (population) variance.
+    (population) variance; each row mean is a row sum divided by d, as in
+    ``np.mean``. ``dgamma`` and ``dbeta``, when given, receive the
+    parameter gradients in place.
     """
-    dy = as_matrix(dy, "layer_norm upstream grad")
     xhat, inv_std, gamma = cache
-    if dy.shape != xhat.shape:
-        raise ShapeError("layer_norm_backward", dy.shape, xhat.shape)
-    dgamma = (dy * xhat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    d = xhat.shape[1]
+    dgamma = np.add.reduce(dy * xhat, axis=0, out=dgamma)
+    dbeta = np.add.reduce(dy, axis=0, out=dbeta)
     g = dy * gamma
-    dx = inv_std * (
-        g
-        - g.mean(axis=1, keepdims=True)
-        - xhat * (g * xhat).mean(axis=1, keepdims=True)
-    )
+    mean_g = np.add.reduce(g, axis=1, keepdims=True)
+    mean_g /= d
+    mean_gx = np.add.reduce(g * xhat, axis=1, keepdims=True)
+    mean_gx /= d
+    dx = g - mean_g
+    dx -= xhat * mean_gx
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 
@@ -128,18 +128,12 @@ class LeakyReluCache(NamedTuple):
 
 
 def leaky_relu_forward(x, slope=0.01):
-    """y = x for x >= 0, slope*x otherwise. slope must lie in (0, 1)."""
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    x = np.asarray(x, dtype=np.float64)
+    """y = x for x >= 0, slope*x otherwise; slope lies in (0, 1)."""
     scale = np.where(x >= 0.0, 1.0, slope)
     return x * scale, LeakyReluCache(scale)
 
 
 def leaky_relu_backward(cache: LeakyReluCache, dy):
-    dy = np.asarray(dy, dtype=np.float64)
-    if dy.shape != cache.scale.shape:
-        raise ShapeError("leaky_relu_backward", dy.shape, cache.scale.shape)
     return dy * cache.scale
 
 
@@ -149,7 +143,6 @@ class SigmoidCache(NamedTuple):
 
 def sigmoid_forward(x):
     """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
     y = np.empty_like(x)
     pos = x >= 0.0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -159,8 +152,5 @@ def sigmoid_forward(x):
 
 
 def sigmoid_backward(cache: SigmoidCache, dy):
-    dy = np.asarray(dy, dtype=np.float64)
     y = cache.y
-    if dy.shape != y.shape:
-        raise ShapeError("sigmoid_backward", dy.shape, y.shape)
     return dy * y * (1.0 - y)

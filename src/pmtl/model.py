@@ -10,13 +10,18 @@ The age head has two hidden blocks (32 then 16 units) under the default
 ``two-layer-age`` variant to step down from the trunk width; the
 ``one-hidden-all`` variant gives every head exactly one hidden block.
 
-Parameters live in a plain ordered dict of named float64 tensors; the
-layer plan derived from ModelConfig fixes their order, their shapes, and
-the initialization draw order, so a seed fully determines the network.
+Parameters live in a ``Params`` dict of named float64 tensors that are
+views into one contiguous buffer, ``Params.flat``. The buffer holds the
+tensors row-major in lexicographic name order, the order of the
+checkpoint payload, so a checkpoint is the buffer's bytes and the
+optimizer updates every tensor in one pass. The layer plan derived from
+ModelConfig fixes the names, the shapes and the initialization draw
+order, so a seed fully determines the network.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
@@ -71,6 +76,10 @@ class ModelConfig:
             raise ValueError(f"emotion_activation must be one of {EMOTION_ACTIVATIONS}")
         if self.head_variant == "two-layer-age" and len(self.age_head_dims) != 2:
             raise ValueError("two-layer-age needs exactly 2 age_head_dims")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+        if not self.ln_eps > 0.0:
+            raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
         object.__setattr__(self, "shared_dims", tuple(int(d) for d in self.shared_dims))
         object.__setattr__(self, "age_head_dims", tuple(int(d) for d in self.age_head_dims))
 
@@ -102,6 +111,7 @@ class LayerPlan(NamedTuple):
     age_out: tuple[str, int, int]
 
 
+@functools.lru_cache(maxsize=64)
 def layer_plan(config: ModelConfig) -> LayerPlan:
     trunk = []
     d = config.input_dim
@@ -144,33 +154,104 @@ def _iter_layers(plan: LayerPlan):
     yield (*plan.age_out, False)
 
 
-def init_params(config: ModelConfig, rng: RngStream) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of every parameter tensor, in layer-plan order."""
+    shapes = []
+    for name, d_in, d_out, has_norm in _iter_layers(layer_plan(config)):
+        shapes += [(f"{name}.w", (d_in, d_out)), (f"{name}.b", (d_out,))]
+        if has_norm:
+            shapes += [(f"{name}.gamma", (d_out,)), (f"{name}.beta", (d_out,))]
+    return tuple(shapes)
+
+
+@functools.lru_cache(maxsize=64)
+def _backward_order(config: ModelConfig) -> tuple[str, ...]:
+    """Parameter names in the order ``backward`` visits them: each head's
+    output layer then its blocks from the top, then the trunk from the
+    top. Gradient dicts are keyed in this order, which fixes the
+    per-tensor summation order of the global gradient norm."""
+    plan = layer_plan(config)
+    names = []
+
+    def blocks(chain):
+        for name, _, _ in reversed(chain):
+            names.extend(f"{name}.{s}" for s in ("gamma", "beta", "w", "b"))
+
+    for chain, (out_name, _, _) in ((plan.emotion_blocks, plan.emotion_out),
+                                    (plan.country_blocks, plan.country_out),
+                                    (plan.age_blocks, plan.age_out)):
+        names += [f"{out_name}.w", f"{out_name}.b"]
+        blocks(chain)
+    blocks(plan.trunk)
+    return tuple(names)
+
+
+class Params(dict):
+    """Named float64 tensors that are views into one contiguous buffer.
+
+    ``flat`` holds every tensor row-major in lexicographic name order, the
+    order of the checkpoint payload. The dict keeps the key order of the
+    ``shapes`` mapping it is built from, whatever the buffer layout. Write
+    into a tensor (``params[name][...] = value``); rebinding a name would
+    detach it from ``flat``.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+        starts, total = {}, 0
+        for name in sorted(sizes):
+            starts[name] = total
+            total += sizes[name]
+        if flat is None:
+            flat = np.zeros(total)
+        super().__init__(
+            (name, flat[starts[name]:starts[name] + sizes[name]].reshape(shape))
+            for name, shape in shapes.items()
+        )
+        self.flat = flat
+
+
+def init_params(config: ModelConfig, rng: RngStream) -> Params:
     """Fresh parameters: weights uniform in (-s, s) with s = sqrt(1/fan_in),
     biases zero, layer-norm scale 1 and shift 0. Draw order follows the
     layer plan, so a given seed always yields the same tensors."""
-    params: dict[str, np.ndarray] = {}
-    plan = layer_plan(config)
-    for name, d_in, d_out, has_norm in _iter_layers(plan):
+    params = Params(dict(param_shapes(config)))
+    for name, d_in, d_out, has_norm in _iter_layers(layer_plan(config)):
         s = math.sqrt(1.0 / d_in)
-        w = rng.uniform(d_in * d_out).reshape(d_in, d_out) * (2.0 * s) - s
-        params[f"{name}.w"] = w
-        params[f"{name}.b"] = np.zeros(d_out)
+        params[f"{name}.w"][...] = rng.uniform(d_in * d_out).reshape(d_in, d_out) * (2.0 * s) - s
         if has_norm:
-            params[f"{name}.gamma"] = np.ones(d_out)
-            params[f"{name}.beta"] = np.zeros(d_out)
+            params[f"{name}.gamma"].fill(1.0)
     return params
+
+
+def init_grads(config: ModelConfig) -> Params:
+    """Zeroed gradient tensors for ``config``, keyed in backward order."""
+    shapes = dict(param_shapes(config))
+    return Params({name: shapes[name] for name in _backward_order(config)})
+
+
+def check_params(params: dict, config: ModelConfig) -> None:
+    """Raise ShapeError unless ``params`` holds exactly the tensors of the
+    layer plan, each with its planned shape."""
+    expected = param_shapes(config)
+    for name, shape in expected:
+        got = np.shape(params[name]) if name in params else ()
+        if got != shape:
+            raise ShapeError(f"parameter {name!r}", got, shape)
+    if len(params) != len(expected):
+        extra = sorted(set(params) - {name for name, _ in expected})
+        raise ShapeError(f"parameters not in the layer plan {extra}",
+                         (len(params),), (len(expected),))
 
 
 def param_count(params: dict[str, np.ndarray]) -> int:
     return sum(v.size for v in params.values())
 
 
-def params_copy(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+def params_copy(params: Params) -> Params:
+    """A deep copy: one copy of the flat buffer."""
+    return Params({name: v.shape for name, v in params.items()}, params.flat.copy())
 
 
 # -- forward ----------------------------------------------------------------
@@ -255,85 +336,72 @@ def forward(params: dict, config: ModelConfig, x: np.ndarray):
 # -- backward ---------------------------------------------------------------
 
 
-def _block_backward(params, grads, name, cache: BlockCache, dy):
+def _block_backward(grads, name, cache: BlockCache, dy, input_grad=True):
     dy = leaky_relu_backward(cache.act, dy)
-    dy, dgamma, dbeta = layer_norm_backward(cache.ln, dy)
-    grads[f"{name}.gamma"] = dgamma
-    grads[f"{name}.beta"] = dbeta
-    dx, dw, db = linear_backward(cache.lin, dy)
-    grads[f"{name}.w"] = dw
-    grads[f"{name}.b"] = db
+    dy, _, _ = layer_norm_backward(cache.ln, dy, grads[f"{name}.gamma"],
+                                   grads[f"{name}.beta"])
+    dx, _, _ = linear_backward(cache.lin, dy, grads[f"{name}.w"], grads[f"{name}.b"],
+                               input_grad)
     return dx
 
 
-def _chain_backward(params, grads, blocks, out_layer, chain_cache, dy):
+def _chain_backward(grads, blocks, out_layer, chain_cache, dy):
     block_caches, out_cache = chain_cache
     out_name = out_layer[0]
-    dy, dw, db = linear_backward(out_cache, dy)
-    grads[f"{out_name}.w"] = dw
-    grads[f"{out_name}.b"] = db
+    dy, _, _ = linear_backward(out_cache, dy, grads[f"{out_name}.w"],
+                               grads[f"{out_name}.b"])
     for (name, _, _), cache in zip(reversed(blocks), reversed(block_caches)):
-        dy = _block_backward(params, grads, name, cache, dy)
+        dy = _block_backward(grads, name, cache, dy)
     return dy
 
 
-def backward(params: dict, caches: ForwardCaches, d_outputs: dict) -> dict[str, np.ndarray]:
+def backward(params: dict, caches: ForwardCaches, d_outputs: dict,
+             grads: Params | None = None) -> Params:
     """Gradients for every parameter given output-side gradients.
 
     ``d_outputs`` maps "emotion", "age_scaled", "country_logits" to arrays
     shaped like the corresponding outputs (missing keys mean zero). The
-    trunk gradient is the sum of the three head contributions.
+    trunk gradient is the sum of the three head contributions. Every
+    gradient is written into ``grads`` (from ``init_grads``), which is
+    allocated when not given; the weights come from ``caches``.
     """
     config = caches.config
     plan = layer_plan(config)
-    grads: dict[str, np.ndarray] = {}
+    if grads is None:
+        grads = init_grads(config)
 
     n = caches.trunk[0].lin.x.shape[0]
-    trunk_width = plan.trunk[-1][2]
-    d_shared = np.zeros((n, trunk_width))
-
-    d_emotion = d_outputs.get("emotion")
-    if d_emotion is not None:
-        d_emotion = np.asarray(d_emotion, dtype=np.float64)
-        if caches.emotion_sigmoid is not None:
-            d_emotion = sigmoid_backward(caches.emotion_sigmoid, d_emotion)
-        d_shared += _chain_backward(
-            params, grads, plan.emotion_blocks, plan.emotion_out, caches.emotion, d_emotion
-        )
-    else:
-        _zero_chain(params, grads, plan.emotion_blocks, plan.emotion_out)
-
-    d_country = d_outputs.get("country_logits")
-    if d_country is not None:
-        d_shared += _chain_backward(
-            params, grads, plan.country_blocks, plan.country_out, caches.country,
-            np.asarray(d_country, dtype=np.float64),
-        )
-    else:
-        _zero_chain(params, grads, plan.country_blocks, plan.country_out)
-
-    d_age = d_outputs.get("age_scaled")
-    if d_age is not None:
-        d_shared += _chain_backward(
-            params, grads, plan.age_blocks, plan.age_out, caches.age,
-            np.asarray(d_age, dtype=np.float64),
-        )
-    else:
-        _zero_chain(params, grads, plan.age_blocks, plan.age_out)
+    d_shared = np.zeros((n, plan.trunk[-1][2]))
+    heads = (
+        ("emotion", config.emotion_out, plan.emotion_blocks, plan.emotion_out, caches.emotion),
+        ("country_logits", config.country_out, plan.country_blocks, plan.country_out,
+         caches.country),
+        ("age_scaled", 1, plan.age_blocks, plan.age_out, caches.age),
+    )
+    for key, width, blocks, out_layer, chain_cache in heads:
+        dy = d_outputs.get(key)
+        if dy is None:
+            _zero_chain(grads, blocks, out_layer)
+            continue
+        if np.shape(dy) != (n, width):
+            raise ShapeError(f"backward {key}", np.shape(dy), (n, width))
+        if key == "emotion" and caches.emotion_sigmoid is not None:
+            dy = sigmoid_backward(caches.emotion_sigmoid, dy)
+        d_shared += _chain_backward(grads, blocks, out_layer, chain_cache, dy)
 
     dy = d_shared
+    first = plan.trunk[0][0]
     for (name, _, _), cache in zip(reversed(plan.trunk), reversed(caches.trunk)):
-        dy = _block_backward(params, grads, name, cache, dy)
+        dy = _block_backward(grads, name, cache, dy, input_grad=name != first)
     return grads
 
 
-def _zero_chain(params, grads, blocks, out_layer):
+def _zero_chain(grads, blocks, out_layer):
     for name, _, _ in blocks:
         for suffix in ("w", "b", "gamma", "beta"):
-            grads[f"{name}.{suffix}"] = np.zeros_like(params[f"{name}.{suffix}"])
-    out_name = out_layer[0]
-    grads[f"{out_name}.w"] = np.zeros_like(params[f"{out_name}.w"])
-    grads[f"{out_name}.b"] = np.zeros_like(params[f"{out_name}.b"])
+            grads[f"{name}.{suffix}"].fill(0.0)
+    grads[f"{out_layer[0]}.w"].fill(0.0)
+    grads[f"{out_layer[0]}.b"].fill(0.0)
 
 
 # -- inference --------------------------------------------------------------
@@ -353,6 +421,7 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     ``descale`` method. Country is the argmax of the logits; numpy argmax
     resolves ties toward the lowest class index.
     """
+    check_params(params, config)
     outputs, _ = forward(params, config, x)
     age_years = age_scaler.descale(outputs.age_scaled[:, 0])
     country = np.argmax(outputs.country_logits, axis=1).astype(np.int64)

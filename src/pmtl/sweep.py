@@ -12,8 +12,9 @@ Aggregation is either ``mean_std`` (per-metric mean and population std
 over runs; the combined-score column is the mean of per-run scores, not
 the harmonic mean of the other columns) or ``best`` (the single run with
 the highest combined score; ties go to the earliest run). A cell in which
-any run raises is recorded as failed and excluded from aggregation and
-best-cell selection; the sweep itself continues.
+any run raises a PmtlError is recorded as failed and excluded from
+aggregation and best-cell selection; the sweep itself continues. Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import SplitDataset
-from .errors import ConfigError
+from .errors import ConfigError, PmtlError
 from .metrics import MetricsBundle
 from .rng import derive_subseed
 from .train import TrainConfig, train_run
@@ -235,11 +236,11 @@ def _run_cell(spec: SweepSpec, value, dataset: SplitDataset) -> CellResult:
                 best_epoch=history.best_epoch,
                 bundle=history.best_val,
             ))
-    except Exception as exc:
+    except PmtlError as exc:
         return CellResult(
             label=label, value=value, runs=tuple(runs),
             error=f"{type(exc).__name__}: {exc}",
-            error_code=getattr(exc, "exit_code", 3),
+            error_code=exc.exit_code,
         )
     return CellResult(label=label, value=value, runs=tuple(runs))
 

@@ -1,8 +1,13 @@
 """Checkpoint container: bit-exact round-trips and corruption handling."""
 
+import json
+import struct
+import types
+
 import numpy as np
 import pytest
 
+import pmtl.checkpoint
 from pmtl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pmtl.data import AgeScaler, Standardizer
 from pmtl.errors import DataFormatError
@@ -107,3 +112,40 @@ def test_trailing_bytes_rejected(saved, tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"PMCK"
+
+
+def test_payload_is_the_parameter_buffer(saved):
+    path, params, *_ = saved
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    start = 10 + header_len
+    assert blob[start:start + params.flat.nbytes] == params.flat.astype("<f8").tobytes()
+
+
+def test_unsorted_tensor_index_rejected(saved, tmp_path):
+    path, *_ = saved
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    header = json.loads(blob[10:10 + header_len])
+    header["tensors"].reverse()
+    raw = json.dumps(header).encode("utf-8")
+    swapped = tmp_path / "swapped.pmck"
+    swapped.write_bytes(blob[:4] + struct.pack("<HI", 1, len(raw)) + raw
+                        + blob[10 + header_len:])
+    with pytest.raises(DataFormatError, match="sorted"):
+        load_checkpoint(swapped)
+
+
+def test_failed_save_leaves_existing_checkpoint(saved, monkeypatch):
+    path, params, config, scaler, std = saved
+    before = path.read_bytes()
+
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    # the failure strikes after the magic has been written
+    monkeypatch.setattr(pmtl.checkpoint, "struct", types.SimpleNamespace(pack=disk_full))
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, params, config, scaler, std)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]

@@ -379,6 +379,34 @@ def test_invalid_config_json_exits_1(workspace, tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("model_key,value", [("leaky_slope", 1.5), ("ln_eps", 0.0)])
+def test_invalid_model_constant_exits_1(workspace, tmp_path, capsys, model_key, value):
+    bad = tmp_path / "bad.json"
+    model = dict(TRAIN_CONFIG["model"], **{model_key: value})
+    bad.write_text(json.dumps(dict(TRAIN_CONFIG, model=model)))
+    code, _, err = run(capsys, ["train", *data_args(workspace),
+                                "--config", str(bad),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert model_key in err
+    assert "Traceback" not in err
+
+
+def test_max_epochs_flag_clamps_configured_patience(workspace, tmp_path, capsys):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, max_epochs=20, patience=10)))
+    args = ["train", *data_args(workspace), "--config", str(cfg), "--max-epochs", "1"]
+    code, _, err = run(capsys, args + ["--out", str(tmp_path / "o")])
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["train_config"]["patience"] == 1
+    assert manifest["epochs_run"] == 1
+    # an explicit --patience is taken as given, and still checked
+    code, _, err = run(capsys, args + ["--patience", "5", "--out", str(tmp_path / "p")])
+    assert code == 1
+    assert "patience" in err
+
+
 def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(TRAIN_CONFIG, momentum=0.9)))

@@ -1,8 +1,15 @@
-"""Layer primitives against loop oracles and finite differences."""
+"""Layer primitives against loop oracles and finite differences.
+
+The primitives do not validate their operands on every call: shapes, the
+leaky slope and the layer-norm eps are checked once at the model boundary
+(ModelConfig, forward, backward and check_params). The validation tests
+below exercise those boundaries.
+"""
 
 import numpy as np
 import pytest
 
+from pmtl.data import AgeScaler
 from pmtl.errors import ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.layers import (
@@ -16,6 +23,8 @@ from pmtl.layers import (
     sigmoid_backward,
     sigmoid_forward,
 )
+from pmtl.model import ModelConfig, backward, forward, init_params, predict
+from pmtl.rng import RngStream
 
 
 def matmul_oracle(a, b):
@@ -55,11 +64,14 @@ def test_linear_forward_matches_oracle(rng_np):
     assert np.allclose(y, expected, rtol=0, atol=1e-12)
 
 
-def test_linear_shape_errors():
-    with pytest.raises(ShapeError):
-        linear_forward(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        linear_forward(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(5))
+def test_linear_shape_errors(tiny_config):
+    # a mis-shaped weight or bias is rejected where parameters enter
+    params = init_params(tiny_config, RngStream(0))
+    x = np.zeros((2, tiny_config.input_dim))
+    for name, bad in (("shared0.w", np.zeros((4, 3))), ("shared1.b", np.zeros(7))):
+        with pytest.raises(ShapeError, match=name):
+            predict(dict(params, **{name: bad}), tiny_config, x,
+                    AgeScaler(mean=0.0, std=1.0))
 
 
 def test_linear_gradients_fd(rng_np):
@@ -121,9 +133,25 @@ def test_layer_norm_gradients_fd(rng_np):
     assert grad_check(f, params) < 1e-6
 
 
+def test_layer_norm_matches_numpy_mean_var_bits(rng_np):
+    # the reference is the textbook form with np.mean and np.var
+    x = rng_np.standard_normal((64, 33)) * 5.0 + 2.0
+    gamma = rng_np.standard_normal(33)
+    beta = rng_np.standard_normal(33)
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv_std
+    y, cache = layer_norm_forward(x, gamma, beta, 1e-5)
+    assert y.tobytes() == (gamma * xhat + beta).tobytes()
+    assert cache.xhat.tobytes() == xhat.tobytes()
+    assert cache.inv_std.tobytes() == inv_std.tobytes()
+
+
 def test_layer_norm_eps_validation():
-    with pytest.raises(ValueError):
-        layer_norm_forward(np.zeros((1, 3)), np.ones(3), np.zeros(3), eps=0.0)
+    for eps in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ValueError, match="ln_eps"):
+            ModelConfig(input_dim=3, ln_eps=eps)
 
 
 def test_leaky_relu_values():
@@ -133,9 +161,9 @@ def test_leaky_relu_values():
 
 
 def test_leaky_relu_slope_validation():
-    for slope in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            leaky_relu_forward(np.zeros((1, 1)), slope=slope)
+    for slope in (0.0, 1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            ModelConfig(input_dim=3, leaky_slope=slope)
 
 
 def test_leaky_relu_gradients_fd(rng_np):
@@ -177,14 +205,12 @@ def test_sigmoid_gradients_fd(rng_np):
     assert grad_check(f, {"x": rng_np.standard_normal((3, 4))}) < 1e-6
 
 
-def test_backward_shape_validation(rng_np):
-    x = rng_np.standard_normal((2, 3))
-    _, lin = linear_forward(x, rng_np.standard_normal((3, 2)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        linear_backward(lin, np.zeros((2, 5)))
-    _, ln = layer_norm_forward(x, np.ones(3), np.zeros(3))
-    with pytest.raises(ShapeError):
-        layer_norm_backward(ln, np.zeros((2, 5)))
-    _, act = leaky_relu_forward(x)
-    with pytest.raises(ShapeError):
-        leaky_relu_backward(act, np.zeros((9, 9)))
+def test_backward_shape_validation(tiny_config, rng_np):
+    # mis-shaped output gradients are rejected where they enter backward
+    params = init_params(tiny_config, RngStream(0))
+    _, caches = forward(params, tiny_config,
+                        rng_np.standard_normal((2, tiny_config.input_dim)))
+    for key, shape in (("emotion", (2, 1)), ("country_logits", (9, 9)),
+                       ("age_scaled", (2,))):
+        with pytest.raises(ShapeError, match=key):
+            backward(params, caches, {key: np.zeros(shape)})

@@ -8,7 +8,9 @@ from pmtl.gradcheck import grad_check
 from pmtl.losses import LossConfig, cross_entropy_loss, mse_loss
 from pmtl.model import (
     ModelConfig,
+    Params,
     backward,
+    check_params,
     forward,
     init_params,
     layer_plan,
@@ -266,6 +268,28 @@ def test_params_copy_is_deep(tiny_config):
     clone = params_copy(params)
     clone["shared0.w"][0, 0] += 1.0
     assert params["shared0.w"][0, 0] != clone["shared0.w"][0, 0]
+    assert list(clone) == list(params)
+
+
+def test_params_are_views_into_one_sorted_buffer(tiny_config):
+    params = init_params(tiny_config, RngStream(8))
+    assert isinstance(params, Params)
+    # the dict keeps layer-plan order; the buffer holds sorted names
+    assert list(params)[:4] == ["shared0.w", "shared0.b", "shared0.gamma", "shared0.beta"]
+    ordered = np.concatenate([params[k].reshape(-1) for k in sorted(params)])
+    assert params.flat.tobytes() == ordered.tobytes()
+    params.flat[...] = 0.0
+    assert not any(v.any() for v in params.values())
+
+
+def test_check_params_against_layer_plan(tiny_config):
+    params = init_params(tiny_config, RngStream(8))
+    check_params(params, tiny_config)
+    missing = {k: v for k, v in params.items() if k != "age_out.b"}
+    with pytest.raises(ShapeError, match="age_out.b"):
+        check_params(missing, tiny_config)
+    with pytest.raises(ShapeError, match="extra.w"):
+        check_params(dict(params, **{"extra.w": np.zeros(1)}), tiny_config)
 
 
 class _Scaler:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import pmtl.sweep
 from pmtl.data import SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError
 from pmtl.metrics import MetricsBundle
@@ -144,6 +145,18 @@ def test_cell_failure_is_isolated(sweep_dataset):
     assert table.has_failures
     assert table.rows()[1] is None
     assert table.best_index() == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_programming_error_in_cell_propagates(sweep_dataset, monkeypatch, workers):
+    # only PmtlError marks a cell failed; a bug is not a numerical failure
+    def broken_train_run(config, data):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(pmtl.sweep, "train_run", broken_train_run)
+    spec = SweepSpec(axis="seed", values=(1, 2), base=base_config(), runs_per_cell=1)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_sweep(spec, sweep_dataset, workers=workers)
 
 
 def test_feature_set_axis_adapts_model_width(sweep_dataset):

@@ -10,9 +10,10 @@ from pmtl.data import SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError, DataError, NumericalError
 from pmtl.losses import LossConfig
 from pmtl.metrics import compute_bundle
-from pmtl.model import ModelConfig, init_params, predict
+from pmtl.model import ModelConfig, Params, init_grads, init_params, predict
 from pmtl.rng import RngStream
 from pmtl.train import (
+    ADAM_CHUNK,
     TrainConfig,
     adam_step,
     clip_grads,
@@ -83,7 +84,7 @@ def test_adam_zero_gradients_are_a_no_op(tiny_config):
     params = init_params(tiny_config, RngStream(0))
     before = {k: v.copy() for k, v in params.items()}
     state = init_adam(params)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = init_grads(tiny_config)
     adam_step(params, grads, state, small_train_config())
     assert state.step == 1
     for name in params:
@@ -92,9 +93,10 @@ def test_adam_zero_gradients_are_a_no_op(tiny_config):
 
 def test_adam_first_step_magnitude_near_learning_rate():
     config = small_train_config(learning_rate=0.5)
-    params = {"w": np.array([[0.0, 0.0]])}
+    params, grads = Params({"w": (1, 2)}), Params({"w": (1, 2)})
+    grads["w"][...] = [[10.0, -0.001]]
     state = init_adam(params)
-    adam_step(params, {"w": np.array([[10.0, -0.001]])}, state, config)
+    adam_step(params, grads, state, config)
     # bias correction makes step ~= lr * sign(g) regardless of |g|
     assert params["w"][0, 0] == pytest.approx(-0.5, rel=1e-5)
     assert params["w"][0, 1] == pytest.approx(0.5, rel=1e-2)
@@ -102,10 +104,10 @@ def test_adam_first_step_magnitude_near_learning_rate():
 
 def test_adam_converges_on_scalar_quadratic():
     config = small_train_config(learning_rate=0.01)
-    params = {"w": np.array([[0.0]])}
+    params, grads = Params({"w": (1, 1)}), Params({"w": (1, 1)})
     state = init_adam(params)
     for _ in range(2000):
-        grads = {"w": 2.0 * (params["w"] - 3.0)}
+        grads["w"][...] = 2.0 * (params["w"] - 3.0)
         adam_step(params, grads, state, config)
     assert abs(params["w"][0, 0] - 3.0) < 1e-3
     assert state.step == 2000
@@ -113,12 +115,44 @@ def test_adam_converges_on_scalar_quadratic():
 
 def test_adam_rejects_non_finite_gradient_naming_tensor():
     config = small_train_config()
-    params = {"a": np.zeros(2), "shared0.w": np.zeros((2, 2))}
+    shapes = {"a": (2,), "shared0.w": (2, 2)}
+    params, grads = Params(shapes), Params(shapes)
+    grads["a"][...] = 1.0
+    grads["shared0.w"][1, 0] = np.nan
     state = init_adam(params)
-    grads = {"a": np.zeros(2), "shared0.w": np.full((2, 2), np.nan)}
     with pytest.raises(NumericalError, match="shared0.w"):
         adam_step(params, grads, state, config)
-    assert state.step == 0  # rejected before any state mutation
+    # rejected before any mutation of params or state
+    assert state.step == 0
+    assert not (params.flat.any() or state.m.any() or state.v.any())
+
+
+def test_adam_chunked_update_matches_per_tensor_reference():
+    # the per-tensor expression of the update is the reference; the flat
+    # chunked update must reproduce its bits across chunk boundaries
+    config = small_train_config(learning_rate=3e-3)
+    shapes = {"big": (3, ADAM_CHUNK // 2 + 5), "small": (7,), "mid": (ADAM_CHUNK - 3,)}
+    params, grads = Params(shapes), Params(shapes)
+    rng = np.random.default_rng(4)
+    params.flat[...] = rng.standard_normal(params.flat.size)
+    ref_p = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    state = init_adam(params)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for step in range(1, 4):
+        grads.flat[...] = rng.standard_normal(grads.flat.size) * 10.0 ** (step - 2)
+        adam_step(params, grads, state, config)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for k, p in ref_p.items():
+            g, m, v = grads[k], ref_m[k], ref_v[k]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+    for k in shapes:
+        assert params[k].tobytes() == ref_p[k].tobytes(), k
 
 
 def test_grad_global_norm_oracle():
