@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AgeScaler, Standardizer, atomic_open
-from .errors import DataFormatError
-from .model import ModelConfig, Params
+from .errors import DataFormatError, ShapeError
+from .model import ModelConfig, Params, check_params
 
 MAGIC = b"PMCK"
 VERSION = 1
@@ -92,6 +92,11 @@ def _read_tensors(index, payload, offset, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint and check it against the layer plan of its config.
+
+    A file that is truncated, malformed, holds non-finite values or whose
+    tensors differ from the plan raises DataFormatError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -106,14 +111,14 @@ def load_checkpoint(path) -> Checkpoint:
     if len(header_raw) != header_len:
         raise DataFormatError("truncated header", path)
     try:
-        header = json.loads(header_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"bad header JSON: {exc}", path)
+        return _from_header(json.loads(header_raw.decode("utf-8")), blob[10 + header_len:], path)
+    except ShapeError as exc:
+        raise DataFormatError(f"tensors do not match the model config: {exc}", path) from None
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad header: {type(exc).__name__}: {exc}", path) from None
 
-    for key in ("age_scaler", "config", "tensors", "aux"):
-        if key not in header:
-            raise DataFormatError(f"header missing {key!r}", path)
-    payload = blob[10 + header_len:]
+
+def _from_header(header: dict, payload: bytes, path) -> Checkpoint:
     shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in header["tensors"]}
     if [entry[0] for entry in header["tensors"]] != sorted(shapes):
         raise DataFormatError("tensor names are not unique and sorted", path)
@@ -124,13 +129,14 @@ def load_checkpoint(path) -> Checkpoint:
     aux, offset = _read_tensors(header["aux"], payload, offset, path)
     if offset != len(payload):
         raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)
-
-    try:
-        config = ModelConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad model config: {exc}", path)
     scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
                        std=float(header["age_scaler"]["std"]))
+    finite = (params.flat, *aux.values(), (scaler.mean, scaler.std))
+    if not all(np.isfinite(values).all() for values in finite):
+        raise DataFormatError("non-finite values", path)
+
+    config = ModelConfig.from_dict(header["config"])
+    check_params(params, config)
     standardizer = None
     if header.get("standardizer") is not None:
         meta = header["standardizer"]
@@ -140,5 +146,7 @@ def load_checkpoint(path) -> Checkpoint:
             scale=aux["standardizer.scale"],
             degenerate_columns=tuple(int(c) for c in meta["degenerate_columns"]),
         )
+        if {standardizer.center.shape, standardizer.scale.shape} != {(config.input_dim,)}:
+            raise DataFormatError("standardizer width differs from the model input", path)
     return Checkpoint(params=params, config=config, age_scaler=scaler,
                       standardizer=standardizer)

@@ -4,9 +4,8 @@ Subcommands: ``train`` (one run), ``eval`` (checkpoint + split -> metrics),
 ``score`` (prediction-file scoring), ``sweep`` (grid over one axis),
 ``synth`` (generate a synthetic dataset), ``report`` (re-render stored
 sweep results). Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 numerical failure. The worker count for sweeps comes from the
-``PMTL_WORKERS`` environment variable (default 1); everything else lives
-in config files and flags.
+error, 3 numerical failure. Every setting lives in config files and
+flags; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     STANDARDIZE_MODES,
+    SplitDataset,
     SynthSpec,
     atomic_open,
     build_part,
@@ -37,7 +36,7 @@ from .data import (
     standardize,
     synth_tables,
 )
-from .errors import ConfigError, IdMismatchError, PmtlError
+from .errors import ConfigError, DataError, IdMismatchError, PmtlError
 from .losses import LossConfig
 from .metrics import compute_bundle, multitask_score_detail
 from .model import ModelConfig, predict
@@ -79,9 +78,12 @@ def _read_json(path, kind: str) -> dict:
 
 
 def _write_json(obj, path) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
+def _write_text(text: str, path) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _sha256(path) -> str:
@@ -146,17 +148,6 @@ def _load_dataset(args):
     return join_splits(features, labels)
 
 
-def _workers() -> int:
-    raw = os.environ.get("PMTL_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"PMTL_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"PMTL_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -207,6 +198,9 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --labels, --out-predictions, or both")
     ck = load_checkpoint(args.checkpoint)
     features = load_features(args.features)
+    if features.dim != ck.config.input_dim:
+        raise DataError(f"{args.features} has {features.dim} features per row, "
+                        f"the checkpoint expects {ck.config.input_dim}")
     if ck.standardizer is not None:
         features = type(features)(
             ids=features.ids, features=ck.standardizer.apply(features.features)
@@ -239,8 +233,7 @@ def score_files(predictions_path, labels_path):
         only_l = sorted(set_l - set_p)
         raise IdMismatchError(
             f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
-            f"{len(only_l)} only in labels {only_l[:5]}",
-            missing_left=only_l, missing_right=only_p,
+            f"{len(only_l)} only in labels {only_l[:5]}"
         )
     order_p = sorted(range(len(ids_p)), key=lambda i: ids_p[i])
     label_index = labels.index()
@@ -273,76 +266,72 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _sweep_datasets(spec_raw: dict, spec: SweepSpec, mode: str, args):
-    """Resolve the dataset(s) each cell trains on, per axis semantics."""
-    if spec.axis == "feature_set":
-        sets = spec_raw.get("feature_sets")
-        if not isinstance(sets, dict):
-            raise ConfigError("feature_set sweep needs a 'feature_sets' mapping "
-                              "{name: {train: path, val: path}}")
-        labels = load_labels_csv(args.labels)
-        datasets = {}
-        for value in spec.values:
-            if value not in sets:
-                raise ConfigError(f"feature_sets has no entry for {value!r}")
-            entry = sets[value]
-            features = {
-                "train": load_features(entry["train"]),
-                "val": load_features(entry["val"]),
-            }
-            datasets[value] = standardize(join_splits(features, labels), mode)
-        return datasets
-    base = _load_dataset(args)
-    if spec.axis == "standardization":
-        for value in spec.values:
-            if value not in STANDARDIZE_MODES:
-                raise ConfigError(
-                    f"standardization sweep value {value!r} not in {STANDARDIZE_MODES}"
-                )
-        return {value: standardize(base, value) for value in spec.values}
-    return standardize(base, mode)
+def _sweep_data(spec_raw: dict, args):
+    """Load the joined, not yet standardized data a sweep trains on: one
+    dataset per value of a feature_set sweep, else one shared dataset."""
+    if spec_raw.get("axis") != "feature_set":
+        if None in (args.train_features, args.val_features, args.labels):
+            raise ConfigError(
+                "sweep needs --train-features, --val-features, and --labels"
+            )
+        return _load_dataset(args)
+    if args.labels is None:
+        raise ConfigError("feature_set sweep needs --labels")
+    sets = spec_raw.get("feature_sets")
+    if not isinstance(sets, dict):
+        raise ConfigError("feature_set sweep needs a 'feature_sets' mapping "
+                          "{name: {train: path, val: path}}")
+    labels = load_labels_csv(args.labels)
+    datasets = {}
+    for value in spec_raw.get("values", ()):
+        if value not in sets:
+            raise ConfigError(f"feature_sets has no entry for {value!r}")
+        features = {
+            "train": load_features(sets[value]["train"]),
+            "val": load_features(sets[value]["val"]),
+        }
+        datasets[value] = join_splits(features, labels)
+    return datasets
 
 
 def cmd_sweep(args) -> int:
     raw = _read_json(args.spec, "sweep spec")
     spec_d = dict(raw)
-    feature_sets = spec_d.pop("feature_sets", None)
+    spec_d.pop("feature_sets", None)
     base_raw = spec_d.pop("base", None)
     if base_raw is None:
         raise ConfigError("sweep spec needs a 'base' train config")
-    if spec_d.get("axis") == "feature_set":
-        if args.labels is None:
-            raise ConfigError("feature_set sweep needs --labels")
-        input_dim = None
-        if feature_sets and spec_d.get("values"):
-            first = feature_sets.get(spec_d["values"][0])
-            if first:
-                input_dim = load_features(first["train"]).dim
-    else:
-        if None in (args.train_features, args.val_features, args.labels):
-            raise ConfigError(
-                "sweep needs --train-features, --val-features, and --labels"
-            )
-        input_dim = load_features(args.train_features).dim
-    base, mode = parse_train_config(base_raw, input_dim=input_dim)
+    data = _sweep_data(raw, args)
+    first = data if isinstance(data, SplitDataset) else next(iter(data.values()), None)
+    base, mode = parse_train_config(base_raw, input_dim=first.dim if first else None)
     try:
         spec = SweepSpec(base=base, **spec_d)
     except TypeError as exc:
         raise ConfigError(f"bad sweep spec: {exc}")
 
-    datasets = _sweep_datasets(raw, spec, mode, args)
-    table = run_sweep(spec, datasets, workers=_workers())
+    if spec.axis == "feature_set":
+        datasets = {value: standardize(ds, mode) for value, ds in data.items()}
+    elif spec.axis == "standardization":
+        for value in spec.values:
+            if value not in STANDARDIZE_MODES:
+                raise ConfigError(
+                    f"standardization sweep value {value!r} not in {STANDARDIZE_MODES}"
+                )
+        datasets = {value: standardize(data, value) for value in spec.values}
+    else:
+        datasets = standardize(data, mode)
+    table = run_sweep(spec, datasets)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_results(table, out / "results.json")
     if args.format == "csv":
         report_path = out / "report.csv"
-        report_path.write_text(report_csv(table), encoding="utf-8")
+        _write_text(report_csv(table), report_path)
     else:
         report_path = out / "report.md"
-        report_path.write_text(report_markdown(table), encoding="utf-8")
-    (out / "full.csv").write_text(sidecar_csv(table), encoding="utf-8")
+        _write_text(report_markdown(table), report_path)
+    _write_text(sidecar_csv(table), out / "full.csv")
 
     print(json.dumps({
         "cells": len(table.cells),
@@ -392,7 +381,7 @@ def cmd_report(args) -> int:
     table = load_results(args.results)
     text = report_csv(table) if args.format == "csv" else report_markdown(table)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(text, args.out)
         print(json.dumps({"report": str(args.out)}, sort_keys=True))
     else:
         sys.stdout.write(text)

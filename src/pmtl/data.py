@@ -10,7 +10,8 @@ labels CSV        header ``id,Amusement,...,Triumph,age,country`` with the
                   ten emotion columns in the canonical order below; emotion
                   values in [0, 1], age an integer, country one of the four
                   exact tokens in COUNTRIES.
-predictions CSV   same columns as labels, but age may be fractional.
+predictions CSV   same columns as labels, but age may be fractional and
+                  emotion values are not range-checked.
 
 Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order.
@@ -203,38 +204,43 @@ def _parse_float(token: str, path, line_no, col):
     return v
 
 
-def load_features_csv(path) -> FeatureTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_features_csv(fh, str(path))
-
-
-def _read_features_csv(fh, path) -> FeatureTable:
-    reader = csv.reader(fh)
+@contextlib.contextmanager
+def _open_csv(path):
+    """Yield ``(header, reader)`` for the UTF-8 CSV file at ``path``. An
+    empty file, or bytes that are not UTF-8, raise DataFormatError."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty file", path, 1)
-    if not header or header[0] != "id":
-        raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
-    d = len(header) - 1
-    expected = ["id"] + [f"f{j}" for j in range(d)]
-    if header != expected:
-        raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("empty file", path, 1)
+            yield header, reader
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not valid UTF-8: {exc}", path) from None
 
+
+def load_features_csv(path) -> FeatureTable:
     ids: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != d + 1:
-            raise DataFormatError(f"expected {d + 1} fields, got {len(row)}", path, line_no)
-        sid = row[0]
-        if sid in seen:
-            raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
-        seen.add(sid)
-        ids.append(sid)
-        rows.append([_parse_float(tok, path, line_no, f"f{j}") for j, tok in enumerate(row[1:])])
+    with _open_csv(path) as (header, reader):
+        if not header or header[0] != "id":
+            raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
+        d = len(header) - 1
+        if header != ["id"] + [f"f{j}" for j in range(d)]:
+            raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise DataFormatError(f"expected {d + 1} fields, got {len(row)}", path, line_no)
+            sid = row[0]
+            if sid in seen:
+                raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
+            seen.add(sid)
+            ids.append(sid)
+            rows.append([_parse_float(tok, path, line_no, f"f{j}")
+                         for j, tok in enumerate(row[1:])])
     features = np.array(rows, dtype=np.float64).reshape(len(ids), d)
     return FeatureTable(ids=tuple(ids), features=features)
 
@@ -311,17 +317,16 @@ def load_features(path) -> FeatureTable:
     return load_features_csv(path)
 
 
-def load_labels_csv(path) -> LabelTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file", path, 1)
+def _load_label_rows(path, age_kind):
+    """Parse a file in the labels layout; ``age_kind`` is ``int`` for labels
+    and ``float`` for predictions. Emotion values must lie in [0, 1] in
+    labels; predicted ages must be finite. Returns (ids, emotion (n, 10),
+    age (n,), country ids (n,))."""
+    ids, emotions, ages, countries = [], [], [], []
+    seen = set()
+    with _open_csv(path) as (header, reader):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-        ids, emotions, ages, countries = [], [], [], []
-        seen = set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -333,52 +338,34 @@ def load_labels_csv(path) -> LabelTable:
             if sid in seen:
                 raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
             seen.add(sid)
-            emo = [_parse_float(tok, path, line_no, name) for tok, name in zip(row[1:11], EMOTIONS)]
-            bad = [v for v in emo if not 0.0 <= v <= 1.0]
-            if bad:
-                raise DataFormatError(f"emotion value {bad[0]} outside [0, 1]", path, line_no)
+            emotions.append([_parse_float(t, path, line_no, c)
+                             for t, c in zip(row[1:11], EMOTIONS)])
             try:
-                age = int(row[11])
+                ages.append(age_kind(row[11]))
             except ValueError:
-                raise DataFormatError(f"age {row[11]!r} is not an integer", path, line_no)
+                kind = "an integer" if age_kind is int else "a number"
+                raise DataFormatError(f"age {row[11]!r} is not {kind}", path, line_no)
             if row[12] not in COUNTRY_TO_ID:
-                raise DataFormatError(
-                    f"country {row[12]!r} not in {COUNTRIES}", path, line_no
-                )
+                raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path, line_no)
             ids.append(sid)
-            emotions.append(emo)
-            ages.append(age)
             countries.append(COUNTRY_TO_ID[row[12]])
-    return LabelTable(
-        ids=tuple(ids),
-        emotion=np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS)),
-        age=np.array(ages, dtype=np.int64),
-        country=np.array(countries, dtype=np.int64),
-    )
+    emotion = np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS))
+    try:
+        age = np.array(ages, dtype=np.int64 if age_kind is int else np.float64)
+    except OverflowError:
+        raise DataFormatError("age out of range", path) from None
+    # checked per file rather than per row; the unique id locates the row
+    if age_kind is int:
+        bad, what = ((emotion < 0.0) | (emotion > 1.0)).any(axis=1), "emotion outside [0, 1]"
+    else:
+        bad, what = ~np.isfinite(age), "non-finite age"
+    if bad.any():
+        raise DataFormatError(f"id {ids[int(np.argmax(bad))]!r}: {what}", path)
+    return tuple(ids), emotion, age, np.array(countries, dtype=np.int64)
 
 
-def save_labels_csv(table: LabelTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_HEADER)
-        for i, sid in enumerate(table.ids):
-            writer.writerow(
-                [sid]
-                + [fmt_float(v) for v in table.emotion[i]]
-                + [str(int(table.age[i])), COUNTRIES[int(table.country[i])]]
-            )
-
-
-def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_HEADER)
-        for i, sid in enumerate(ids):
-            writer.writerow(
-                [sid]
-                + [fmt_float(v) for v in emotion[i]]
-                + [fmt_float(age_years[i]), COUNTRIES[int(country_ids[i])]]
-            )
+def load_labels_csv(path) -> LabelTable:
+    return LabelTable(*_load_label_rows(path, int))
 
 
 def load_predictions_csv(path):
@@ -386,39 +373,24 @@ def load_predictions_csv(path):
 
     Returns (ids, emotion (n,10), age_years (n,), country_ids (n,)).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file", path, 1)
-        if tuple(header) != LABEL_HEADER:
-            raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-        ids, emotions, ages, countries = [], [], [], []
-        seen = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LABEL_HEADER):
-                raise DataFormatError(
-                    f"expected {len(LABEL_HEADER)} fields, got {len(row)}", path, line_no
-                )
-            sid = row[0]
-            if sid in seen:
-                raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
-            seen.add(sid)
-            ids.append(sid)
-            emotions.append([_parse_float(t, path, line_no, c) for t, c in zip(row[1:11], EMOTIONS)])
-            ages.append(_parse_float(row[11], path, line_no, "age"))
-            if row[12] not in COUNTRY_TO_ID:
-                raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path, line_no)
-            countries.append(COUNTRY_TO_ID[row[12]])
-    return (
-        tuple(ids),
-        np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS)),
-        np.array(ages, dtype=np.float64),
-        np.array(countries, dtype=np.int64),
-    )
+    return _load_label_rows(path, float)
+
+
+def _save_label_rows(path, ids, emotion, age_texts, country_ids) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_HEADER)
+        for sid, emo, age, country in zip(ids, emotion, age_texts, country_ids):
+            writer.writerow([sid, *map(fmt_float, emo), age, COUNTRIES[int(country)]])
+
+
+def save_labels_csv(table: LabelTable, path) -> None:
+    _save_label_rows(path, table.ids, table.emotion, (str(int(a)) for a in table.age),
+                     table.country)
+
+
+def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
+    _save_label_rows(path, ids, emotion, map(fmt_float, age_years), country_ids)
 
 
 # -- joining and scaling ----------------------------------------------------
@@ -535,10 +507,6 @@ class SynthSpec:
             "feature_noise": self.feature_noise, "emotion_noise": self.emotion_noise,
             "age_noise": self.age_noise, "country_noise": self.country_noise,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
 
 
 AGE_MIN, AGE_MAX = 20, 39

@@ -39,11 +39,6 @@ class DataFormatError(DataError):
 class IdMismatchError(DataError):
     """Sample id sets disagree between two inputs."""
 
-    def __init__(self, message, missing_left=(), missing_right=()):
-        super().__init__(message)
-        self.missing_left = tuple(missing_left)
-        self.missing_right = tuple(missing_right)
-
 
 class ShapeError(PmtlError, ValueError):
     """Operand shapes are incompatible; names both shapes."""
@@ -54,9 +49,6 @@ class ShapeError(PmtlError, ValueError):
         else:
             msg = f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}"
         super().__init__(msg)
-        self.op = op
-        self.shape_a = tuple(shape_a)
-        self.shape_b = tuple(shape_b) if shape_b is not None else None
 
 
 class NumericalError(PmtlError):
@@ -65,7 +57,7 @@ class NumericalError(PmtlError):
     exit_code = 3
 
 
-class MissingClassError(PmtlError, ValueError):
+class MissingClassError(DataError, ValueError):
     """A class id never occurs in the reference labels, so per-class recall
     is undefined."""
 
@@ -74,10 +66,3 @@ class MissingClassError(PmtlError, ValueError):
         super().__init__(f"recall undefined: classes {absent} absent from reference labels")
         self.absent_classes = absent
 
-
-class PerfectRegressionError(PmtlError, ValueError):
-    """Mean absolute error of exactly zero; its reciprocal is undefined and
-    on real data this signals a broken fixture."""
-
-    def __init__(self):
-        super().__init__("MAE is exactly 0; inverted MAE is undefined")

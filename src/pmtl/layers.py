@@ -19,17 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    return a @ b
-
 
 # -- linear -----------------------------------------------------------------
 

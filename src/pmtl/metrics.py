@@ -18,28 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingClassError, PerfectRegressionError, ShapeError
+from .errors import MissingClassError, ShapeError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
 N_COUNTRY_CLASSES = 4
 
 
-def _as_series(v, name) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64).reshape(-1)
-    return a
+def _as_series(v) -> np.ndarray:
+    return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-def ccc_detail(x, y, sample_moments: bool = False) -> tuple[float, bool]:
+def ccc_detail(x, y) -> tuple[float, bool]:
     """CCC of two equal-length series, plus a degeneracy flag.
 
     CCC = 2*cov(x,y) / (var(x) + var(y) + (mean(x) - mean(y))^2) with
-    population (1/n) moments by default; ``sample_moments`` switches to
-    1/(n-1) for sensitivity checks. A denominator below 1e-12 (both
-    series constant and equal means) yields (0.0, True).
+    population (1/n) moments. A denominator below 1e-12 (both series
+    constant and equal means) yields (0.0, True).
     """
-    x = _as_series(x, "ccc x")
-    y = _as_series(y, "ccc y")
+    x = _as_series(x)
+    y = _as_series(y)
     if x.shape != y.shape:
         raise ShapeError("ccc", x.shape, y.shape)
     n = x.size
@@ -49,34 +47,26 @@ def ccc_detail(x, y, sample_moments: bool = False) -> tuple[float, bool]:
     my = y.mean()
     dx = x - mx
     dy = y - my
-    denom_n = (n - 1) if sample_moments else n
-    var_x = float(dx @ dx) / denom_n
-    var_y = float(dy @ dy) / denom_n
-    cov = float(dx @ dy) / denom_n
+    var_x = float(dx @ dx) / n
+    var_y = float(dy @ dy) / n
+    cov = float(dx @ dy) / n
     denom = var_x + var_y + (mx - my) ** 2
     if denom < CCC_DEGENERATE_DENOM:
         return 0.0, True
     return 2.0 * cov / denom, False
 
 
-def ccc(x, y, sample_moments: bool = False) -> float:
-    return ccc_detail(x, y, sample_moments)[0]
-
-
-def mean_ccc(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Column-wise CCC and its arithmetic mean.
-
-    Returns ``(mean, per_column)``; degenerate columns contribute 0.
-    """
-    values, _ = ccc_columns(pred, target)
-    return float(values.mean()), values
+def ccc(x, y) -> float:
+    return ccc_detail(x, y)[0]
 
 
 def ccc_columns(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CCC of each column pair and its degeneracy flag; a degenerate
+    column scores 0."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2 or pred.shape != target.shape:
-        raise ShapeError("mean_ccc", pred.shape, target.shape)
+        raise ShapeError("ccc_columns", pred.shape, target.shape)
     values = np.empty(pred.shape[1])
     degenerate = np.zeros(pred.shape[1], dtype=bool)
     for j in range(pred.shape[1]):
@@ -107,27 +97,13 @@ def uar(pred_classes, true_classes, n_classes: int = N_COUNTRY_CLASSES) -> float
 
 def mae(pred, true) -> float:
     """Mean absolute error."""
-    pred = _as_series(pred, "mae pred")
-    true = _as_series(true, "mae true")
+    pred = _as_series(pred)
+    true = _as_series(true)
     if pred.shape != true.shape:
         raise ShapeError("mae", pred.shape, true.shape)
     if pred.size == 0:
         raise ValueError("mae needs at least 1 point")
     return float(np.mean(np.abs(pred - true)))
-
-
-def inverted_mae(mae_value: float) -> float:
-    """1/MAE, orienting the age metric so higher is better.
-
-    An MAE of exactly 0 raises PerfectRegressionError rather than
-    returning infinity: it cannot happen on real data and almost always
-    means a fixture bug.
-    """
-    if mae_value < 0:
-        raise ValueError(f"MAE cannot be negative, got {mae_value}")
-    if mae_value == 0.0:
-        raise PerfectRegressionError()
-    return 1.0 / mae_value
 
 
 def multitask_score(mean_ccc_value: float, uar_value: float, inv_mae_value: float) -> float:
@@ -211,7 +187,7 @@ def compute_bundle(
         m_hat = math.inf
         flags.append("perfect_age_regression")
     else:
-        m_hat = inverted_mae(mae_years)
+        m_hat = 1.0 / mae_years
 
     score, nonpositive = multitask_score_detail(c_hat, u_hat, m_hat)
     if nonpositive:

@@ -83,10 +83,6 @@ class ModelConfig:
         object.__setattr__(self, "shared_dims", tuple(int(d) for d in self.shared_dims))
         object.__setattr__(self, "age_head_dims", tuple(int(d) for d in self.age_head_dims))
 
-    @property
-    def trunk_out(self) -> int:
-        return self.shared_dims[-1]
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -245,10 +241,6 @@ def check_params(params: dict, config: ModelConfig) -> None:
                          (len(params),), (len(expected),))
 
 
-def param_count(params: dict[str, np.ndarray]) -> int:
-    return sum(v.size for v in params.values())
-
-
 def params_copy(params: Params) -> Params:
     """A deep copy: one copy of the flat buffer."""
     return Params({name: v.shape for name, v in params.items()}, params.flat.copy())
@@ -359,11 +351,11 @@ def backward(params: dict, caches: ForwardCaches, d_outputs: dict,
              grads: Params | None = None) -> Params:
     """Gradients for every parameter given output-side gradients.
 
-    ``d_outputs`` maps "emotion", "age_scaled", "country_logits" to arrays
-    shaped like the corresponding outputs (missing keys mean zero). The
-    trunk gradient is the sum of the three head contributions. Every
-    gradient is written into ``grads`` (from ``init_grads``), which is
-    allocated when not given; the weights come from ``caches``.
+    ``d_outputs`` maps each of "emotion", "age_scaled", "country_logits"
+    to an array shaped like the corresponding output. The trunk gradient
+    is the sum of the three head contributions. Every gradient is written
+    into ``grads`` (from ``init_grads``), which is allocated when not
+    given; the weights come from ``caches``.
     """
     config = caches.config
     plan = layer_plan(config)
@@ -379,10 +371,7 @@ def backward(params: dict, caches: ForwardCaches, d_outputs: dict,
         ("age_scaled", 1, plan.age_blocks, plan.age_out, caches.age),
     )
     for key, width, blocks, out_layer, chain_cache in heads:
-        dy = d_outputs.get(key)
-        if dy is None:
-            _zero_chain(grads, blocks, out_layer)
-            continue
+        dy = d_outputs[key]
         if np.shape(dy) != (n, width):
             raise ShapeError(f"backward {key}", np.shape(dy), (n, width))
         if key == "emotion" and caches.emotion_sigmoid is not None:
@@ -394,14 +383,6 @@ def backward(params: dict, caches: ForwardCaches, d_outputs: dict,
     for (name, _, _), cache in zip(reversed(plan.trunk), reversed(caches.trunk)):
         dy = _block_backward(grads, name, cache, dy, input_grad=name != first)
     return grads
-
-
-def _zero_chain(grads, blocks, out_layer):
-    for name, _, _ in blocks:
-        for suffix in ("w", "b", "gamma", "beta"):
-            grads[f"{name}.{suffix}"].fill(0.0)
-    grads[f"{out_layer[0]}.w"].fill(0.0)
-    grads[f"{out_layer[0]}.b"].fill(0.0)
 
 
 # -- inference --------------------------------------------------------------

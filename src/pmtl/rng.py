@@ -85,6 +85,8 @@ class RngStream:
     # -- raw words ---------------------------------------------------------
 
     def next_u64(self) -> int:
+        """Next raw word, computed on Python ints: the scalar reference for
+        the vectorised ``u64``."""
         self._counter += 1
         return mix64((self._key + self._counter * GOLDEN) & MASK64)
 
@@ -100,20 +102,16 @@ class RngStream:
 
     # -- derived draws -----------------------------------------------------
 
-    def uniform(self, n: int | None = None):
+    def uniform(self, n: int) -> np.ndarray:
         """Uniform float64 in [0, 1): top 53 bits of a raw word / 2**53."""
-        if n is None:
-            return (self.next_u64() >> 11) * _INV_2_53
         return ((self.u64(n) >> np.uint64(11)).astype(np.float64)) * _INV_2_53
 
-    def normal(self, n: int | None = None):
+    def normal(self, n: int) -> np.ndarray:
         """Standard normal draws via Box-Muller (cosine branch only).
 
         Each normal consumes two raw words; the first uniform is shifted
         into (0, 1] so the log is always finite.
         """
-        if n is None:
-            return float(self.normal(1)[0])
         u1 = ((self.u64(n) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
         u2 = ((self.u64(n) >> np.uint64(11)).astype(np.float64)) * _INV_2_53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
@@ -128,10 +126,3 @@ class RngStream:
         deterministic too.
         """
         return np.argsort(self.u64(n), kind="stable")
-
-    def integers(self, n: int, low: int, high: int) -> np.ndarray:
-        """``n`` ints uniform over [low, high) via 53-bit scaling."""
-        if high <= low:
-            raise ValueError(f"empty range [{low}, {high})")
-        span = high - low
-        return low + np.minimum((self.uniform(n) * span).astype(np.int64), span - 1)

@@ -4,9 +4,9 @@ A sweep varies exactly one axis (seed, batch_size, feature_set, or
 standardization) over a list of values. Each cell executes
 ``runs_per_cell`` training runs whose seeds are derived as
 ``derive_subseed(cell_seed, run_index)``, so repeated runs differ but the
-whole sweep is a pure function of (spec, data). Cells run independently
-and may be fanned out to worker threads; results are assembled in cell
-order, so any worker count produces the same report.
+whole sweep is a pure function of (spec, data). Cells run one after
+another in the spec's value order, in the calling thread: the training
+step holds the interpreter lock, so threads would only slow a sweep down.
 
 Aggregation is either ``mean_std`` (per-metric mean and population std
 over runs; the combined-score column is the mean of per-run scores, not
@@ -22,13 +22,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SplitDataset
-from .errors import ConfigError, PmtlError
+from .data import SplitDataset, atomic_open
+from .errors import ConfigError, DataFormatError, PmtlError
 from .metrics import MetricsBundle
 from .rng import derive_subseed
 from .train import TrainConfig, train_run
@@ -66,22 +65,6 @@ class SweepSpec:
         if self.axis == "batch_size":
             return replace(self.base, batch_size=int(value))
         return self.base
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "values": list(self.values),
-            "base": self.base.to_dict(),
-            "runs_per_cell": self.runs_per_cell,
-            "aggregation": self.aggregation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepSpec":
-        d = dict(d)
-        d["base"] = TrainConfig.from_dict(d["base"])
-        d["values"] = tuple(d["values"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -245,35 +228,19 @@ def _run_cell(spec: SweepSpec, value, dataset: SplitDataset) -> CellResult:
     return CellResult(label=label, value=value, runs=tuple(runs))
 
 
-def run_sweep(spec: SweepSpec, datasets, workers: int = 1) -> ReportTable:
-    """Execute every cell and assemble the report.
+def run_sweep(spec: SweepSpec, datasets) -> ReportTable:
+    """Execute every cell, in value order, and assemble the report.
 
-    ``datasets`` maps each cell value to its (already standardized)
-    SplitDataset: either one SplitDataset shared by all cells, a dict
-    keyed by value, or a callable value -> SplitDataset. Cells may run on
-    ``workers`` threads; assembly order is the SweepSpec's value order
-    either way.
+    ``datasets`` is the (already standardized) SplitDataset every cell
+    trains on, or a dict mapping each cell value to its own.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    def dataset_for(value) -> SplitDataset:
-        if isinstance(datasets, SplitDataset):
-            return datasets
-        if isinstance(datasets, dict):
-            if value not in datasets:
-                raise ConfigError(f"no dataset provided for cell value {value!r}")
-            return datasets[value]
-        return datasets(value)
-
-    resolved = [(value, dataset_for(value)) for value in spec.values]
-    if workers == 1:
-        cells = [_run_cell(spec, value, ds) for value, ds in resolved]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, spec, value, ds) for value, ds in resolved]
-            cells = [f.result() for f in futures]
-    return ReportTable(axis=spec.axis, aggregation=spec.aggregation, cells=tuple(cells))
+    if isinstance(datasets, SplitDataset):
+        datasets = dict.fromkeys(spec.values, datasets)
+    missing = [value for value in spec.values if value not in datasets]
+    if missing:
+        raise ConfigError(f"no dataset provided for cell value {missing[0]!r}")
+    cells = tuple(_run_cell(spec, value, datasets[value]) for value in spec.values)
+    return ReportTable(axis=spec.axis, aggregation=spec.aggregation, cells=cells)
 
 
 # -- rendering --------------------------------------------------------------
@@ -363,11 +330,18 @@ def sidecar_csv(table: ReportTable) -> str:
 
 
 def save_results(table: ReportTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_results(path) -> ReportTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ReportTable.from_dict(json.load(fh))
+    """Read a stored ``results.json``; a file that is not one raises
+    DataFormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return ReportTable.from_dict(json.loads(raw))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"not a sweep results file: {type(exc).__name__}: {exc}",
+                              path) from None

@@ -6,12 +6,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pmtl.checkpoint
 from pmtl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pmtl.data import AgeScaler, Standardizer
-from pmtl.errors import DataFormatError
-from pmtl.model import init_params
+from pmtl.errors import DataFormatError, PmtlError
+from pmtl.model import ModelConfig, Params, init_params
 from pmtl.rng import RngStream
 
 
@@ -149,3 +151,75 @@ def test_failed_save_leaves_existing_checkpoint(saved, monkeypatch):
         save_checkpoint(path, params, config, scaler, std)
     assert path.read_bytes() == before
     assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+
+def rewrite_header(path, dst, edit):
+    """Copy the checkpoint at ``path`` to ``dst`` with ``edit(header)``
+    applied to its JSON header; the payload is kept as it is."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    header = json.loads(blob[10:10 + header_len])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:4] + struct.pack("<HI", 1, len(raw)) + raw
+                    + blob[10 + header_len:])
+    return dst
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda h: h.update(tensors=[[1, 2]]), "bad header"),
+    (lambda h: h.update(config=dict(h["config"], input_dim=7)), "shared0.w"),
+    (lambda h: h.update(aux=[["standardizer.center", [3]], ["standardizer.scale", [9]]]),
+     "standardizer width"),
+    (lambda h: h["age_scaler"].update(mean=float("nan")), "non-finite"),
+])
+def test_inconsistent_checkpoint_header_rejected(saved, tmp_path, edit, fragment):
+    path, *_ = saved
+    with pytest.raises(DataFormatError, match=fragment):
+        load_checkpoint(rewrite_header(path, tmp_path / "bad.pmck", edit))
+
+
+@pytest.mark.parametrize("fault,fragment", [("missing", "shared1.w"), ("nan", "non-finite")])
+def test_missing_or_non_finite_tensor_rejected(saved, tmp_path, fault, fragment):
+    path, params, config, scaler, std = saved
+    if fault == "missing":
+        kept = Params({k: v.shape for k, v in params.items() if k != "shared1.w"})
+        for name in kept:
+            kept[name][...] = params[name]
+        params = kept
+    else:
+        params["shared0.w"][0, 0] = np.nan
+    bad = tmp_path / "bad.pmck"
+    save_checkpoint(bad, params, config, scaler, std)
+    with pytest.raises(DataFormatError, match=fragment):
+        load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    config = ModelConfig(input_dim=3, shared_dims=(2,), age_head_dims=(2, 1),
+                         emotion_hidden=2, country_hidden=2)
+    path = tmp_path_factory.mktemp("ck") / "real.pmck"
+    std = Standardizer(mode="zscore", center=np.zeros(3), scale=np.ones(3))
+    save_checkpoint(path, init_params(config, RngStream(0)), config,
+                    AgeScaler(mean=30.0, std=4.0), std)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_loads_or_raises_pmtl_error(checkpoint_bytes, tmp_path, data):
+    blob = bytearray(checkpoint_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
+    else:
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1,
+                                      max_size=4), label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path = tmp_path / "fuzzed.pmck"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except PmtlError:
+        pass

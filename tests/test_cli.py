@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from pmtl.checkpoint import load_checkpoint, save_checkpoint
 from pmtl.cli import main, score_files
 from pmtl.data import (
+    FeatureTable,
     LabelTable,
     SynthSpec,
     load_labels_csv,
@@ -20,6 +22,7 @@ from pmtl.data import (
     save_predictions_csv,
     synth_tables,
 )
+from pmtl.model import Params
 
 TRAIN_CONFIG = {
     "model": {"shared_dims": [12, 6], "age_head_dims": [6, 3],
@@ -94,7 +97,7 @@ def test_synth_outputs(workspace, capsys):
                  "labels.csv", "synth.json"):
         assert (data / name).exists(), name
     echoed = json.loads((data / "synth.json").read_text())
-    assert SynthSpec.from_dict(echoed) == SynthSpec(**SYNTH_CONFIG)
+    assert SynthSpec(**echoed) == SynthSpec(**SYNTH_CONFIG)
 
 
 def test_synth_seed_override(tmp_path, capsys):
@@ -298,36 +301,31 @@ def test_report_rerenders_stored_results(sweep_out, capsys):
 
 
 def test_sweep_workers_env_byte_identical(workspace, tmp_path, capsys, monkeypatch):
+    # a sweep reads no environment: a leftover PMTL_WORKERS, valid or not,
+    # changes no byte of its outputs
     spec = {"axis": "batch_size", "values": [4, 8], "runs_per_cell": 1,
             "base": dict(TRAIN_CONFIG, max_epochs=1, patience=1)}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     outputs = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("PMTL_WORKERS", workers)
+    for workers in (None, "2", "zero"):
+        if workers is None:
+            monkeypatch.delenv("PMTL_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PMTL_WORKERS", workers)
         out = tmp_path / f"w{workers}"
         code, _, _ = run(capsys, ["sweep", *data_args(workspace),
                                   "--spec", str(spec_path), "--out", str(out)])
         assert code == 0
-        outputs[workers] = (out / "report.md").read_bytes()
-    assert outputs["1"] == outputs["2"]
-
-
-def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"axis": "seed", "values": [1],
-                                     "runs_per_cell": 1, "base": TRAIN_CONFIG}))
-    monkeypatch.setenv("PMTL_WORKERS", "zero")
-    code, _, err = run(capsys, ["sweep", *data_args(workspace),
-                                "--spec", str(spec_path),
-                                "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "PMTL_WORKERS" in err
+        outputs[workers] = {name: (out / name).read_bytes()
+                            for name in ("results.json", "report.md", "full.csv")}
+    assert outputs[None] == outputs["2"] == outputs["zero"]
 
 
 def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
     # a val split missing one country class: every run in the cell fails
-    # with MissingClassError, the sweep records it and exits nonzero
+    # with MissingClassError, the sweep records it and exits with the data
+    # error code
     features, labels = synth_tables(
         SynthSpec(n_train=60, n_val=20, dim=5, rank=2, seed=2))
     val_countries = labels.country[[i for i, sid in enumerate(labels.ids)
@@ -348,7 +346,7 @@ def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
         "--val-features", str(data / "val.csv"),
         "--labels", str(data / "labels.csv"),
         "--spec", str(spec_path), "--out", str(out)])
-    assert code == 3
+    assert code == 2
     summary = last_json(stdout)
     assert summary["failed"] == ["seed=1"]
     assert "MissingClassError" in (out / "report.md").read_text()
@@ -438,3 +436,63 @@ def test_corrupt_labels_exit_2(workspace, tmp_path, capsys):
                                 "--out", str(tmp_path / "o")])
     assert code == 2
     assert "labels.csv" in err
+
+
+def test_eval_width_mismatch_exits_2(workspace, tmp_path, capsys):
+    narrow = tmp_path / "narrow.csv"
+    save_features_csv(FeatureTable(ids=("a", "b"), features=np.zeros((2, 5))), narrow)
+    code, _, err = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(narrow), "--out-predictions", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "5 features" in err and str(SYNTH_CONFIG["dim"]) in err
+
+
+def test_eval_checkpoint_missing_tensor_exits_2(workspace, tmp_path, capsys):
+    ck = load_checkpoint(workspace / "run" / "checkpoint.pmck")
+    params = Params({k: v.shape for k, v in ck.params.items() if k != "shared1.w"})
+    for name in params:
+        params[name][...] = ck.params[name]
+    bad = tmp_path / "bad.pmck"
+    save_checkpoint(bad, params, ck.config, ck.age_scaler, ck.standardizer)
+    code, _, err = run(capsys, [
+        "eval", "--checkpoint", str(bad),
+        "--features", str(workspace / "data" / "val_features.csv"),
+        "--labels", str(workspace / "data" / "val_labels.csv")])
+    assert code == 2
+    assert "shared1.w" in err
+
+
+@pytest.mark.parametrize("command,role", [
+    ("score", "labels"), ("score", "predictions"), ("eval", "labels"), ("eval", "features"),
+])
+def test_non_utf8_input_exits_2(workspace, tmp_path, capsys, command, role):
+    data = workspace / "data"
+    preds = tmp_path / "preds.csv"
+    main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+          "--features", str(data / "val_features.csv"), "--out-predictions", str(preds)])
+    capsys.readouterr()
+    files = {"labels": data / "val_labels.csv", "predictions": preds,
+             "features": data / "val_features.csv"}
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(files[role].read_bytes() + b"\xff\xfe,1\n")
+    files[role] = bad
+    if command == "score":
+        argv = ["score", "--predictions", str(files["predictions"])]
+    else:
+        argv = ["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+                "--features", str(files["features"])]
+    code, _, err = run(capsys, argv + ["--labels", str(files["labels"])])
+    assert code == 2
+    assert "UTF-8" in err
+
+
+def test_report_on_malformed_results_exits_2(sweep_out, tmp_path, capsys):
+    stored = json.loads((sweep_out / "results.json").read_text())
+    del stored["axis"]
+    bad = tmp_path / "results.json"
+    bad.write_text(json.dumps(stored))
+    code, _, err = run(capsys, ["report", "--results", str(bad)])
+    assert code == 2
+    assert "axis" in err
+

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from pmtl.errors import MissingClassError, PerfectRegressionError, ShapeError
+from pmtl.errors import DataError, MissingClassError, ShapeError
 from pmtl.metrics import (
     MetricsBundle,
     ccc,
+    ccc_columns,
     ccc_detail,
     compute_bundle,
-    inverted_mae,
     mae,
-    mean_ccc,
     multitask_score,
     multitask_score_detail,
     uar,
@@ -88,24 +87,18 @@ def test_ccc_needs_two_points():
         ccc(np.array([1.0]), np.array([1.0]))
 
 
-def test_ccc_sample_moments_switch(rng_np):
-    x = rng_np.standard_normal(10)
-    y = x + rng_np.standard_normal(10) * 0.1
-    pop = ccc(x, y)
-    samp = ccc(x, y, sample_moments=True)
-    assert pop != samp
-    assert samp == pytest.approx(pop, rel=0.05)  # close for n=10
-
-
 def test_mean_ccc_columns(rng_np):
-    pred = rng_np.standard_normal((30, 4))
-    target = rng_np.standard_normal((30, 4))
-    mean, per_col = mean_ccc(pred, target)
-    for j in range(4):
+    pred = rng_np.standard_normal((30, 10))
+    target = rng_np.standard_normal((30, 10))
+    per_col, degenerate = ccc_columns(pred, target)
+    for j in range(10):
         assert per_col[j] == pytest.approx(
             ccc_oracle(pred[:, j].tolist(), target[:, j].tolist()), abs=1e-12
         )
-    assert mean == pytest.approx(per_col.mean(), abs=1e-14)
+    assert not degenerate.any()
+    bundle = compute_bundle(pred, target, np.arange(30) % 4, np.arange(30) % 4,
+                            np.zeros(30), np.ones(30))
+    assert bundle.mean_ccc == pytest.approx(per_col.mean(), abs=1e-14)
 
 
 def test_uar_confusion_fixture():
@@ -150,16 +143,18 @@ def test_uar_missing_class():
     with pytest.raises(MissingClassError) as info:
         uar([0, 1, 2], [0, 1, 2])
     assert info.value.absent_classes == (3,)
+    # labels without a class are bad data: exit code 2
+    assert isinstance(info.value, DataError) and info.value.exit_code == 2
 
 
 def test_mae_and_inversion():
     assert mae([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]) == pytest.approx(1.0, abs=1e-15)
-    assert inverted_mae(4.0) == 0.25
-    assert inverted_mae(0.5) == 2.0
-    with pytest.raises(PerfectRegressionError):
-        inverted_mae(0.0)
-    with pytest.raises(ValueError):
-        inverted_mae(-1.0)
+    emotion = np.linspace(0.0, 1.0, 40).reshape(4, 10)
+    country = np.arange(4)
+    for offset, inverted in ((4.0, 0.25), (0.5, 2.0)):
+        bundle = compute_bundle(emotion, emotion, country, country,
+                                np.full(4, 30.0 + offset), np.full(4, 30.0))
+        assert (bundle.mae_years, bundle.inv_mae) == (offset, inverted)
 
 
 def test_multitask_score_spec_examples():

@@ -12,9 +12,9 @@ from pmtl.model import (
     backward,
     check_params,
     forward,
+    init_grads,
     init_params,
     layer_plan,
-    param_count,
     params_copy,
     predict,
 )
@@ -28,6 +28,15 @@ def make_batch(config, n, seed=0):
     y_country = rng.integers(0, config.country_out, size=n)
     y_age = rng.standard_normal((n, 1))
     return x, y_emotion, y_country, y_age
+
+
+def head_grads(outputs, **given):
+    """Output gradients for backward: those given, zeros for the other heads."""
+    d_outputs = {"emotion": np.zeros_like(outputs.emotion),
+                 "country_logits": np.zeros_like(outputs.country_logits),
+                 "age_scaled": np.zeros_like(outputs.age_scaled)}
+    d_outputs.update(given)
+    return d_outputs
 
 
 def multitask_closure(config, x, y_emotion, y_country, y_age, loss_cfg=LossConfig()):
@@ -71,7 +80,7 @@ def test_default_param_count_pinned():
     # 1024 -> [128, 64] trunk, 32-wide emotion/country heads, [32, 16] age head
     config = ModelConfig(input_dim=1024)
     params = init_params(config, RngStream(0))
-    assert param_count(params) == 147311
+    assert params.flat.size == sum(v.size for v in params.values()) == 147311
 
 
 def test_layer_plan_variants():
@@ -206,7 +215,7 @@ def test_age_chain_gradients_absolute_fd():
     def f(p):
         outputs, caches = forward(p, config, x)
         loss, grad = mse_loss(outputs.age_scaled, y_age)
-        return loss, backward(p, caches, {"age_scaled": grad})
+        return loss, backward(p, caches, head_grads(outputs, age_scaled=grad))
 
     _, grads = f(params)
     eps = 1e-6
@@ -229,7 +238,11 @@ def test_backward_zero_fill_for_missing_heads(tiny_config):
     x, y_emotion, y_country, y_age = make_batch(tiny_config, 5)
     outputs, caches = forward(params, tiny_config, x)
     _, g_e = mse_loss(outputs.emotion, y_emotion)
-    grads = backward(params, caches, {"emotion": g_e})
+    # heads given zero output gradients get zero parameter gradients, also
+    # in a reused gradient buffer that holds stale values
+    grads = init_grads(tiny_config)
+    grads.flat.fill(7.0)
+    backward(params, caches, head_grads(outputs, emotion=g_e), grads)
     assert set(grads) == set(params)
     for name, g in grads.items():
         if name.startswith(("country", "age")):
@@ -250,13 +263,13 @@ def test_head_gradients_are_independent(tiny_config):
     full = backward(params, caches, {
         "emotion": g_e, "country_logits": g_c, "age_scaled": g_a,
     })
-    only_c = backward(params, caches, {"country_logits": g_c})
+    only_c = backward(params, caches, head_grads(outputs, country_logits=g_c))
     for name in params:
         if name.startswith("country"):
             assert np.allclose(full[name], only_c[name], atol=1e-15), name
     # trunk gradient is the sum of single-head contributions
-    only_e = backward(params, caches, {"emotion": g_e})
-    only_a = backward(params, caches, {"age_scaled": g_a})
+    only_e = backward(params, caches, head_grads(outputs, emotion=g_e))
+    only_a = backward(params, caches, head_grads(outputs, age_scaled=g_a))
     for name in params:
         if name.startswith("shared"):
             total = only_e[name] + only_c[name] + only_a[name]

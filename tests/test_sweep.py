@@ -2,14 +2,13 @@
 
 import csv
 import io
-import json
 
 import numpy as np
 import pytest
 
 import pmtl.sweep
 from pmtl.data import SynthSpec, standardize, synth_dataset
-from pmtl.errors import ConfigError
+from pmtl.errors import ConfigError, DataFormatError
 from pmtl.metrics import MetricsBundle
 from pmtl.model import ModelConfig
 from pmtl.rng import derive_subseed
@@ -89,13 +88,6 @@ def test_cell_config_touches_only_its_axis():
         assert spec.cell_config("x") == base
 
 
-def test_sweep_spec_dict_round_trip():
-    spec = SweepSpec(axis="batch_size", values=(2, 4, 8), base=base_config(),
-                     runs_per_cell=3, aggregation="best")
-    rebuilt = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert rebuilt == spec
-
-
 # -- execution --------------------------------------------------------------
 
 
@@ -122,13 +114,14 @@ def test_runs_within_cell_use_distinct_seeds(sweep_dataset):
     assert len(set(seeds)) == 3
 
 
-def test_parallel_equals_sequential(sweep_dataset):
+def test_cells_reproduce_in_isolation(sweep_dataset):
+    # a cell's result depends only on its own value, not on the cells run
+    # before it
     spec = SweepSpec(axis="batch_size", values=(4, 8, 16), base=base_config(),
                      runs_per_cell=2)
-    seq = run_sweep(spec, sweep_dataset, workers=1)
-    par = run_sweep(spec, sweep_dataset, workers=3)
-    assert json.dumps(seq.to_dict()) == json.dumps(par.to_dict())
-    assert report_markdown(seq) == report_markdown(par)
+    table = run_sweep(spec, sweep_dataset)
+    last = run_sweep(dataclasses.replace(spec, values=(16,)), sweep_dataset)
+    assert last.cells[0].to_dict() == table.cells[2].to_dict()
 
 
 def test_cell_failure_is_isolated(sweep_dataset):
@@ -147,16 +140,19 @@ def test_cell_failure_is_isolated(sweep_dataset):
     assert table.best_index() == 0
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_programming_error_in_cell_propagates(sweep_dataset, monkeypatch, workers):
-    # only PmtlError marks a cell failed; a bug is not a numerical failure
+@pytest.mark.parametrize("broken_cell", [1, 2])
+def test_programming_error_in_cell_propagates(sweep_dataset, monkeypatch, broken_cell):
+    # only PmtlError marks a cell failed; a bug is not a numerical failure,
+    # in the first cell or after a cell that succeeded
     def broken_train_run(config, data):
-        raise TypeError("unsupported operand")
+        if config.seed == derive_subseed(broken_cell, 0):
+            raise TypeError("unsupported operand")
+        return train_run(config, data)
 
     monkeypatch.setattr(pmtl.sweep, "train_run", broken_train_run)
     spec = SweepSpec(axis="seed", values=(1, 2), base=base_config(), runs_per_cell=1)
     with pytest.raises(TypeError, match="unsupported operand"):
-        run_sweep(spec, sweep_dataset, workers=workers)
+        run_sweep(spec, sweep_dataset)
 
 
 def test_feature_set_axis_adapts_model_width(sweep_dataset):
@@ -169,12 +165,6 @@ def test_feature_set_axis_adapts_model_width(sweep_dataset):
     table = run_sweep(spec, {"wide": sweep_dataset, "narrow": narrow})
     assert not table.has_failures
     assert [c.label for c in table.cells] == ["feature_set=wide", "feature_set=narrow"]
-
-
-def test_invalid_worker_count(sweep_dataset):
-    spec = SweepSpec(axis="seed", values=(1,), base=base_config(), runs_per_cell=1)
-    with pytest.raises(ConfigError):
-        run_sweep(spec, sweep_dataset, workers=0)
 
 
 def test_missing_dataset_for_value(sweep_dataset):
@@ -294,3 +284,35 @@ def test_results_json_round_trip(tmp_path, sweep_dataset):
     back = load_results(path)
     assert back.to_dict() == table.to_dict()
     assert report_markdown(back) == report_markdown(table)
+
+
+@pytest.mark.parametrize("body", [
+    '{"aggregation": "best", "cells": []}',  # no axis
+    '{"axis": "seed", "aggregation": "best", "cells": [1]}',
+    '[1, 2]',
+    '{"axis": ',
+    '\xff',
+])
+def test_malformed_results_json_is_a_data_error(tmp_path, body):
+    path = tmp_path / "results.json"
+    path.write_bytes(body.encode("latin-1"))
+    with pytest.raises(DataFormatError, match="results.json"):
+        load_results(path)
+
+
+def test_failed_results_write_leaves_old_file(tmp_path, monkeypatch):
+    table = ReportTable(axis="seed", aggregation="best",
+                        cells=(make_cell("seed=1", [0.5]),))
+    path = tmp_path / "results.json"
+    save_results(table, path)
+    before = path.read_bytes()
+
+    def disk_full(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pmtl.sweep.json, "dump", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_results(table, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
