@@ -322,6 +322,21 @@ def test_sweep_workers_env_byte_identical(workspace, tmp_path, capsys, monkeypat
     assert outputs[None] == outputs["2"] == outputs["zero"]
 
 
+def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
+    # PMTL_WORKERS is no longer read, so a value that is not a worker count
+    # neither fails the sweep nor is mentioned in its diagnostics
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axis": "seed", "values": [1],
+                                     "runs_per_cell": 1, "base": TRAIN_CONFIG}))
+    monkeypatch.setenv("PMTL_WORKERS", "zero")
+    code, _, err = run(capsys, ["sweep", *data_args(workspace),
+                                "--spec", str(spec_path),
+                                "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "PMTL_WORKERS" not in err
+    assert (tmp_path / "o" / "results.json").exists()
+
+
 def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
     # a val split missing one country class: every run in the cell fails
     # with MissingClassError, the sweep records it and exits with the data
