@@ -1,5 +1,7 @@
 """Network forward/backward: shapes, determinism, and finite differences."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pmtl.model import (
     init_grads,
     init_params,
     layer_plan,
+    param_shapes,
     params_copy,
     predict,
 )
@@ -93,6 +96,32 @@ def test_layer_plan_variants():
     plan = layer_plan(one)
     assert [name for name, _, _ in plan.age_blocks] == ["age_hidden0"]
     assert plan.age_out == ("age_out", 3, 1)
+
+
+@pytest.mark.parametrize("variant", ["two-layer-age", "one-hidden-all"])
+def test_parameter_orders_pinned(tiny_config, variant):
+    # canonical order (param_shapes, the checkpoint header) and backward
+    # order (init_grads, the summation order of the gradient norm)
+    age = ["age_hidden0"] + (["age_hidden1"] if variant == "two-layer-age" else [])
+    config = ModelConfig(**{**asdict(tiny_config), "head_variant": variant,
+                            "age_head_dims": (3, 2)[:len(age)]})
+
+    def block(name, order=("w", "b", "gamma", "beta")):
+        return [f"{name}.{s}" for s in order]
+
+    canonical = (block("shared0") + block("shared1")
+                 + block("emotion_hidden") + ["emotion_out.w", "emotion_out.b"]
+                 + block("country_hidden") + ["country_out.w", "country_out.b"]
+                 + sum((block(a) for a in age), []) + ["age_out.w", "age_out.b"])
+    up = ("gamma", "beta", "w", "b")
+    backward_order = (["emotion_out.w", "emotion_out.b"] + block("emotion_hidden", up)
+                      + ["country_out.w", "country_out.b"] + block("country_hidden", up)
+                      + ["age_out.w", "age_out.b"]
+                      + sum((block(a, up) for a in reversed(age)), [])
+                      + block("shared1", up) + block("shared0", up))
+    assert [name for name, _ in param_shapes(config)] == canonical
+    assert list(init_grads(config)) == backward_order
+    assert len(canonical) == (30 if variant == "two-layer-age" else 26)
 
 
 def test_init_bounds_and_determinism(tiny_config):
