@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
     header = {
         "age_scaler": {"mean": age_scaler.mean, "std": age_scaler.std},
         "aux": _tensor_index(aux),
-        "config": config.to_dict(),
+        "config": asdict(config),
         "standardizer": std_meta,
         "tensors": _tensor_index(params),
     }
@@ -135,7 +135,7 @@ def _from_header(header: dict, payload: bytes, path) -> Checkpoint:
     if not all(np.isfinite(values).all() for values in finite):
         raise DataFormatError("non-finite values", path)
 
-    config = ModelConfig.from_dict(header["config"])
+    config = ModelConfig(**header["config"])
     check_params(params, config)
     standardizer = None
     if header.get("standardizer") is not None:

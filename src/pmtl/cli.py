@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def parse_train_config(raw: dict, input_dim: int | None = None):
             raise ConfigError("model.input_dim missing and no features to infer it from")
         model_d["input_dim"] = input_dim
     try:
-        model = ModelConfig.from_dict(model_d)
+        model = ModelConfig(**model_d)
         loss = LossConfig(**loss_d)
         config = TrainConfig(model=model, loss=loss, **d)
     except (TypeError, ValueError) as exc:
@@ -167,7 +168,7 @@ def cmd_train(args) -> int:
     _write_json({"run": history.canonical_dict(),
                  "wall_seconds": history.wall_seconds}, out / "history.json")
     manifest = {
-        "train_config": config.to_dict(),
+        "train_config": asdict(config),
         "standardize": mode,
         "inputs": {
             "train_features": {"path": str(args.train_features),
@@ -177,8 +178,8 @@ def cmd_train(args) -> int:
             "labels": {"path": str(args.labels), "sha256": _sha256(args.labels)},
         },
         "best_epoch": history.best_epoch,
-        "best_val": history.best_val.to_dict(),
-        "initial_val": history.initial_val.to_dict(),
+        "best_val": asdict(history.best_val),
+        "initial_val": asdict(history.initial_val),
         "stopped_early": history.stopped_early,
         "epochs_run": len(history.epochs),
     }
@@ -215,8 +216,8 @@ def cmd_eval(args) -> int:
     if labels is not None:
         bundle = evaluate(ck.params, ck.config, part, ck.age_scaler)
         if args.out_metrics:
-            _write_json(bundle.to_dict(), args.out_metrics)
-        print(json.dumps(bundle.to_dict(), sort_keys=True))
+            _write_json(asdict(bundle), args.out_metrics)
+        print(json.dumps(asdict(bundle), sort_keys=True))
     else:
         print(json.dumps({"predictions": args.out_predictions, "n": len(part)},
                          sort_keys=True))
@@ -261,8 +262,8 @@ def cmd_score(args) -> int:
         raise ConfigError("score needs --predictions and --labels (or --components)")
     bundle = score_files(args.predictions, args.labels)
     if args.out_metrics:
-        _write_json(bundle.to_dict(), args.out_metrics)
-    print(json.dumps(bundle.to_dict(), sort_keys=True))
+        _write_json(asdict(bundle), args.out_metrics)
+    print(json.dumps(asdict(bundle), sort_keys=True))
     return 0
 
 
@@ -281,17 +282,19 @@ def _sweep_data(spec_raw: dict, args):
     if not isinstance(sets, dict):
         raise ConfigError("feature_set sweep needs a 'feature_sets' mapping "
                           "{name: {train: path, val: path}}")
+    values = spec_raw.get("values")
+    if not isinstance(values, list):
+        raise ConfigError("feature_set sweep needs a 'values' list of feature_sets names")
+    for value in values:
+        entry = sets.get(value) if isinstance(value, str) else None
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(split), str) for split in ("train", "val"))):
+            raise ConfigError(f"feature_sets needs an entry {{train: path, val: path}} "
+                              f"for {value!r}")
     labels = load_labels_csv(args.labels)
-    datasets = {}
-    for value in spec_raw.get("values", ()):
-        if value not in sets:
-            raise ConfigError(f"feature_sets has no entry for {value!r}")
-        features = {
-            "train": load_features(sets[value]["train"]),
-            "val": load_features(sets[value]["val"]),
-        }
-        datasets[value] = join_splits(features, labels)
-    return datasets
+    return {value: join_splits({split: load_features(sets[value][split])
+                                for split in ("train", "val")}, labels)
+            for value in values}
 
 
 def cmd_sweep(args) -> int:
@@ -371,7 +374,7 @@ def cmd_synth(args) -> int:
     labels_path = out / "labels.csv"
     save_labels_csv(labels, labels_path)
     written["labels"] = str(labels_path)
-    _write_json(spec.to_dict(), out / "synth.json")
+    _write_json(asdict(spec), out / "synth.json")
     print(json.dumps({"written": written, "n": {s: len(t) for s, t in features.items()}},
                      sort_keys=True))
     return 0

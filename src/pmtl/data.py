@@ -500,14 +500,6 @@ class SynthSpec:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_train": self.n_train, "n_val": self.n_val, "n_test": self.n_test,
-            "dim": self.dim, "rank": self.rank, "seed": self.seed,
-            "feature_noise": self.feature_noise, "emotion_noise": self.emotion_noise,
-            "age_noise": self.age_noise, "country_noise": self.country_noise,
-        }
-
 
 AGE_MIN, AGE_MAX = 20, 39
 

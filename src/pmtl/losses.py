@@ -46,14 +46,6 @@ class LossBreakdown:
     l_age: float
     l_total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "l_emotion": self.l_emotion,
-            "l_country": self.l_country,
-            "l_age": self.l_age,
-            "l_total": self.l_total,
-        }
-
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean over all entries of squared error.

@@ -144,28 +144,11 @@ class MetricsBundle:
     score: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "ccc_per_emotion": list(self.ccc_per_emotion),
-            "mean_ccc": self.mean_ccc,
-            "uar": self.uar,
-            "mae_years": self.mae_years,
-            "inv_mae": self.inv_mae,
-            "score": self.score,
-            "flags": list(self.flags),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsBundle":
-        return cls(
-            ccc_per_emotion=tuple(d["ccc_per_emotion"]),
-            mean_ccc=d["mean_ccc"],
-            uar=d["uar"],
-            mae_years=d["mae_years"],
-            inv_mae=d["inv_mae"],
-            score=d["score"],
-            flags=tuple(d["flags"]),
-        )
+        """Inverse of ``dataclasses.asdict`` after a JSON round trip."""
+        return cls(**{**d, "ccc_per_emotion": tuple(d["ccc_per_emotion"]),
+                      "flags": tuple(d["flags"])})
 
 
 def compute_bundle(

@@ -5,26 +5,27 @@ The trunk applies [linear -> layer norm -> leaky ReLU] once per entry of
 trunk representation through its own hidden block(s) of the same recipe,
 then an affine output layer: 10 emotion intensities (optionally squashed
 by a sigmoid), 4 country logits, and a single standardized-age value.
-
 The age head has two hidden blocks (32 then 16 units) under the default
-``two-layer-age`` variant to step down from the trunk width; the
-``one-hidden-all`` variant gives every head exactly one hidden block.
+``two-layer-age`` variant; ``one-hidden-all`` gives every head one.
+
+``layer_plan`` describes this once, as one chain of layers for the trunk
+and one per head. Parameter names and shapes, the initialization draw
+order (so a seed fully determines the network), the gradient order and
+the forward and backward passes all walk it; only the emotion sigmoid and
+the skipped input gradient of the first trunk layer depend on the chain.
 
 Parameters live in a ``Params`` dict of named float64 tensors that are
 views into one contiguous buffer, ``Params.flat``. The buffer holds the
 tensors row-major in lexicographic name order, the order of the
 checkpoint payload, so a checkpoint is the buffer's bytes and the
-optimizer updates every tensor in one pass. The layer plan derived from
-ModelConfig fixes the names, the shapes and the initialization draw
-order, so a seed fully determines the network.
+optimizer updates every tensor in one pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, asdict
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,8 +69,8 @@ class ModelConfig:
         )
         if any(int(d) < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if not self.shared_dims:
-            raise ValueError("shared_dims must not be empty")
+        if not self.shared_dims or not self.age_head_dims:
+            raise ValueError("shared_dims and age_head_dims must not be empty")
         if self.head_variant not in HEAD_VARIANTS:
             raise ValueError(f"head_variant must be one of {HEAD_VARIANTS}")
         if self.emotion_activation not in EMOTION_ACTIVATIONS:
@@ -83,103 +84,61 @@ class ModelConfig:
         object.__setattr__(self, "shared_dims", tuple(int(d) for d in self.shared_dims))
         object.__setattr__(self, "age_head_dims", tuple(int(d) for d in self.age_head_dims))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key in ("shared_dims", "age_head_dims"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
-
-class LayerPlan(NamedTuple):
-    """Named (d_in, d_out) pairs for every block and output layer."""
-
-    trunk: tuple[tuple[str, int, int], ...]
-    emotion_blocks: tuple[tuple[str, int, int], ...]
-    emotion_out: tuple[str, int, int]
-    country_blocks: tuple[tuple[str, int, int], ...]
-    country_out: tuple[str, int, int]
-    age_blocks: tuple[tuple[str, int, int], ...]
-    age_out: tuple[str, int, int]
+def _blocks(prefix: str, d_in: int, widths) -> tuple:
+    """[linear -> layer norm -> leaky ReLU] layers named prefix0, prefix1, ..."""
+    dims = (d_in, *widths)
+    return tuple((f"{prefix}{i}", dims[i], dims[i + 1], True) for i in range(len(widths)))
 
 
 @functools.lru_cache(maxsize=64)
-def layer_plan(config: ModelConfig) -> LayerPlan:
-    trunk = []
-    d = config.input_dim
-    for i, width in enumerate(config.shared_dims):
-        trunk.append((f"shared{i}", d, width))
-        d = width
+def layer_plan(config: ModelConfig) -> tuple[tuple[tuple[str, int, int, bool], ...], ...]:
+    """The network as a tuple of chains: the trunk, then the emotion,
+    country and age heads, each head fed by the trunk's output.
 
-    if config.head_variant == "two-layer-age":
-        a0, a1 = config.age_head_dims
-        age_blocks = ((f"age_hidden0", d, a0), (f"age_hidden1", a0, a1))
-        age_out = ("age_out", a1, 1)
-    else:
-        a0 = config.age_head_dims[0]
-        age_blocks = (("age_hidden0", d, a0),)
-        age_out = ("age_out", a0, 1)
-
-    return LayerPlan(
-        trunk=tuple(trunk),
-        emotion_blocks=(("emotion_hidden", d, config.emotion_hidden),),
-        emotion_out=("emotion_out", config.emotion_hidden, config.emotion_out),
-        country_blocks=(("country_hidden", d, config.country_hidden),),
-        country_out=("country_out", config.country_hidden, config.country_out),
-        age_blocks=age_blocks,
-        age_out=age_out,
+    A layer is ``(name, d_in, d_out, has_norm)``: with a norm it is a
+    [linear -> layer norm -> leaky ReLU] block, without one the affine
+    output layer that ends every head. Iterating the chains in order gives
+    the canonical parameter order and the initialization draw order.
+    """
+    trunk = _blocks("shared", config.input_dim, config.shared_dims)
+    d = config.shared_dims[-1]
+    n_age = 2 if config.head_variant == "two-layer-age" else 1
+    age = _blocks("age_hidden", d, config.age_head_dims[:n_age])
+    return (
+        trunk,
+        (("emotion_hidden", d, config.emotion_hidden, True),
+         ("emotion_out", config.emotion_hidden, config.emotion_out, False)),
+        (("country_hidden", d, config.country_hidden, True),
+         ("country_out", config.country_hidden, config.country_out, False)),
+        age + (("age_out", age[-1][2], 1, False),),
     )
-
-
-def _iter_layers(plan: LayerPlan):
-    """All (name, d_in, d_out, has_norm) in canonical parameter order."""
-    for name, d_in, d_out in plan.trunk:
-        yield name, d_in, d_out, True
-    for name, d_in, d_out in plan.emotion_blocks:
-        yield name, d_in, d_out, True
-    yield (*plan.emotion_out, False)
-    for name, d_in, d_out in plan.country_blocks:
-        yield name, d_in, d_out, True
-    yield (*plan.country_out, False)
-    for name, d_in, d_out in plan.age_blocks:
-        yield name, d_in, d_out, True
-    yield (*plan.age_out, False)
 
 
 @functools.lru_cache(maxsize=64)
 def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """(name, shape) of every parameter tensor, in layer-plan order."""
     shapes = []
-    for name, d_in, d_out, has_norm in _iter_layers(layer_plan(config)):
-        shapes += [(f"{name}.w", (d_in, d_out)), (f"{name}.b", (d_out,))]
-        if has_norm:
-            shapes += [(f"{name}.gamma", (d_out,)), (f"{name}.beta", (d_out,))]
+    for chain in layer_plan(config):
+        for name, d_in, d_out, has_norm in chain:
+            shapes += [(f"{name}.w", (d_in, d_out)), (f"{name}.b", (d_out,))]
+            if has_norm:
+                shapes += [(f"{name}.gamma", (d_out,)), (f"{name}.beta", (d_out,))]
     return tuple(shapes)
 
 
 @functools.lru_cache(maxsize=64)
 def _backward_order(config: ModelConfig) -> tuple[str, ...]:
-    """Parameter names in the order ``backward`` visits them: each head's
-    output layer then its blocks from the top, then the trunk from the
-    top. Gradient dicts are keyed in this order, which fixes the
-    per-tensor summation order of the global gradient norm."""
-    plan = layer_plan(config)
+    """Parameter names in the order ``backward`` visits them: each head
+    from its output layer down, then the trunk from the top. Gradient
+    dicts are keyed in this order, which fixes the per-tensor summation
+    order of the global gradient norm."""
+    trunk, *heads = layer_plan(config)
     names = []
-
-    def blocks(chain):
-        for name, _, _ in reversed(chain):
-            names.extend(f"{name}.{s}" for s in ("gamma", "beta", "w", "b"))
-
-    for chain, (out_name, _, _) in ((plan.emotion_blocks, plan.emotion_out),
-                                    (plan.country_blocks, plan.country_out),
-                                    (plan.age_blocks, plan.age_out)):
-        names += [f"{out_name}.w", f"{out_name}.b"]
-        blocks(chain)
-    blocks(plan.trunk)
+    for chain in (*heads, trunk):
+        for name, _, _, has_norm in reversed(chain):
+            names += [f"{name}.{s}" for s in
+                      (("gamma", "beta", "w", "b") if has_norm else ("w", "b"))]
     return tuple(names)
 
 
@@ -213,11 +172,12 @@ def init_params(config: ModelConfig, rng: RngStream) -> Params:
     biases zero, layer-norm scale 1 and shift 0. Draw order follows the
     layer plan, so a given seed always yields the same tensors."""
     params = Params(dict(param_shapes(config)))
-    for name, d_in, d_out, has_norm in _iter_layers(layer_plan(config)):
-        s = math.sqrt(1.0 / d_in)
-        params[f"{name}.w"][...] = rng.uniform(d_in * d_out).reshape(d_in, d_out) * (2.0 * s) - s
-        if has_norm:
-            params[f"{name}.gamma"].fill(1.0)
+    for chain in layer_plan(config):
+        for name, d_in, d_out, has_norm in chain:
+            s = math.sqrt(1.0 / d_in)
+            params[f"{name}.w"][...] = rng.uniform(d_in * d_out).reshape(d_in, d_out) * (2.0 * s) - s
+            if has_norm:
+                params[f"{name}.gamma"].fill(1.0)
     return params
 
 
@@ -249,48 +209,35 @@ def params_copy(params: Params) -> Params:
 # -- forward ----------------------------------------------------------------
 
 
-class BlockCache(NamedTuple):
-    lin: object
-    ln: object
-    act: object
-
-
-class ForwardCaches(NamedTuple):
-    config: ModelConfig
-    trunk: tuple
-    emotion: tuple
-    country: tuple
-    age: tuple
-    emotion_sigmoid: object  # None under the linear variant
-
-
 @dataclass(frozen=True)
 class ModelOutputs:
     emotion: np.ndarray        # (n, emotion_out)
-    age_scaled: np.ndarray     # (n, 1), standardized scale
     country_logits: np.ndarray  # (n, country_out)
+    age_scaled: np.ndarray     # (n, 1), standardized scale
 
 
-def _block_forward(params, name, x, config):
-    h, lin = linear_forward(x, params[f"{name}.w"], params[f"{name}.b"])
-    h, ln = layer_norm_forward(h, params[f"{name}.gamma"], params[f"{name}.beta"], config.ln_eps)
-    h, act = leaky_relu_forward(h, config.leaky_slope)
-    return h, BlockCache(lin, ln, act)
+# Each head chain's output, in layer-plan order; also backward's d_outputs keys.
+HEAD_OUTPUTS = tuple(f.name for f in fields(ModelOutputs))
 
 
-def _chain_forward(params, blocks, out_layer, x, config):
+def _chain_forward(params, chain, h, config):
+    """Run one chain; returns its output and one (name, linear cache,
+    norm cache, activation cache) record per layer, None for no norm."""
     caches = []
-    h = x
-    for name, _, _ in blocks:
-        h, cache = _block_forward(params, name, h, config)
-        caches.append(cache)
-    out_name = out_layer[0]
-    y, out_cache = linear_forward(h, params[f"{out_name}.w"], params[f"{out_name}.b"])
-    return y, (tuple(caches), out_cache)
+    for name, _, _, has_norm in chain:
+        h, lin = linear_forward(h, params[f"{name}.w"], params[f"{name}.b"])
+        ln = act = None
+        if has_norm:
+            h, ln = layer_norm_forward(h, params[f"{name}.gamma"], params[f"{name}.beta"],
+                                       config.ln_eps)
+            h, act = leaky_relu_forward(h, config.leaky_slope)
+        caches.append((name, lin, ln, act))
+    return h, caches
 
 
 def forward(params: dict, config: ModelConfig, x: np.ndarray):
-    """Run the network on a batch; returns (ModelOutputs, ForwardCaches).
+    """Run the network on a batch; returns (ModelOutputs, caches), where
+    ``caches`` is what ``backward`` needs.
 
     Rows are independent (layer norm acts per row), so batched and
     row-at-a-time evaluation agree.
@@ -298,90 +245,61 @@ def forward(params: dict, config: ModelConfig, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ShapeError("model forward input", x.shape, (-1, config.input_dim))
-    plan = layer_plan(config)
-
-    h = x
-    trunk_caches = []
-    for name, _, _ in plan.trunk:
-        h, cache = _block_forward(params, name, h, config)
-        trunk_caches.append(cache)
-
-    emotion, emotion_cache = _chain_forward(params, plan.emotion_blocks, plan.emotion_out, h, config)
-    sig_cache = None
-    if config.emotion_activation == "sigmoid":
-        emotion, sig_cache = sigmoid_forward(emotion)
-    country, country_cache = _chain_forward(params, plan.country_blocks, plan.country_out, h, config)
-    age, age_cache = _chain_forward(params, plan.age_blocks, plan.age_out, h, config)
-
-    outputs = ModelOutputs(emotion=emotion, age_scaled=age, country_logits=country)
-    caches = ForwardCaches(
-        config=config,
-        trunk=tuple(trunk_caches),
-        emotion=emotion_cache,
-        country=country_cache,
-        age=age_cache,
-        emotion_sigmoid=sig_cache,
-    )
-    return outputs, caches
+    trunk, *heads = layer_plan(config)
+    h, trunk_caches = _chain_forward(params, trunk, x, config)
+    ys, head_caches, sig_cache = [], [], None
+    for key, chain in zip(HEAD_OUTPUTS, heads):
+        y, chain_caches = _chain_forward(params, chain, h, config)
+        if key == "emotion" and config.emotion_activation == "sigmoid":
+            y, sig_cache = sigmoid_forward(y)
+        ys.append(y)
+        head_caches.append(chain_caches)
+    return ModelOutputs(*ys), (config, trunk_caches, head_caches, sig_cache)
 
 
 # -- backward ---------------------------------------------------------------
 
 
-def _block_backward(grads, name, cache: BlockCache, dy, input_grad=True):
-    dy = leaky_relu_backward(cache.act, dy)
-    dy, _, _ = layer_norm_backward(cache.ln, dy, grads[f"{name}.gamma"],
-                                   grads[f"{name}.beta"])
-    dx, _, _ = linear_backward(cache.lin, dy, grads[f"{name}.w"], grads[f"{name}.b"],
-                               input_grad)
-    return dx
-
-
-def _chain_backward(grads, blocks, out_layer, chain_cache, dy):
-    block_caches, out_cache = chain_cache
-    out_name = out_layer[0]
-    dy, _, _ = linear_backward(out_cache, dy, grads[f"{out_name}.w"],
-                               grads[f"{out_name}.b"])
-    for (name, _, _), cache in zip(reversed(blocks), reversed(block_caches)):
-        dy = _block_backward(grads, name, cache, dy)
+def _chain_backward(grads, caches, dy, input_grad=True):
+    """Walk one chain's caches from the top, writing every parameter
+    gradient into ``grads``; returns the gradient of the chain's input,
+    or None with ``input_grad=False``."""
+    for i in reversed(range(len(caches))):
+        name, lin, ln, act = caches[i]
+        if ln is not None:
+            dy = leaky_relu_backward(act, dy)
+            dy, _, _ = layer_norm_backward(ln, dy, grads[f"{name}.gamma"],
+                                           grads[f"{name}.beta"])
+        dy, _, _ = linear_backward(lin, dy, grads[f"{name}.w"], grads[f"{name}.b"],
+                                   input_grad or i > 0)
     return dy
 
 
-def backward(params: dict, caches: ForwardCaches, d_outputs: dict,
+def backward(params: dict, caches, d_outputs: dict,
              grads: Params | None = None) -> Params:
     """Gradients for every parameter given output-side gradients.
 
-    ``d_outputs`` maps each of "emotion", "age_scaled", "country_logits"
-    to an array shaped like the corresponding output. The trunk gradient
-    is the sum of the three head contributions. Every gradient is written
-    into ``grads`` (from ``init_grads``), which is allocated when not
-    given; the weights come from ``caches``.
+    ``d_outputs`` maps each name in HEAD_OUTPUTS to an array shaped like
+    that output. Each head is walked from its output layer down, then the
+    trunk from the top with the sum of the heads' input gradients. Every
+    gradient is written into ``grads`` (from ``init_grads``), allocated
+    when not given; the weights come from ``caches`` (from ``forward``).
     """
-    config = caches.config
-    plan = layer_plan(config)
+    config, trunk_caches, head_caches, sig_cache = caches
+    trunk, *heads = layer_plan(config)
     if grads is None:
         grads = init_grads(config)
 
-    n = caches.trunk[0].lin.x.shape[0]
-    d_shared = np.zeros((n, plan.trunk[-1][2]))
-    heads = (
-        ("emotion", config.emotion_out, plan.emotion_blocks, plan.emotion_out, caches.emotion),
-        ("country_logits", config.country_out, plan.country_blocks, plan.country_out,
-         caches.country),
-        ("age_scaled", 1, plan.age_blocks, plan.age_out, caches.age),
-    )
-    for key, width, blocks, out_layer, chain_cache in heads:
+    n = trunk_caches[0][1].x.shape[0]
+    d_shared = np.zeros((n, trunk[-1][2]))
+    for key, chain, chain_caches in zip(HEAD_OUTPUTS, heads, head_caches):
         dy = d_outputs[key]
-        if np.shape(dy) != (n, width):
-            raise ShapeError(f"backward {key}", np.shape(dy), (n, width))
-        if key == "emotion" and caches.emotion_sigmoid is not None:
-            dy = sigmoid_backward(caches.emotion_sigmoid, dy)
-        d_shared += _chain_backward(grads, blocks, out_layer, chain_cache, dy)
-
-    dy = d_shared
-    first = plan.trunk[0][0]
-    for (name, _, _), cache in zip(reversed(plan.trunk), reversed(caches.trunk)):
-        dy = _block_backward(grads, name, cache, dy, input_grad=name != first)
+        if np.shape(dy) != (n, chain[-1][2]):
+            raise ShapeError(f"backward {key}", np.shape(dy), (n, chain[-1][2]))
+        if key == "emotion" and sig_cache is not None:
+            dy = sigmoid_backward(sig_cache, dy)
+        d_shared += _chain_backward(grads, chain_caches, dy)
+    _chain_backward(grads, trunk_caches, d_shared, input_grad=False)
     return grads
 
 

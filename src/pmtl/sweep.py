@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,13 @@ class SweepSpec:
             raise ConfigError(
                 f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
             )
-        object.__setattr__(self, "values", tuple(self.values))
+        try:
+            object.__setattr__(self, "values", tuple(self.values))
+            hash(self.values)  # cell values key the per-cell datasets
+            for value in self.values:
+                self.cell_config(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad sweep value: {exc}") from None
 
     def cell_config(self, value) -> TrainConfig:
         """Base config specialized to one cell value. Data-side axes
@@ -73,15 +79,6 @@ class RunOutcome:
     best_epoch: int
     bundle: MetricsBundle
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "best_epoch": self.best_epoch,
-                "bundle": self.bundle.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunOutcome":
-        return cls(seed=d["seed"], best_epoch=d["best_epoch"],
-                   bundle=MetricsBundle.from_dict(d["bundle"]))
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -94,25 +91,6 @@ class CellResult:
     @property
     def failed(self) -> bool:
         return self.error is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": self.value,
-            "runs": [r.to_dict() for r in self.runs],
-            "error": self.error,
-            "error_code": self.error_code,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CellResult":
-        return cls(
-            label=d["label"],
-            value=d["value"],
-            runs=tuple(RunOutcome.from_dict(r) for r in d["runs"]),
-            error=d["error"],
-            error_code=d.get("error_code"),
-        )
 
 
 @dataclass(frozen=True)
@@ -155,21 +133,6 @@ class ReportTable:
             if row is not None and row.s_mtl > best_score:
                 best, best_score = i, row.s_mtl
         return best
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "aggregation": self.aggregation,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportTable":
-        return cls(
-            axis=d["axis"],
-            aggregation=d["aggregation"],
-            cells=tuple(CellResult.from_dict(c) for c in d["cells"]),
-        )
 
 
 def _aggregate(cell: CellResult, aggregation: str) -> ReportRow:
@@ -331,17 +294,36 @@ def sidecar_csv(table: ReportTable) -> str:
 
 def save_results(table: ReportTable, path) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(table), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _table_from_dict(d: dict) -> ReportTable:
+    """Inverse of ``asdict(table)`` after a JSON round trip. Raises
+    TypeError for a value the report could not render."""
+    cells = []
+    for c in d["cells"]:
+        runs = tuple(RunOutcome(**{**r, "bundle": MetricsBundle.from_dict(r["bundle"])})
+                     for r in c["runs"])
+        for run in runs:
+            b = run.bundle
+            numbers = (run.seed, run.best_epoch, *b.ccc_per_emotion, b.mean_ccc, b.uar,
+                       b.mae_years, b.inv_mae, b.score)
+            if not all(type(v) in (int, float) for v in numbers):
+                raise TypeError(f"non-numeric metric in cell {c['label']!r}")
+        if not isinstance(c["label"], str):
+            raise TypeError(f"cell label {c['label']!r} is not a string")
+        cells.append(CellResult(**{**c, "runs": runs}))
+    return ReportTable(**{**d, "cells": tuple(cells)})
+
+
 def load_results(path) -> ReportTable:
-    """Read a stored ``results.json``; a file that is not one raises
-    DataFormatError."""
+    """Read a stored ``results.json``; a file that is not one, or that
+    holds a value of the wrong type, raises DataFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return ReportTable.from_dict(json.loads(raw))
+        return _table_from_dict(json.loads(raw))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"not a sweep results file: {type(exc).__name__}: {exc}",
                               path) from None

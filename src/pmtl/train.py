@@ -69,29 +69,6 @@ class TrainConfig:
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
-    def to_dict(self) -> dict:
-        d = {
-            "model": self.model.to_dict(),
-            "loss": asdict(self.loss),
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "clip_norm": self.clip_norm,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        if "loss" in d:
-            d["loss"] = LossConfig(**d["loss"])
-        return cls(**d)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -184,8 +161,8 @@ class EpochRecord:
     def canonical_dict(self) -> dict:
         return {
             "epoch": self.epoch,
-            "train_loss": self.train_loss.to_dict(),
-            "val": self.val.to_dict(),
+            "train_loss": asdict(self.train_loss),
+            "val": asdict(self.val),
         }
 
 
@@ -201,10 +178,10 @@ class RunHistory:
     def canonical_dict(self) -> dict:
         """Everything that the determinism contract covers (no timing)."""
         return {
-            "initial_val": self.initial_val.to_dict(),
+            "initial_val": asdict(self.initial_val),
             "epochs": [e.canonical_dict() for e in self.epochs],
             "best_epoch": self.best_epoch,
-            "best_val": self.best_val.to_dict(),
+            "best_val": asdict(self.best_val),
             "stopped_early": self.stopped_early,
         }
 

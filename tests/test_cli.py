@@ -5,6 +5,7 @@ is the JSON summary the real CLI would print.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_score_joins_by_id_not_row_order(workspace, tmp_path):
     shuffled = tmp_path / "p_shuffled.csv"
     save_predictions_csv(tuple(ids[i] for i in order), emotion[order],
                          age[order], country[order], shuffled)
-    assert score_files(shuffled, data / "val_labels.csv").to_dict() == straight.to_dict()
+    assert asdict(score_files(shuffled, data / "val_labels.csv")) == asdict(straight)
 
 
 def test_score_id_mismatch_exits_2(workspace, capsys):
@@ -335,6 +336,25 @@ def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "PMTL_WORKERS" not in err
     assert (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"axis": "feature_set", "values": ["a"], "feature_sets": {"a": {"train": "t.csv"}}},
+    {"axis": "feature_set", "values": ["a"], "feature_sets": {"a": "t.csv"}},
+    {"axis": "feature_set", "values": [["a"]], "feature_sets": {"a": {}}},
+    {"axis": "seed", "values": [[1]]},
+    {"axis": "batch_size", "values": [0]},
+    {"axis": "batch_size", "values": ["x"]},
+], ids=["feature-set-without-val", "feature-set-not-a-mapping",
+        "unhashable-feature-set", "unhashable-seed", "batch-size-0", "batch-size-x"])
+def test_sweep_bad_spec_exits_1(spec, workspace, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(spec, runs_per_cell=1, base=TRAIN_CONFIG)))
+    code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert err.startswith("pmtl: error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Task losses and the weighted combination: oracles, frozen constants, FD."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -170,5 +171,5 @@ def test_combine_breakdown_consistent():
     b = combine(1.0, 2.0, 3.0, LossConfig())
     assert (b.l_emotion, b.l_country, b.l_age) == (1.0, 2.0, 3.0)
     assert b.l_total == total_loss(1.0, 2.0, 3.0, LossConfig())
-    d = b.to_dict()
+    d = asdict(b)
     assert set(d) == {"l_emotion", "l_country", "l_age", "l_total"}

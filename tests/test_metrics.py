@@ -1,6 +1,8 @@
 """Metrics: CCC/UAR/MAE oracles, harmonic-mean score, degenerate handling."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ def test_bundle_dict_round_trip(rng_np):
     bundle = compute_bundle(emotion, noisy, np.array([0, 1, 2, 3] * 5),
                             np.array([0, 1, 2, 3] * 5),
                             np.arange(20.0), np.arange(20.0) + 2.0)
-    assert MetricsBundle.from_dict(bundle.to_dict()) == bundle
+    assert MetricsBundle.from_dict(json.loads(json.dumps(asdict(bundle)))) == bundle
 
 
 def test_metric_shape_errors():

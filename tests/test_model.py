@@ -1,5 +1,6 @@
 """Network forward/backward: shapes, determinism, and finite differences."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -72,11 +73,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(input_dim=4, head_variant="two-layer-age", age_head_dims=(8,))
     with pytest.raises(ValueError):
+        ModelConfig(input_dim=4, head_variant="one-hidden-all", age_head_dims=())
+    with pytest.raises(ValueError):
         ModelConfig(input_dim=4, emotion_activation="tanh")
 
 
 def test_config_dict_round_trip(tiny_config):
-    assert ModelConfig.from_dict(tiny_config.to_dict()) == tiny_config
+    assert ModelConfig(**json.loads(json.dumps(asdict(tiny_config)))) == tiny_config
 
 
 def test_default_param_count_pinned():
@@ -88,14 +91,14 @@ def test_default_param_count_pinned():
 
 def test_layer_plan_variants():
     two = ModelConfig(input_dim=6, shared_dims=(5, 4), age_head_dims=(3, 2))
-    plan = layer_plan(two)
-    assert [name for name, _, _ in plan.age_blocks] == ["age_hidden0", "age_hidden1"]
-    assert plan.age_out == ("age_out", 2, 1)
+    *_, age = layer_plan(two)
+    assert [name for name, _, _, _ in age[:-1]] == ["age_hidden0", "age_hidden1"]
+    assert age[-1] == ("age_out", 2, 1, False)
     one = ModelConfig(input_dim=6, shared_dims=(5, 4), age_head_dims=(3,),
                       head_variant="one-hidden-all")
-    plan = layer_plan(one)
-    assert [name for name, _, _ in plan.age_blocks] == ["age_hidden0"]
-    assert plan.age_out == ("age_out", 3, 1)
+    *_, age = layer_plan(one)
+    assert [name for name, _, _, _ in age[:-1]] == ["age_hidden0"]
+    assert age[-1] == ("age_out", 3, 1, False)
 
 
 @pytest.mark.parametrize("variant", ["two-layer-age", "one-hidden-all"])
@@ -132,13 +135,14 @@ def test_init_bounds_and_determinism(tiny_config):
     for name, v in p1.items():
         assert np.array_equal(v, p2[name]), name
     assert any(not np.array_equal(v, p3[name]) for name, v in p1.items())
-    plan = layer_plan(tiny_config)
-    fan_in = {name: d_in for name, d_in, _ in plan.trunk}
+    fan_in = {name: d_in for chain in layer_plan(tiny_config)
+              for name, d_in, _, _ in chain}
     for name, v in p1.items():
         base = name.rsplit(".", 1)[0]
         kind = name.rsplit(".", 1)[1]
         if kind == "w":
-            d_in = v.shape[0]
+            d_in = fan_in[base]
+            assert v.shape[0] == d_in
             assert np.abs(v).max() <= np.sqrt(1.0 / d_in)
             assert np.abs(v).max() > 0
         elif kind == "b" or kind == "beta":
@@ -193,7 +197,7 @@ def test_emotion_sigmoid_range(tiny_config):
 def test_linear_emotion_variant_skips_sigmoid(tiny_config):
     from pmtl.layers import sigmoid_forward
 
-    linear_cfg = ModelConfig(**{**tiny_config.to_dict(),
+    linear_cfg = ModelConfig(**{**asdict(tiny_config),
                                 "emotion_activation": "linear"})
     params = init_params(tiny_config, RngStream(3))
     x, *_ = make_batch(tiny_config, 8)

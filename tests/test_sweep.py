@@ -101,7 +101,7 @@ def test_single_cell_sweep_matches_direct_run(sweep_dataset):
     _, history = train_run(direct_config, sweep_dataset)
     run = table.cells[0].runs[0]
     assert run.seed == direct_config.seed
-    assert run.bundle.to_dict() == history.best_val.to_dict()
+    assert dataclasses.asdict(run.bundle) == dataclasses.asdict(history.best_val)
     assert run.best_epoch == history.best_epoch
 
 
@@ -121,7 +121,7 @@ def test_cells_reproduce_in_isolation(sweep_dataset):
                      runs_per_cell=2)
     table = run_sweep(spec, sweep_dataset)
     last = run_sweep(dataclasses.replace(spec, values=(16,)), sweep_dataset)
-    assert last.cells[0].to_dict() == table.cells[2].to_dict()
+    assert dataclasses.asdict(last.cells[0]) == dataclasses.asdict(table.cells[2])
 
 
 def test_cell_failure_is_isolated(sweep_dataset):
@@ -282,7 +282,7 @@ def test_results_json_round_trip(tmp_path, sweep_dataset):
     path = tmp_path / "results.json"
     save_results(table, path)
     back = load_results(path)
-    assert back.to_dict() == table.to_dict()
+    assert dataclasses.asdict(back) == dataclasses.asdict(table)
     assert report_markdown(back) == report_markdown(table)
 
 
@@ -292,6 +292,11 @@ def test_results_json_round_trip(tmp_path, sweep_dataset):
     '[1, 2]',
     '{"axis": ',
     '\xff',
+    # well formed, but a metric the report would average is a string
+    '{"axis": "seed", "aggregation": "best", "cells": [{"label": "seed=1", "value": 1, '
+    '"error": null, "error_code": null, "runs": [{"seed": 1, "best_epoch": 1, "bundle": '
+    '{"ccc_per_emotion": [0.5], "mean_ccc": "x", "uar": 0.5, "mae_years": 2.0, '
+    '"inv_mae": 0.5, "score": 0.5, "flags": []}}]}]}',
 ])
 def test_malformed_results_json_is_a_data_error(tmp_path, body):
     path = tmp_path / "results.json"
