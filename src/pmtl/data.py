@@ -15,6 +15,13 @@ predictions CSV   same columns as labels, but age may be fractional and
 
 Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order.
+
+Memory contract: loading a feature file yields one float64 (n, d) array.
+The binary loader checks the payload size against the header before it
+allocates that array and reads the file straight into it; the CSV loader
+converts each row with one numpy call and stacks the rows once, so it
+briefly holds the rows and the stacked array. Standardizing a split makes
+one new array.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ class Standardizer:
     degenerate_columns: tuple[int, ...] = ()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.center) / self.scale
+        out = np.subtract(x, self.center)
+        out /= self.scale
+        return out
 
     @classmethod
     def fit(cls, train_x: np.ndarray, mode: str) -> "Standardizer":
@@ -207,7 +216,8 @@ def _parse_float(token: str, path, line_no, col):
 @contextlib.contextmanager
 def _open_csv(path):
     """Yield ``(header, reader)`` for the UTF-8 CSV file at ``path``. An
-    empty file, or bytes that are not UTF-8, raise DataFormatError."""
+    empty file, bytes that are not UTF-8, or a record the csv module
+    rejects (a field over its size limit) raise DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -217,11 +227,27 @@ def _open_csv(path):
             yield header, reader
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not valid UTF-8: {exc}", path) from None
+    except csv.Error as exc:
+        raise DataFormatError(f"malformed CSV: {exc}", path, reader.line_num) from None
+
+
+def _parse_row(tokens: list[str], columns, path, line_no) -> np.ndarray:
+    """The finite float64 values of one row's tokens, converted in one numpy
+    call: numpy parses a str with Python's ``float``, so the bits are those
+    of a per-token parse. Only a row that fails is parsed again token by
+    token, so that the DataFormatError names the column."""
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(t, path, line_no, c) for t, c in zip(tokens, columns)])
 
 
 def load_features_csv(path) -> FeatureTable:
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     with _open_csv(path) as (header, reader):
         if not header or header[0] != "id":
@@ -239,8 +265,7 @@ def load_features_csv(path) -> FeatureTable:
                 raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
             seen.add(sid)
             ids.append(sid)
-            rows.append([_parse_float(tok, path, line_no, f"f{j}")
-                         for j, tok in enumerate(row[1:])])
+            rows.append(_parse_row(row[1:], header[1:], path, line_no))
     features = np.array(rows, dtype=np.float64).reshape(len(ids), d)
     return FeatureTable(ids=tuple(ids), features=features)
 
@@ -269,43 +294,41 @@ def save_features_binary(table: FeatureTable, path) -> None:
 
 def load_features_binary(path) -> FeatureTable:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise DataFormatError(f"bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}", path)
-    try:
-        version, n, d = struct.unpack_from("<HII", blob, 4)
-    except struct.error:
-        raise DataFormatError("truncated header", path)
-    if version != FEATURE_VERSION:
-        raise DataFormatError(f"unsupported version {version}", path)
-    offset = 4 + 10
-    ids = []
-    seen = set()
-    for _ in range(n):
+        head = fh.read(14)
+        if head[:4] != FEATURE_MAGIC:
+            raise DataFormatError(f"bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}", path)
         try:
-            (length,) = struct.unpack_from("<H", blob, offset)
+            version, n, d = struct.unpack_from("<HII", head, 4)
         except struct.error:
-            raise DataFormatError("truncated id table", path)
-        offset += 2
-        if len(blob) < offset + length:
-            raise DataFormatError("truncated id table", path)
-        try:
-            sid = blob[offset:offset + length].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataFormatError("invalid UTF-8 in id table", path)
-        offset += length
-        if sid in seen:
-            raise DataFormatError(f"duplicate id {sid!r}", path)
-        seen.add(sid)
-        ids.append(sid)
-    payload = blob[offset:]
-    expected = n * d * 8
-    if len(payload) != expected:
-        raise DataFormatError(f"payload is {len(payload)} bytes, expected {expected}", path)
-    features = np.frombuffer(payload, dtype="<f8").reshape(n, d).astype(np.float64)
+            raise DataFormatError("truncated header", path)
+        if version != FEATURE_VERSION:
+            raise DataFormatError(f"unsupported version {version}", path)
+        ids = []
+        seen = set()
+        for _ in range(n):
+            prefix = fh.read(2)
+            length = int.from_bytes(prefix, "little")
+            raw = fh.read(length)
+            if len(prefix) < 2 or len(raw) < length:
+                raise DataFormatError("truncated id table", path)
+            try:
+                sid = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataFormatError("invalid UTF-8 in id table", path)
+            if sid in seen:
+                raise DataFormatError(f"duplicate id {sid!r}", path)
+            seen.add(sid)
+            ids.append(sid)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = n * d * 8
+        if left != expected:
+            raise DataFormatError(f"payload is {left} bytes, expected {expected}", path)
+        features = np.empty((n, d), dtype="<f8")
+        if fh.readinto(features) != expected:
+            raise DataFormatError("truncated payload", path)
     if not np.isfinite(features).all():
         raise DataFormatError("non-finite feature values", path)
-    return FeatureTable(ids=tuple(ids), features=features)
+    return FeatureTable(ids=tuple(ids), features=features.astype(np.float64, copy=False))
 
 
 def load_features(path) -> FeatureTable:
@@ -338,8 +361,7 @@ def _load_label_rows(path, age_kind):
             if sid in seen:
                 raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
             seen.add(sid)
-            emotions.append([_parse_float(t, path, line_no, c)
-                             for t, c in zip(row[1:11], EMOTIONS)])
+            emotions.append(_parse_row(row[1:11], EMOTIONS, path, line_no))
             try:
                 ages.append(age_kind(row[11]))
             except ValueError:

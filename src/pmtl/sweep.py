@@ -67,9 +67,9 @@ class SweepSpec:
         """Base config specialized to one cell value. Data-side axes
         (feature_set, standardization) leave the config untouched."""
         if self.axis == "seed":
-            return replace(self.base, seed=int(value))
+            return replace(self.base, seed=value)
         if self.axis == "batch_size":
-            return replace(self.base, batch_size=int(value))
+            return replace(self.base, batch_size=value)
         return self.base
 
 

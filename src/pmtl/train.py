@@ -52,6 +52,10 @@ class TrainConfig:
     clip_norm: float | None = None  # optional global-norm gradient clip
 
     def __post_init__(self):
+        for name in ("seed", "batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:

@@ -345,8 +345,12 @@ def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
     {"axis": "seed", "values": [[1]]},
     {"axis": "batch_size", "values": [0]},
     {"axis": "batch_size", "values": ["x"]},
+    {"axis": "seed", "values": [1.5]},
+    {"axis": "seed", "values": [True]},
+    {"axis": "batch_size", "values": [8.9]},
 ], ids=["feature-set-without-val", "feature-set-not-a-mapping",
-        "unhashable-feature-set", "unhashable-seed", "batch-size-0", "batch-size-x"])
+        "unhashable-feature-set", "unhashable-seed", "batch-size-0", "batch-size-x",
+        "fractional-seed", "bool-seed", "fractional-batch-size"])
 def test_sweep_bad_spec_exits_1(spec, workspace, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(dict(spec, runs_per_cell=1, base=TRAIN_CONFIG)))
@@ -422,6 +426,19 @@ def test_invalid_model_constant_exits_1(workspace, tmp_path, capsys, model_key, 
                                 "--out", str(tmp_path / "o")])
     assert code == 1
     assert model_key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("seed", 1.5), ("batch_size", 8.5),
+                                       ("max_epochs", 2.5), ("patience", True)])
+def test_non_integer_train_count_exits_1(workspace, tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TRAIN_CONFIG, **{key: value})))
+    code, _, err = run(capsys, ["train", *data_args(workspace),
+                                "--config", str(bad),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{key} must be an integer" in err
     assert "Traceback" not in err
 
 

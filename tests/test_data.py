@@ -1,10 +1,18 @@
 """Loaders, alignment, standardization, batching, synthetic data."""
 
+import csv
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pmtl.data import (
     EMOTIONS,
+    FEATURE_MAGIC,
     AgeScaler,
     FeatureTable,
     LabelTable,
@@ -106,6 +114,8 @@ def test_load_features_dispatches_on_magic(tmp_path, rng_np):
     ("id,f0\na,nan\n", "non-finite"),
     ("id,g0\na,1.0\n", "header"),
     ("", "empty"),
+    pytest.param('id,f0\na,"' + "1" * 200_000 + "\n", "malformed CSV",
+                 id="field-over-csv-limit"),
 ])
 def test_features_csv_errors_carry_location(tmp_path, body, fragment):
     path = write(tmp_path / "bad.csv", body)
@@ -131,6 +141,133 @@ def test_binary_truncation_rejected(tmp_path, rng_np):
         bad.write_bytes(blob[:cut])
         with pytest.raises(DataFormatError):
             load_features_binary(bad)
+
+
+def traced_peak(fn):
+    """``(result, peak bytes)`` that tracemalloc saw allocated while ``fn``
+    ran; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_load_holds_one_copy(tmp_path, rng_np):
+    table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(400)),
+                         features=rng_np.standard_normal((400, 512)))
+    path = tmp_path / "t.bin"
+    save_features_binary(table, path)
+    back, peak = traced_peak(lambda: load_features(path))
+    assert back.features.tobytes() == table.features.tobytes()
+    assert peak <= 1.25 * back.features.nbytes
+
+
+def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np):
+    table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(200)),
+                         features=rng_np.standard_normal((200, 256)))
+    path = tmp_path / "t.csv"
+    save_features_csv(table, path)
+    back, peak = traced_peak(lambda: load_features(path))
+    assert np.array_equal(back.features, table.features)
+    assert peak <= 2.5 * back.features.nbytes
+
+
+@pytest.mark.parametrize("n,d,tail", [
+    (1, 2**32 - 1, b"\x01\x00a" + bytes(16)),  # promises ~34 GB of payload
+    (2**32 - 1, 2**32 - 1, b"\x01"),            # id table cut short
+], ids=["huge-payload", "huge-id-table"])
+def test_huge_binary_header_fails_before_allocating(tmp_path, n, d, tail):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<HII", 1, n, d) + tail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="payload|truncated"):
+            load_features(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+ADVERSARIAL_TOKENS = (
+    "-0.0", "5e-324", "1e-400", "-1e-400", "1_0", "1__0", "_1", "\u0661\u0662\u0663",
+    "\uff11\uff12\uff13", " 1.5 ", "\t2\n", "+.5", "5.", "1E5", "0x10", "", "abc",
+    "infinity", "-inf", "nan", "1e400", "1.5e",
+)
+
+
+def _reference_float(token):
+    """Per-token parse: the float, or None where the loader must reject it."""
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def test_csv_values_bit_equal_to_per_token_float(tmp_path):
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    finite = bits[np.isfinite(bits)].tolist()
+    tokens = [fmt % v for v in finite for fmt in ("%r", "%.17g", "%.25g")]
+    tokens += [t for t in ADVERSARIAL_TOKENS if _reference_float(t) is not None]
+    d = 50
+    tokens += ["0.0"] * (-len(tokens) % d)
+    rows = [tokens[i:i + d] for i in range(0, len(tokens), d)]
+    path = tmp_path / "tokens.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"f{j}" for j in range(d)])
+        writer.writerows([f"r{i}"] + row for i, row in enumerate(rows))
+    expected = np.array([[_reference_float(t) for t in row] for row in rows])
+    assert load_features_csv(path).features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", [t for t in ADVERSARIAL_TOKENS
+                                   if _reference_float(t) is None])
+def test_csv_rejects_what_per_token_float_rejects(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["id", "f0", "f1"], ["a", "1.0", "2.0"],
+                                  ["b", "1.0", token]])
+    with pytest.raises(DataFormatError, match="column 'f1'") as info:
+        load_features_csv(path)
+    assert info.value.line == 3
+
+
+@pytest.fixture(scope="module")
+def feature_file_bytes(tmp_path_factory):
+    table = FeatureTable(ids=("a", "b2", "utf8-\u00efd"),
+                         features=np.random.default_rng(3).standard_normal((3, 4)))
+    root = tmp_path_factory.mktemp("feat")
+    save_features_csv(table, root / "real.csv")
+    save_features_binary(table, root / "real.bin")
+    return {"csv": (root / "real.csv").read_bytes(), "bin": (root / "real.bin").read_bytes()}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_feature_file_loads_or_raises_data_format_error(
+        feature_file_bytes, tmp_path, data):
+    blob = bytearray(feature_file_bytes[data.draw(st.sampled_from(["csv", "bin"]),
+                                                  label="format")])
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
+    else:
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1,
+                                      max_size=4), label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path = tmp_path / "fuzzed"
+    path.write_bytes(bytes(blob))
+    try:
+        table = load_features(path)
+    except DataFormatError:
+        return
+    assert table.features.dtype == np.float64
+    assert table.features.shape == (len(table.ids), table.dim)
+    assert np.isfinite(table.features).all()
 
 
 def test_load_labels(label_csv):
@@ -316,6 +453,14 @@ def test_standardize_zero_variance_flagged():
     applied = std.apply(x)
     assert np.allclose(applied[:, 0], 0.0)  # centered, unscaled
     assert np.allclose(applied[:, 1].std(), 1.0)
+
+
+def test_standardizer_apply_makes_one_array(rng_np):
+    x = rng_np.standard_normal((500, 256)) * 3.0 + 1.0
+    std = Standardizer.fit(x, "zscore")
+    out, peak = traced_peak(lambda: std.apply(x))
+    assert out.tobytes() == ((x - std.center) / std.scale).tobytes()
+    assert peak <= 1.1 * out.nbytes
 
 
 def test_batches_sizes_and_coverage():

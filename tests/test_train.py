@@ -56,6 +56,10 @@ def small_train_config(**overrides):
     {"patience": -1},
     {"patience": 9},  # exceeds max_epochs=8
     {"clip_norm": 0.0},
+    {"seed": 1.5},
+    {"batch_size": 8.5},
+    {"max_epochs": 2.5},
+    {"patience": True},
 ])
 def test_train_config_validation(overrides):
     with pytest.raises(ValueError):
