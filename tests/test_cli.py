@@ -467,6 +467,29 @@ def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
     assert "momentum" in err
 
 
+def test_bad_standardize_in_train_config_exits_1(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TRAIN_CONFIG, standardize="robust")))
+    code, _, err = run(capsys, ["train", *data_args(workspace),
+                                "--config", str(bad),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "'robust'" in err
+    assert "Traceback" not in err
+
+
+def test_bad_standardization_sweep_value_exits_1(workspace, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axis": "standardization", "values": ["zscore", "robust"],
+                                     "runs_per_cell": 1, "base": TRAIN_CONFIG}))
+    code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "'robust'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_feature_file_exits_2(workspace, tmp_path, capsys):
     data = workspace / "data"
     code, _, err = run(capsys, [

@@ -264,6 +264,53 @@ def test_csv_report_structure():
                             "best", "error"]
 
 
+REPORT_GOLDEN = {
+    ("markdown", "mean_std"): (
+        "| cell | ccc | uar | inv_mae | s_mtl | best |\n"
+        "|---|---|---|---|---|---|\n"
+        "| seed=1 | 0.300 ± 0.000 | 0.500 ± 0.000 | 0.400 ± 0.000 | 0.500 ± 0.100 |  |\n"
+        "| seed=3 | error | error | error | error |  |\n"
+        "| seed=2 | 0.300 ± 0.000 | 0.500 ± 0.000 | 0.400 ± 0.000 | 0.600 ± 0.050 | * |\n"
+        "\n"
+        "Failed cells:\n"
+        '- seed=3: DataError: bad, "very" bad\n'
+    ),
+    ("markdown", "best"): (
+        "| cell | ccc | uar | inv_mae | s_mtl | best |\n"
+        "|---|---|---|---|---|---|\n"
+        "| seed=1 | 0.300 | 0.500 | 0.400 | 0.600 |  |\n"
+        "| seed=3 | error | error | error | error |  |\n"
+        "| seed=2 | 0.300 | 0.500 | 0.400 | 0.650 | * |\n"
+        "\n"
+        "Failed cells:\n"
+        '- seed=3: DataError: bad, "very" bad\n'
+    ),
+    ("csv", "mean_std"): (
+        "cell,ccc,ccc_std,uar,uar_std,inv_mae,inv_mae_std,s_mtl,s_mtl_std,best,error\n"
+        "seed=1,0.300,0.000,0.500,0.000,0.400,0.000,0.500,0.100,,\n"
+        'seed=3,,,,,,,,,,"DataError: bad, ""very"" bad"\n'
+        "seed=2,0.300,0.000,0.500,0.000,0.400,0.000,0.600,0.050,*,\n"
+    ),
+    ("csv", "best"): (
+        "cell,ccc,uar,inv_mae,s_mtl,best,error\n"
+        "seed=1,0.300,0.500,0.400,0.600,,\n"
+        'seed=3,,,,,,"DataError: bad, ""very"" bad"\n'
+        "seed=2,0.300,0.500,0.400,0.650,*,\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("renderer,aggregation", sorted(REPORT_GOLDEN))
+def test_report_golden_with_failed_cell(renderer, aggregation):
+    failed = CellResult(label="seed=3", value=3, runs=(),
+                        error='DataError: bad, "very" bad', error_code=2)
+    table = ReportTable(axis="seed", aggregation=aggregation,
+                        cells=(make_cell("seed=1", [0.4, 0.6]), failed,
+                               make_cell("seed=2", [0.55, 0.65])))
+    render = report_markdown if renderer == "markdown" else report_csv
+    assert render(table) == REPORT_GOLDEN[renderer, aggregation]
+
+
 def test_sidecar_preserves_full_precision():
     value = 0.1234567890123456789
     cell = make_cell("seed=1", [value])
