@@ -2,62 +2,3 @@
 embedding vectors: a small multitask MLP with hand-written gradients, a
 deterministic trainer, harmonic-mean evaluation, and a grid-sweep harness.
 """
-
-from .data import (
-    COUNTRIES,
-    EMOTIONS,
-    AgeScaler,
-    FeatureTable,
-    LabelTable,
-    SplitDataset,
-    Standardizer,
-    SynthSpec,
-    join_splits,
-    standardize,
-    synth_dataset,
-)
-from .losses import LossConfig
-from .metrics import MetricsBundle, ccc, compute_bundle, multitask_score, uar
-from .model import ModelConfig, forward, init_params, predict
-from .rng import RngStream, derive_subseed
-from .sweep import ReportTable, SweepSpec, run_sweep
-from .train import RunHistory, TrainConfig, evaluate, train_run
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgeScaler",
-    "COUNTRIES",
-    "Checkpoint",
-    "EMOTIONS",
-    "FeatureTable",
-    "LabelTable",
-    "LossConfig",
-    "MetricsBundle",
-    "ModelConfig",
-    "ReportTable",
-    "RngStream",
-    "RunHistory",
-    "SplitDataset",
-    "Standardizer",
-    "SweepSpec",
-    "SynthSpec",
-    "TrainConfig",
-    "ccc",
-    "compute_bundle",
-    "derive_subseed",
-    "evaluate",
-    "forward",
-    "init_params",
-    "join_splits",
-    "load_checkpoint",
-    "multitask_score",
-    "predict",
-    "run_sweep",
-    "save_checkpoint",
-    "standardize",
-    "synth_dataset",
-    "train_run",
-    "uar",
-]

@@ -78,17 +78,19 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
             fh.write(np.ascontiguousarray(aux[name], dtype="<f8").tobytes())
 
 
-def _read_tensors(index, payload, offset, path):
-    out = {}
-    for entry in index:
-        name, shape = entry[0], tuple(int(v) for v in entry[1])
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        chunk = payload[offset:offset + size]
-        if len(chunk) != size:
-            raise DataFormatError(f"truncated payload for tensor {name!r}", path)
-        out[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += size
-    return out, offset
+def _read_table(index, payload: bytes, offset: int, path) -> tuple[Params, int]:
+    """The tensors of one header table as one Params over a copy of their
+    bytes, which start at ``offset`` in ``payload``; also the offset after
+    them. Names must be unique and sorted, the layout of ``Params.flat``."""
+    shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in index}
+    if [entry[0] for entry in index] != sorted(shapes):
+        raise DataFormatError("tensor names are not unique and sorted", path)
+    if any(d < 0 for shape in shapes.values() for d in shape):
+        raise DataFormatError("negative tensor dimension", path)
+    end = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(payload) < end:
+        raise DataFormatError("truncated payload", path)
+    return Params(shapes, np.frombuffer(payload[offset:end], dtype="<f8").copy()), end
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -119,19 +121,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _from_header(header: dict, payload: bytes, path) -> Checkpoint:
-    shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in header["tensors"]}
-    if [entry[0] for entry in header["tensors"]] != sorted(shapes):
-        raise DataFormatError("tensor names are not unique and sorted", path)
-    offset = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(payload) < offset:
-        raise DataFormatError("truncated payload for the model tensors", path)
-    params = Params(shapes, np.frombuffer(payload[:offset], dtype="<f8").copy())
-    aux, offset = _read_tensors(header["aux"], payload, offset, path)
+    params, offset = _read_table(header["tensors"], payload, 0, path)
+    aux, offset = _read_table(header["aux"], payload, offset, path)
     if offset != len(payload):
         raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)
     scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
                        std=float(header["age_scaler"]["std"]))
-    finite = (params.flat, *aux.values(), (scaler.mean, scaler.std))
+    finite = (params.flat, aux.flat, (scaler.mean, scaler.std))
     if not all(np.isfinite(values).all() for values in finite):
         raise DataFormatError("non-finite values", path)
 

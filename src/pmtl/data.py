@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, DataFormatError, ShapeError
+from .errors import ConfigError, DataError, DataFormatError, ShapeError
 from .rng import RngStream
 
 EMOTIONS = (
@@ -152,7 +152,7 @@ class Standardizer:
     @classmethod
     def fit(cls, train_x: np.ndarray, mode: str) -> "Standardizer":
         if mode not in STANDARDIZE_MODES:
-            raise ValueError(f"standardize mode must be one of {STANDARDIZE_MODES}")
+            raise ConfigError(f"standardize mode must be one of {STANDARDIZE_MODES}, got {mode!r}")
         d = train_x.shape[1]
         if mode == "none":
             return cls(mode, np.zeros(d), np.ones(d))
@@ -191,7 +191,6 @@ class SplitPart:
 class SplitDataset:
     train: SplitPart
     val: SplitPart
-    test: SplitPart | None
     age_scaler: AgeScaler
     standardizer: Standardizer | None = None
 
@@ -442,12 +441,9 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str,
 
 
 def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitDataset:
-    """Align features with labels per split, in lexicographic id order.
-
-    Train and val ids must all be labeled. A test split is optional and
-    may be entirely unlabeled (prediction-only); the age scaler is fit on
-    the train labels.
-    """
+    """Align the train and val features with labels, in lexicographic id
+    order. Every id must be labeled; the age scaler is fit on the train
+    labels."""
     for required in ("train", "val"):
         if required not in features:
             raise DataError(f"missing {required!r} feature table")
@@ -461,12 +457,7 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
 
     train = build_part(features["train"], labels, "train", require_labels=True)
     val = build_part(features["val"], labels, "val", require_labels=True)
-    test = None
-    if "test" in features:
-        test = build_part(features["test"], labels, "test", require_labels=False)
-    return SplitDataset(
-        train=train, val=val, test=test, age_scaler=AgeScaler.fit(train.y_age)
-    )
+    return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 
 def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
@@ -475,13 +466,10 @@ def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
         raise DataError("cannot standardize: empty train split")
     std = Standardizer.fit(ds.train.x, mode)
 
-    def apply(part: SplitPart | None):
-        if part is None:
-            return None
+    def apply(part: SplitPart) -> SplitPart:
         return replace(part, x=std.apply(part.x))
 
-    return replace(ds, train=apply(ds.train), val=apply(ds.val), test=apply(ds.test),
-                   standardizer=std)
+    return replace(ds, train=apply(ds.train), val=apply(ds.val), standardizer=std)
 
 
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:

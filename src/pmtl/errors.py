@@ -2,8 +2,15 @@
 
 Every error raised by the library derives from PmtlError and carries the
 process exit code the CLI should use: 1 for usage/config problems, 2 for
-data problems, 3 for numerical failures.
+data problems, 3 for numerical failures. ``is_number`` is the type rule
+the config records check their numeric fields with.
 """
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is an int or, unless ``integer``, a float. A bool
+    is neither, although Python counts it as an int."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
 class PmtlError(Exception):

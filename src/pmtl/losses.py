@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, is_number
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,11 @@ class LossConfig:
     alpha_emotion: float = 0.34
     alpha_country: float = 0.33
     alpha_age: float = 0.33
+
+    def __post_init__(self):
+        for name in ("alpha_emotion", "alpha_country", "alpha_age"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
 
     def weights(self) -> tuple[float, float, float]:
         """Multipliers on (emotion, country, age) losses inside the total."""

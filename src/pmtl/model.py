@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, is_number
 from .layers import (
     layer_norm_backward,
     layer_norm_forward,
@@ -61,14 +61,18 @@ class ModelConfig:
     emotion_activation: str = "sigmoid"
 
     def __post_init__(self):
-        dims = (
-            (self.input_dim,)
-            + tuple(self.shared_dims)
-            + tuple(self.age_head_dims)
-            + (self.emotion_hidden, self.country_hidden, self.emotion_out, self.country_out)
-        )
-        if any(int(d) < 1 for d in dims):
+        # JSON gives lists; layer_plan's cache needs the config hashable
+        object.__setattr__(self, "shared_dims", tuple(self.shared_dims))
+        object.__setattr__(self, "age_head_dims", tuple(self.age_head_dims))
+        dims = (self.input_dim, *self.shared_dims, *self.age_head_dims, self.emotion_hidden,
+                self.country_hidden, self.emotion_out, self.country_out)
+        if not all(is_number(d, integer=True) for d in dims):
+            raise ValueError(f"all dimensions must be integers, got {dims}")
+        if any(d < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
+        for name in ("leaky_slope", "ln_eps"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.shared_dims or not self.age_head_dims:
             raise ValueError("shared_dims and age_head_dims must not be empty")
         if self.head_variant not in HEAD_VARIANTS:
@@ -81,8 +85,6 @@ class ModelConfig:
             raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not self.ln_eps > 0.0:
             raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
-        object.__setattr__(self, "shared_dims", tuple(int(d) for d in self.shared_dims))
-        object.__setattr__(self, "age_head_dims", tuple(int(d) for d in self.age_head_dims))
 
 
 def _blocks(prefix: str, d_in: int, widths) -> tuple:

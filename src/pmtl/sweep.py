@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import SplitDataset, atomic_open
-from .errors import ConfigError, DataFormatError, PmtlError
+from .errors import ConfigError, DataFormatError, PmtlError, is_number
 from .metrics import MetricsBundle
 from .rng import derive_subseed
 from .train import TrainConfig, train_run
@@ -49,8 +49,8 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        if self.runs_per_cell < 1:
-            raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
+        if not is_number(self.runs_per_cell, integer=True) or self.runs_per_cell < 1:
+            raise ConfigError(f"runs_per_cell must be an integer >= 1, got {self.runs_per_cell!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(
                 f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
@@ -209,69 +209,51 @@ def run_sweep(spec: SweepSpec, datasets) -> ReportTable:
 # -- rendering --------------------------------------------------------------
 
 
-def _f3(v: float) -> str:
-    return f"{v:.3f}"
-
-
 METRIC_NAMES = ("ccc", "uar", "inv_mae", "s_mtl")
+
+
+def _report_cells(table: ReportTable):
+    """Yield ``(cell, texts, mark)`` per cell. ``texts`` holds, per metric
+    in METRIC_NAMES order, its 3-decimal value and, under mean_std, its
+    std; it is None for a failed cell. ``mark`` is ``*`` on the best row."""
+    best = table.best_index()
+    for i, (cell, row) in enumerate(zip(table.cells, table.rows())):
+        if row is None:
+            yield cell, None, ""
+            continue
+        texts = [tuple(f"{v:.3f}" for v in (getattr(row, name), getattr(row, name + "_std"))
+                       if v is not None)
+                 for name in METRIC_NAMES]
+        yield cell, texts, "*" if i == best else ""
 
 
 def report_markdown(table: ReportTable) -> str:
     """Markdown table, one row per cell, 3-decimal values, best row
     marked with ``*``; ± std shown only under mean_std aggregation."""
-    with_std = table.aggregation == "mean_std"
-    header = ["cell"] + list(METRIC_NAMES) + ["best"]
+    header = ["cell", *METRIC_NAMES, "best"]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
-    best = table.best_index()
-    for i, (cell, row) in enumerate(zip(table.cells, table.rows())):
-        if row is None:
-            lines.append("| " + " | ".join(
-                [cell.label] + ["error"] * len(METRIC_NAMES) + [""]) + " |")
-            continue
-        values = []
-        for name in METRIC_NAMES:
-            text = _f3(getattr(row, name))
-            if with_std:
-                text += f" ± {_f3(getattr(row, name + '_std'))}"
-            values.append(text)
-        mark = "*" if i == best else ""
-        lines.append("| " + " | ".join([cell.label] + values + [mark]) + " |")
+    for cell, texts, mark in _report_cells(table):
+        values = (["error"] * len(METRIC_NAMES) if texts is None
+                  else [" ± ".join(pair) for pair in texts])
+        lines.append("| " + " | ".join([cell.label, *values, mark]) + " |")
     body = "\n".join(lines) + "\n"
-    failed = [c.label for c in table.cells if c.failed]
-    if failed:
-        notes = "".join(
-            f"- {c.label}: {c.error}\n" for c in table.cells if c.failed
-        )
+    notes = "".join(f"- {c.label}: {c.error}\n" for c in table.cells if c.failed)
+    if notes:
         body += "\nFailed cells:\n" + notes
     return body
 
 
 def report_csv(table: ReportTable) -> str:
     """CSV report at 3-decimal precision; std columns only under mean_std."""
-    with_std = table.aggregation == "mean_std"
+    suffixes = ("", "_std") if table.aggregation == "mean_std" else ("",)
+    columns = [name + suffix for name in METRIC_NAMES for suffix in suffixes]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["cell"]
-    for name in METRIC_NAMES:
-        header.append(name)
-        if with_std:
-            header.append(name + "_std")
-    header += ["best", "error"]
-    writer.writerow(header)
-    best = table.best_index()
-    for i, (cell, row) in enumerate(zip(table.cells, table.rows())):
-        record = [cell.label]
-        if row is None:
-            record += [""] * (len(METRIC_NAMES) * (2 if with_std else 1))
-            record += ["", cell.error]
-        else:
-            for name in METRIC_NAMES:
-                record.append(_f3(getattr(row, name)))
-                if with_std:
-                    record.append(_f3(getattr(row, name + "_std")))
-            record += ["*" if i == best else "", ""]
-        writer.writerow(record)
+    writer.writerow(["cell", *columns, "best", "error"])
+    for cell, texts, mark in _report_cells(table):
+        values = [""] * len(columns) if texts is None else [t for pair in texts for t in pair]
+        writer.writerow([cell.label, *values, mark, cell.error])
     return buf.getvalue()
 
 

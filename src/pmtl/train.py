@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import SplitDataset, SplitPart, batches
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, is_number
 from .losses import LossBreakdown, LossConfig, combine, cross_entropy_loss, mse_loss
 from .metrics import MetricsBundle, compute_bundle
 from .model import (
@@ -54,8 +54,12 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("seed", "batch_size", "max_epochs", "patience"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_number(value, integer=True):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
@@ -70,8 +74,8 @@ class TrainConfig:
             raise ValueError(
                 f"patience must lie in [0, max_epochs], got {self.patience}"
             )
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if self.clip_norm is not None and not (is_number(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be None or a number > 0, got {self.clip_norm!r}")
 
 
 

@@ -172,6 +172,8 @@ def rewrite_header(path, dst, edit):
     (lambda h: h.update(aux=[["standardizer.center", [3]], ["standardizer.scale", [9]]]),
      "standardizer width"),
     (lambda h: h["age_scaler"].update(mean=float("nan")), "non-finite"),
+    (lambda h: h.update(aux=h["aux"][::-1]), "sorted"),
+    (lambda h: h.update(aux=[["a", [-1]], *h["aux"]]), "negative"),
 ])
 def test_inconsistent_checkpoint_header_rejected(saved, tmp_path, edit, fragment):
     path, *_ = saved

@@ -348,12 +348,15 @@ def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
     {"axis": "seed", "values": [1.5]},
     {"axis": "seed", "values": [True]},
     {"axis": "batch_size", "values": [8.9]},
+    {"axis": "seed", "values": [1], "runs_per_cell": 1.5},
+    {"axis": "seed", "values": [1], "base": 5},
 ], ids=["feature-set-without-val", "feature-set-not-a-mapping",
         "unhashable-feature-set", "unhashable-seed", "batch-size-0", "batch-size-x",
-        "fractional-seed", "bool-seed", "fractional-batch-size"])
+        "fractional-seed", "bool-seed", "fractional-batch-size", "fractional-runs-per-cell",
+        "base-not-an-object"])
 def test_sweep_bad_spec_exits_1(spec, workspace, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(dict(spec, runs_per_cell=1, base=TRAIN_CONFIG)))
+    spec_path.write_text(json.dumps({"runs_per_cell": 1, "base": TRAIN_CONFIG, **spec}))
     code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
                                 "--out", str(tmp_path / "o")])
     assert code == 1
@@ -440,6 +443,50 @@ def test_non_integer_train_count_exits_1(workspace, tmp_path, capsys, key, value
     assert code == 1
     assert f"{key} must be an integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section,key,value,fragment", [
+    (None, "learning_rate", True, "learning_rate must be a number, got True"),
+    (None, "clip_norm", True, "clip_norm must be None or a number > 0, got True"),
+    ("model", "shared_dims", [64.7, 8], "dimensions must be integers"),
+    ("model", "emotion_hidden", 8.5, "dimensions must be integers"),
+    ("loss", "alpha_age", "x", "alpha_age must be a number, got 'x'"),
+], ids=["bool-learning-rate", "bool-clip-norm", "fractional-shared-dims",
+        "fractional-emotion-hidden", "string-alpha-age"])
+def test_wrong_type_config_value_exits_1(workspace, tmp_path, capsys,
+                                         section, key, value, fragment):
+    config = json.loads(json.dumps(TRAIN_CONFIG))
+    (config.setdefault(section, {}) if section else config)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config", str(bad),
+                                "--max-epochs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,body,fragment", [
+    ("train", [TRAIN_CONFIG], "must be a JSON object, got list"),
+    ("train", dict(TRAIN_CONFIG, model=5), "'model' must be a JSON object, got int"),
+    ("train", dict(TRAIN_CONFIG, loss=[0.3]), "'loss' must be a JSON object, got list"),
+    ("sweep", [{"axis": "seed", "values": [1], "base": TRAIN_CONFIG}],
+     "must be a JSON object, got list"),
+    ("synth", [SYNTH_CONFIG], "must be a JSON object, got list"),
+], ids=["train-list", "train-model-int", "train-loss-list", "sweep-list", "synth-list"])
+def test_malformed_config_file_exits_1(workspace, tmp_path, capsys, command, body, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    argv = {"train": ["train", *data_args(workspace), "--config", str(path)],
+            "sweep": ["sweep", *data_args(workspace), "--spec", str(path)],
+            "synth": ["synth", "--config", str(path), "--seed", "3"]}[command]
+    code, _, err = run(capsys, argv + ["--out", str(tmp_path / "o")])
+    assert code == 1
+    assert err.startswith("pmtl: error:")
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_max_epochs_flag_clamps_configured_patience(workspace, tmp_path, capsys):

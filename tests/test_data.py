@@ -19,6 +19,7 @@ from pmtl.data import (
     Standardizer,
     SynthSpec,
     batches,
+    build_part,
     join_splits,
     load_features,
     load_features_binary,
@@ -380,13 +381,16 @@ def test_join_rejects_shared_ids_across_splits():
 
 
 def test_join_unlabeled_test_passes_through():
-    features = {"train": make_features(["a"]), "val": make_features(["b"], 10.0),
-                "test": make_features(["t1", "t2"], 20.0)}
-    labels = make_labels(["a", "b"])
-    ds = join_splits(features, labels)
-    assert ds.test is not None
-    assert not ds.test.labeled
-    assert ds.test.ids == ("t1", "t2")
+    # the part ``eval`` predicts on may lack labels: its ids pass through,
+    # sorted, with their feature rows
+    features = make_features(["t2", "t1"], 20.0)
+    for labels in (None, make_labels(["a", "t1"])):
+        part = build_part(features, labels, "eval", require_labels=False)
+        assert not part.labeled
+        assert part.ids == ("t1", "t2")
+        assert np.array_equal(part.x, features.features[::-1])
+    with pytest.raises(DataError, match="t2"):
+        build_part(features, make_labels(["t1"]), "eval", require_labels=True)
 
 
 def test_age_scaler_fit_on_train_only():
@@ -439,7 +443,7 @@ def test_standardize_no_leakage():
                                        y_emotion=ds.val.y_emotion,
                                        y_age=ds.val.y_age,
                                        y_country=ds.val.y_country),
-                      test=None, age_scaler=ds.age_scaler)
+                      age_scaler=ds.age_scaler)
     std_b = standardize(ds_mut, "zscore").standardizer
     assert np.array_equal(std_a.center, std_b.center)
     assert np.array_equal(std_a.scale, std_b.scale)
@@ -512,9 +516,12 @@ def test_synth_test_split_optional():
     spec = SynthSpec(n_train=50, n_val=20, n_test=30, dim=8, rank=3, seed=7)
     features, labels = synth_tables(spec)
     assert set(features) == {"train", "val", "test"}
+    assert len(features["test"]) == 30
+    # synthetic test labels are known and written with the others
+    assert set(features["test"].ids) <= set(labels.ids)
+    assert set(synth_tables(SynthSpec(n_train=50, n_val=20, dim=8, rank=3))[0]) == {"train", "val"}
     ds = synth_dataset(spec)
-    assert ds.test is not None and len(ds.test) == 30
-    assert ds.test.labeled  # synthetic test labels are known
+    assert (len(ds.train), len(ds.val)) == (50, 20)
 
 
 def test_synth_validation():

@@ -126,6 +126,14 @@ def test_weights_frozen_values():
     assert LossConfig().constant_term() == 0.5
 
 
+@pytest.mark.parametrize("key,value", [("alpha_age", "x"), ("alpha_emotion", True),
+                                       ("alpha_country", None)])
+def test_loss_config_rejects_non_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        LossConfig(**{key: value})
+    assert LossConfig(**{key: 1}).weights()  # an int is a number
+
+
 def test_total_loss_zero_components():
     # all task losses zero leaves only the constant sum(a_i)/2 = 0.5
     assert total_loss(0.0, 0.0, 0.0, LossConfig()) == 0.5

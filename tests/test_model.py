@@ -76,6 +76,11 @@ def test_config_validation():
         ModelConfig(input_dim=4, head_variant="one-hidden-all", age_head_dims=())
     with pytest.raises(ValueError):
         ModelConfig(input_dim=4, emotion_activation="tanh")
+    # integer dimensions and real constants; a bool is neither
+    for bad in ({"shared_dims": (64.7, 8)}, {"emotion_hidden": 8.5}, {"input_dim": True},
+                {"ln_eps": True}, {"leaky_slope": "0.1"}):
+        with pytest.raises(ValueError, match="integers|number"):
+            ModelConfig(**{"input_dim": 4, **bad})
 
 
 def test_config_dict_round_trip(tiny_config):

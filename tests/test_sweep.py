@@ -69,6 +69,8 @@ def make_cell(label, scores, value=None):
     {"values": ()},
     {"runs_per_cell": 0},
     {"aggregation": "median"},
+    {"runs_per_cell": 1.5},
+    {"runs_per_cell": True},
 ])
 def test_sweep_spec_validation(overrides):
     fields = dict(axis="seed", values=(1, 2), base=base_config(),

@@ -60,6 +60,9 @@ def small_train_config(**overrides):
     {"batch_size": 8.5},
     {"max_epochs": 2.5},
     {"patience": True},
+    {"learning_rate": True},
+    {"clip_norm": True},
+    {"adam_beta1": "0.9"},
 ])
 def test_train_config_validation(overrides):
     with pytest.raises(ValueError):
