@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -200,9 +200,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.features} has {features.dim} features per row, "
                         f"the checkpoint expects {ck.config.input_dim}")
     if ck.standardizer is not None:
-        features = type(features)(
-            ids=features.ids, features=ck.standardizer.apply(features.features)
-        )
+        ck.standardizer.apply(features.features, out=features.features)
     labels = load_labels_csv(args.labels) if args.labels else None
     part = build_part(features, labels, "eval", require_labels=labels is not None)
 
@@ -292,6 +290,11 @@ def _sweep_data(spec_raw: dict, args):
             for value in values}
 
 
+def _copy_features(ds: SplitDataset) -> SplitDataset:
+    return replace(ds, train=replace(ds.train, x=ds.train.x.copy()),
+                   val=replace(ds.val, x=ds.val.x.copy()))
+
+
 def cmd_sweep(args) -> int:
     raw = _read_json(args.spec, "sweep spec")
     spec_d = dict(raw)
@@ -310,7 +313,10 @@ def cmd_sweep(args) -> int:
     if spec.axis == "feature_set":
         datasets = {value: standardize(ds, mode) for value, ds in data.items()}
     elif spec.axis == "standardization":
-        datasets = {value: standardize(data, value) for value in spec.values}
+        # standardize overwrites its input: each value but the last gets a copy
+        *firsts, last = spec.values
+        datasets = {value: standardize(_copy_features(data), value) for value in firsts}
+        datasets[last] = standardize(data, last)
     else:
         datasets = standardize(data, mode)
     table = run_sweep(spec, datasets)

@@ -16,12 +16,12 @@ predictions CSV   same columns as labels, but age may be fractional and
 Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order.
 
-Memory contract: loading a feature file yields one float64 (n, d) array.
-The binary loader checks the payload size against the header before it
-allocates that array and reads the file straight into it; the CSV loader
-converts each row with one numpy call and stacks the rows once, so it
-briefly holds the rows and the stacked array. Standardizing a split makes
-one new array.
+Memory contract: each feature matrix is held once, from load to training.
+The binary loader checks the payload size against the header, then reads
+the file straight into one float64 (n, d) array; the CSV loader briefly
+holds its parsed rows and the stacked array. Joining keeps the loaded array
+when its ids are sorted and gathers a sorted copy otherwise. Standardizing
+writes in place, and the z-score fit needs only a small fixed scratch.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataFormatError, ShapeError
+from .errors import ConfigError, DataError, DataFormatError, ShapeError, is_number
 from .rng import RngStream
 
 EMOTIONS = (
@@ -144,8 +144,9 @@ class Standardizer:
     scale: np.ndarray
     degenerate_columns: tuple[int, ...] = ()
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.subtract(x, self.center)
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(x - center) / scale, into ``out`` (which may be ``x``) if given."""
+        out = np.subtract(x, self.center, out=out)
         out /= self.scale
         return out
 
@@ -158,7 +159,9 @@ class Standardizer:
             return cls(mode, np.zeros(d), np.ones(d))
         if mode == "zscore":
             center = train_x.mean(axis=0)
-            spread = train_x.std(axis=0)
+            # numpy sums a lone or a non-C-contiguous column pairwise
+            rowwise = d > 1 and train_x.flags.c_contiguous
+            spread = _column_std(train_x, center) if rowwise else train_x.std(axis=0)
         else:  # minmax onto [-1, 1]
             lo = train_x.min(axis=0)
             hi = train_x.max(axis=0)
@@ -167,6 +170,30 @@ class Standardizer:
         degenerate = spread == 0.0
         scale = np.where(degenerate, 1.0, spread)
         return cls(mode, center, scale, tuple(np.nonzero(degenerate)[0].tolist()))
+
+
+FIT_CHUNK = 1 << 15  # elements of scratch per block of the z-score fit (256 KiB)
+
+
+def _column_std(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``x.std(axis=0)`` of a C-contiguous x with d > 1, bit for bit, without
+    its (n, d) temporary. numpy adds such rows in order along axis 0, so a
+    reduction over a block whose row 0 carries the running sum and whose
+    other rows hold the next squared deviations continues the sequence."""
+    n, d = x.shape
+    k = max(1, FIT_CHUNK // d - 1)
+    scratch = np.empty((k + 1, d))
+    total = np.zeros(d)
+    for start in range(0, n, k):
+        rows = x[start:start + k]
+        block = scratch[:len(rows) + 1]
+        block[0] = total
+        squares = block[1:]
+        np.subtract(rows, center, out=squares)
+        squares *= squares
+        np.add.reduce(block, axis=0, out=total)
+    total /= n
+    return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -360,7 +387,8 @@ def _load_label_rows(path, age_kind):
             if sid in seen:
                 raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
             seen.add(sid)
-            emotions.append(_parse_row(row[1:11], EMOTIONS, path, line_no))
+            emotions.append([_parse_float(t, path, line_no, c)
+                             for t, c in zip(row[1:11], EMOTIONS)])
             try:
                 ages.append(age_kind(row[11]))
             except ValueError:
@@ -419,9 +447,11 @@ def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
 
 def build_part(features: FeatureTable, labels: LabelTable | None, split: str,
                 require_labels: bool) -> SplitPart:
-    order = np.argsort(np.array(features.ids, dtype=object))
-    ids = tuple(features.ids[i] for i in order)
-    x = features.features[order]
+    ids, x = features.ids, features.features
+    if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted: no copy
+        order = np.argsort(np.array(ids, dtype=object))
+        ids = tuple(ids[i] for i in order)
+        x = x[order]
     label_index = labels.index() if labels is not None else {}
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
@@ -442,8 +472,8 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str,
 
 def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitDataset:
     """Align the train and val features with labels, in lexicographic id
-    order. Every id must be labeled; the age scaler is fit on the train
-    labels."""
+    order, copying a table's rows only if its ids are unsorted. Every id
+    must be labeled; the age scaler is fit on the train labels."""
     for required in ("train", "val"):
         if required not in features:
             raise DataError(f"missing {required!r} feature table")
@@ -461,15 +491,14 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
 
 
 def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
-    """Fit feature standardization on the train split and apply everywhere."""
+    """Fit feature standardization on the train split and apply it to both
+    splits in place: ``ds`` is consumed, and the result shares its arrays."""
     if len(ds.train) == 0:
         raise DataError("cannot standardize: empty train split")
     std = Standardizer.fit(ds.train.x, mode)
-
-    def apply(part: SplitPart) -> SplitPart:
-        return replace(part, x=std.apply(part.x))
-
-    return replace(ds, train=apply(ds.train), val=apply(ds.val), standardizer=std)
+    for part in (ds.train, ds.val):
+        std.apply(part.x, out=part.x)
+    return replace(ds, standardizer=std)
 
 
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:
@@ -502,6 +531,11 @@ class SynthSpec:
     country_noise: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):  # each is annotated "int" or "float"
+            value, integer = getattr(self, f.name), f.type == "int"
+            if not is_number(value, integer):
+                kind = "an integer" if integer else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.rank > self.dim:
             raise ValueError(f"rank {self.rank} exceeds dim {self.dim}")
         if min(self.n_train, self.n_val) < 2 or self.n_test < 0:

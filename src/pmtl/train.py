@@ -222,8 +222,11 @@ def _epoch_pass(params, config: TrainConfig, x, y_emotion, y_country, y_age_scal
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
     grads = init_grads(config.model)
+    x_buf = np.empty((min(config.batch_size, n), x.shape[1]))
     for batch in batches(n, config.batch_size, shuffle_rng):
-        outputs, caches = forward(params, config.model, x[batch])
+        # batches yields only indices in [0, n): "clip" never clips, it lets take fill out
+        x_batch = np.take(x, batch, axis=0, out=x_buf[:batch.size], mode="clip")
+        outputs, caches = forward(params, config.model, x_batch)
         l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch])
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch])
         l_a, g_a = mse_loss(outputs.age_scaled, y_age_scaled[batch])
@@ -292,7 +295,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
             best_score = val.score
             best_epoch = epoch
             best_val = val
-            best_params = params_copy(params)
+            np.copyto(best_params.flat, params.flat)
         if epoch - best_epoch >= config.patience:
             stopped_early = epoch < config.max_epochs
             break

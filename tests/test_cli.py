@@ -16,14 +16,17 @@ from pmtl.data import (
     FeatureTable,
     LabelTable,
     SynthSpec,
+    load_features,
     load_labels_csv,
     load_predictions_csv,
+    save_features_binary,
     save_features_csv,
     save_labels_csv,
     save_predictions_csv,
     synth_tables,
 )
 from pmtl.model import Params
+from pmtl.rng import derive_subseed
 
 TRAIN_CONFIG = {
     "model": {"shared_dims": [12, 6], "age_head_dims": [6, 3],
@@ -112,6 +115,22 @@ def test_synth_seed_override(tmp_path, capsys):
     assert echoed["seed"] == 99
 
 
+@pytest.mark.parametrize("config,fragment", [
+    ({"n_train": 10.5, "n_val": 5}, "n_train must be an integer, got 10.5"),
+    ({"dim": True, "rank": 1, "n_train": 10, "n_val": 5}, "dim must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+], ids=["fractional-count", "bool-dim", "fractional-seed"])
+def test_bad_synth_value_exits_1(tmp_path, capsys, config, fragment):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert err.startswith("pmtl: error:")
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 # -- train ------------------------------------------------------------------
 
 
@@ -156,6 +175,41 @@ def test_train_binary_features_match_csv(workspace, capsys):
     ck_bin = (workspace / "run_bin" / "checkpoint.pmck").read_bytes()
     ck_csv = (workspace / "run" / "checkpoint.pmck").read_bytes()
     assert ck_bin == ck_csv
+
+
+@pytest.mark.parametrize("fmt,save", [("csv", save_features_csv), ("bin", save_features_binary)],
+                         ids=["csv", "binary"])
+def test_train_and_eval_ignore_feature_row_order(workspace, tmp_path, capsys, fmt, save):
+    # sorted files are used as loaded; shuffled ones are gathered into id order
+    data = workspace / "data"
+    paths = {"sorted": {split: data / f"{split}_features.{fmt}" for split in ("train", "val")},
+             "shuffled": {}}
+    for split, path in paths["sorted"].items():
+        table = load_features(path)
+        order = np.random.default_rng(len(split)).permutation(len(table))
+        assert (order != np.arange(len(table))).any()
+        shuffled = tmp_path / f"{split}_shuffled.{fmt}"
+        save(FeatureTable(ids=tuple(table.ids[i] for i in order),
+                          features=table.features[order]), shuffled)
+        paths["shuffled"][split] = shuffled
+    checkpoint = tmp_path / "sorted" / "checkpoint.pmck"
+    for name, split_paths in paths.items():
+        out = tmp_path / name
+        code, _, err = run(capsys, [
+            "train", "--train-features", str(split_paths["train"]),
+            "--val-features", str(split_paths["val"]), "--labels", str(data / "labels.csv"),
+            "--config", str(workspace / "train_config.json"), "--out", str(out)])
+        assert code == 0, err
+        code, _, err = run(capsys, [
+            "eval", "--checkpoint", str(checkpoint), "--features", str(split_paths["val"]),
+            "--out-predictions", str(out / "predictions.csv")])
+        assert code == 0, err
+    for name in ("checkpoint.pmck", "predictions.csv"):
+        assert (tmp_path / "shuffled" / name).read_bytes() == \
+            (tmp_path / "sorted" / name).read_bytes()
+    history = {name: json.loads((tmp_path / name / "history.json").read_text())
+               for name in paths}
+    assert history["shuffled"]["run"] == history["sorted"]["run"]
 
 
 def test_train_flag_overrides_beat_config(workspace, capsys):
@@ -535,6 +589,29 @@ def test_bad_standardization_sweep_value_exits_1(workspace, tmp_path, capsys):
     assert "'robust'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_standardization_sweep_cells_match_solo_runs(workspace, tmp_path, capsys):
+    # standardize writes in place: no cell may see another cell's scaling
+    modes = ["none", "zscore", "minmax"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axis": "standardization", "values": modes,
+                                     "runs_per_cell": 1, "base": TRAIN_CONFIG}))
+    code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
+                                "--out", str(tmp_path / "sweep")])
+    assert code == 0, err
+    cells = json.loads((tmp_path / "sweep" / "results.json").read_text())["cells"]
+    seed = derive_subseed(TRAIN_CONFIG["seed"], 0)
+    for mode, cell in zip(modes, cells, strict=True):
+        code, _, err = run(capsys, ["train", *data_args(workspace),
+                                    "--config", str(workspace / "train_config.json"),
+                                    "--standardize", mode, "--seed", str(seed),
+                                    "--out", str(tmp_path / mode)])
+        assert code == 0, err
+        history = json.loads((tmp_path / mode / "history.json").read_text())
+        assert cell["label"] == f"standardization={mode}"
+        assert cell["runs"][0]["seed"] == seed
+        assert cell["runs"][0]["bundle"] == history["run"]["best_val"]
 
 
 def test_missing_feature_file_exits_2(workspace, tmp_path, capsys):

@@ -4,6 +4,7 @@ import csv
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pmtl.data import (
     EMOTIONS,
     FEATURE_MAGIC,
+    FIT_CHUNK,
     AgeScaler,
     FeatureTable,
     LabelTable,
@@ -308,6 +310,19 @@ def test_labels_field_validation(tmp_path, age, country, fragment):
         load_labels_csv(path)
 
 
+@pytest.mark.parametrize("token,fragment", [
+    ("abc", "column 'Triumph': cannot parse 'abc' as float"),
+    ("inf", "column 'Triumph': non-finite value 'inf'"),
+])
+def test_labels_emotion_parse_errors_name_the_column(tmp_path, token, fragment):
+    header = "id," + ",".join(EMOTIONS) + ",age,country\n"
+    emo = ",".join(["0.5"] * 9 + [token])
+    path = write(tmp_path / "bad.csv", header + f"a,{emo},25,USA\n")
+    with pytest.raises(DataFormatError, match=fragment) as info:
+        load_labels_csv(path)
+    assert info.value.line == 2
+
+
 def test_labels_emotion_range_enforced(tmp_path):
     header = "id," + ",".join(EMOTIONS) + ",age,country\n"
     emo = ",".join(["0.5"] * 9 + ["1.01"])
@@ -434,16 +449,12 @@ def test_standardize_none_is_identity():
 
 
 def test_standardize_no_leakage():
-    ds = synth_dataset(SynthSpec(n_train=80, n_val=40, dim=6, rank=3, seed=3))
-    std_a = standardize(ds, "zscore").standardizer
-    # mutate val features; train-derived stats must not move
-    mutated = ds.val.x + 1000.0
-    ds_mut = type(ds)(train=ds.train,
-                      val=type(ds.val)(ids=ds.val.ids, x=mutated,
-                                       y_emotion=ds.val.y_emotion,
-                                       y_age=ds.val.y_age,
-                                       y_country=ds.val.y_country),
-                      age_scaler=ds.age_scaler)
+    spec = SynthSpec(n_train=80, n_val=40, dim=6, rank=3, seed=3)
+    std_a = standardize(synth_dataset(spec), "zscore").standardizer
+    # mutate val features; train-derived stats must not move (standardize
+    # consumes its input, so the second dataset is built afresh)
+    ds = synth_dataset(spec)
+    ds_mut = replace(ds, val=replace(ds.val, x=ds.val.x + 1000.0))
     std_b = standardize(ds_mut, "zscore").standardizer
     assert np.array_equal(std_a.center, std_b.center)
     assert np.array_equal(std_a.scale, std_b.scale)
@@ -465,6 +476,42 @@ def test_standardizer_apply_makes_one_array(rng_np):
     out, peak = traced_peak(lambda: std.apply(x))
     assert out.tobytes() == ((x - std.center) / std.scale).tobytes()
     assert peak <= 1.1 * out.nbytes
+
+
+@pytest.mark.parametrize("mode", ["none", "zscore", "minmax"])
+def test_join_and_standardize_sorted_input_copy_nothing(mode):
+    features, labels = synth_tables(SynthSpec(n_train=1600, n_val=400, dim=512, rank=4))
+    raw = {split: table.features.copy() for split, table in features.items()}
+    feature_bytes = sum(x.nbytes for x in raw.values())
+    ds, peak = traced_peak(lambda: standardize(join_splits(features, labels), mode))
+    assert peak <= 0.1 * feature_bytes
+    # the parts hold the loaded arrays, standardized in place, with the
+    # bits of a standardizer applied to copies
+    expected = Standardizer.fit(raw["train"], mode)
+    for split in ("train", "val"):
+        assert getattr(ds, split).x is features[split].features
+        assert getattr(ds, split).x.tobytes() == expected.apply(raw[split]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 4), (2, 3), (2, 6373), (5, 7), (3, 40000), (1001, 300), (4000, 33),
+    (100000, 2), (1, 1), (2, 1), (70000, 1),
+], ids=str)
+def test_zscore_fit_bit_equal_to_numpy(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 50.0, shape[1]) + rng.normal(0, 9, shape[1])
+    for array in (x, np.asfortranarray(x)):
+        std = Standardizer.fit(array, "zscore")
+        assert std.center.tobytes() == array.mean(axis=0).tobytes()
+        spread = array.std(axis=0)
+        assert std.scale.tobytes() == np.where(spread == 0.0, 1.0, spread).tobytes()
+
+
+def test_zscore_fit_scratch_is_fixed(rng_np):
+    x = rng_np.standard_normal((4000, 300))
+    _, peak = traced_peak(lambda: Standardizer.fit(x, "zscore"))
+    # the block scratch, numpy's own iteration buffer and a few (d,) vectors
+    assert peak <= 8 * (FIT_CHUNK + np.getbufsize()) + 10 * x[0].nbytes < x.nbytes / 10
 
 
 def test_batches_sizes_and_coverage():

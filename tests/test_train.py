@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pmtl.data import SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError, DataError, NumericalError
 from pmtl.losses import LossConfig
 from pmtl.metrics import compute_bundle
-from pmtl.model import ModelConfig, Params, init_grads, init_params, predict
+from pmtl.model import ModelConfig, Params, init_grads, init_params, param_shapes, predict
 from pmtl.rng import RngStream
 from pmtl.train import (
     ADAM_CHUNK,
@@ -23,6 +24,7 @@ from pmtl.train import (
     init_adam,
     train_run,
 )
+from test_data import traced_peak
 
 
 def small_model(input_dim=24):
@@ -268,6 +270,21 @@ def test_best_params_reproduce_best_val(train_dataset):
                       train_dataset.age_scaler)
     assert bundle.score == history.best_val.score
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
+
+
+def test_train_run_holds_five_parameter_copies_and_one_batch():
+    # params, best params, gradients, two Adam moments and one gathered
+    # batch; the data exists before the run, so it is not counted
+    dim = 4096
+    ds = standardize(synth_dataset(SynthSpec(n_train=256, n_val=32, dim=dim, rank=4, seed=7)),
+                     "zscore")
+    config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=128,
+                         max_epochs=4, patience=4, learning_rate=1e-2)
+    train_run(config, ds)  # the first run imports numpy.ma lazily, via np.unique
+    (_, history), peak = traced_peak(lambda: train_run(config, ds))
+    assert history.best_epoch > 1  # at least one improving epoch after the first
+    param_bytes = 8 * sum(math.prod(shape) for _, shape in param_shapes(config.model))
+    assert peak <= 1.1 * (5 * param_bytes + config.batch_size * dim * 8)
 
 
 def test_clip_norm_changes_trajectory(train_dataset):
