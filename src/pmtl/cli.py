@@ -313,10 +313,8 @@ def cmd_sweep(args) -> int:
     if spec.axis == "feature_set":
         datasets = {value: standardize(ds, mode) for value, ds in data.items()}
     elif spec.axis == "standardization":
-        # standardize overwrites its input: each value but the last gets a copy
-        *firsts, last = spec.values
-        datasets = {value: standardize(_copy_features(data), value) for value in firsts}
-        datasets[last] = standardize(data, last)
+        # standardize overwrites its input, so each value gets its own copy
+        datasets = {value: standardize(_copy_features(data), value) for value in spec.values}
     else:
         datasets = standardize(data, mode)
     table = run_sweep(spec, datasets)

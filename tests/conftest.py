@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,17 @@ def small_dataset():
 @pytest.fixture
 def rng_np():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` gives ``(result, peak bytes)`` that tracemalloc saw
+    allocated while ``fn`` ran; numpy reports its array buffers to tracemalloc."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

@@ -146,18 +146,7 @@ def test_binary_truncation_rejected(tmp_path, rng_np):
             load_features_binary(bad)
 
 
-def traced_peak(fn):
-    """``(result, peak bytes)`` that tracemalloc saw allocated while ``fn``
-    ran; numpy reports its array buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_binary_load_holds_one_copy(tmp_path, rng_np):
+def test_binary_load_holds_one_copy(tmp_path, rng_np, traced_peak):
     table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(400)),
                          features=rng_np.standard_normal((400, 512)))
     path = tmp_path / "t.bin"
@@ -167,7 +156,7 @@ def test_binary_load_holds_one_copy(tmp_path, rng_np):
     assert peak <= 1.25 * back.features.nbytes
 
 
-def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np):
+def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak):
     table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(200)),
                          features=rng_np.standard_normal((200, 256)))
     path = tmp_path / "t.csv"
@@ -443,8 +432,11 @@ def test_standardize_minmax_range():
 
 def test_standardize_none_is_identity():
     ds = synth_dataset(SynthSpec(n_train=50, n_val=20, dim=4, rank=2, seed=2))
+    # standardize writes in place, so compare with copies taken before it
+    before = {split: getattr(ds, split).x.copy() for split in ("train", "val")}
     out = standardize(ds, "none")
-    assert np.array_equal(out.train.x, ds.train.x)
+    for split, x in before.items():
+        assert getattr(out, split).x.tobytes() == x.tobytes()
     assert out.standardizer.mode == "none"
 
 
@@ -470,7 +462,7 @@ def test_standardize_zero_variance_flagged():
     assert np.allclose(applied[:, 1].std(), 1.0)
 
 
-def test_standardizer_apply_makes_one_array(rng_np):
+def test_standardizer_apply_makes_one_array(rng_np, traced_peak):
     x = rng_np.standard_normal((500, 256)) * 3.0 + 1.0
     std = Standardizer.fit(x, "zscore")
     out, peak = traced_peak(lambda: std.apply(x))
@@ -479,18 +471,19 @@ def test_standardizer_apply_makes_one_array(rng_np):
 
 
 @pytest.mark.parametrize("mode", ["none", "zscore", "minmax"])
-def test_join_and_standardize_sorted_input_copy_nothing(mode):
+def test_join_and_standardize_sorted_input_copy_nothing(mode, traced_peak):
     features, labels = synth_tables(SynthSpec(n_train=1600, n_val=400, dim=512, rank=4))
     raw = {split: table.features.copy() for split, table in features.items()}
     feature_bytes = sum(x.nbytes for x in raw.values())
     ds, peak = traced_peak(lambda: standardize(join_splits(features, labels), mode))
     assert peak <= 0.1 * feature_bytes
     # the parts hold the loaded arrays, standardized in place, with the
-    # bits of a standardizer applied to copies
+    # bits of a standardizer applied to copies ('none' leaves them as loaded)
     expected = Standardizer.fit(raw["train"], mode)
     for split in ("train", "val"):
+        want = raw[split] if mode == "none" else expected.apply(raw[split])
         assert getattr(ds, split).x is features[split].features
-        assert getattr(ds, split).x.tobytes() == expected.apply(raw[split]).tobytes()
+        assert getattr(ds, split).x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [
@@ -507,7 +500,7 @@ def test_zscore_fit_bit_equal_to_numpy(shape):
         assert std.scale.tobytes() == np.where(spread == 0.0, 1.0, spread).tobytes()
 
 
-def test_zscore_fit_scratch_is_fixed(rng_np):
+def test_zscore_fit_scratch_is_fixed(rng_np, traced_peak):
     x = rng_np.standard_normal((4000, 300))
     _, peak = traced_peak(lambda: Standardizer.fit(x, "zscore"))
     # the block scratch, numpy's own iteration buffer and a few (d,) vectors

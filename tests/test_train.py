@@ -24,7 +24,6 @@ from pmtl.train import (
     init_adam,
     train_run,
 )
-from test_data import traced_peak
 
 
 def small_model(input_dim=24):
@@ -272,7 +271,7 @@ def test_best_params_reproduce_best_val(train_dataset):
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
 
 
-def test_train_run_holds_five_parameter_copies_and_one_batch():
+def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
     # params, best params, gradients, two Adam moments and one gathered
     # batch; the data exists before the run, so it is not counted
     dim = 4096
