@@ -17,17 +17,18 @@ Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order.
 
 Memory contract: each feature matrix is held once, from load to training.
-The binary loader checks the payload size against the header, then reads
-the file straight into one float64 (n, d) array; the CSV loader briefly
-holds its parsed rows and the stacked array. Joining keeps the loaded array
-when its ids are sorted and gathers a sorted copy otherwise. Standardizing
-writes in place, and the z-score fit needs only a small fixed scratch.
+The binary loader checks the payload size against the header, then reads the
+file into one float64 (n, d) array; the CSV loader streams into one growing
+array, and only its csv-module fallback holds rows plus a stacked copy.
+Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
+otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import struct
@@ -241,16 +242,16 @@ def _parse_float(token: str, path, line_no, col):
 
 @contextlib.contextmanager
 def _open_csv(path):
-    """Yield ``(header, reader)`` for the UTF-8 CSV file at ``path``. An
-    empty file, bytes that are not UTF-8, or a record the csv module
-    rejects (a field over its size limit) raise DataFormatError."""
+    """Yield ``(header, reader, fh)`` for the UTF-8 CSV file at ``path``. An
+    empty file, bytes that are not UTF-8, or a record the csv module rejects
+    (a field over its size limit) raise DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DataFormatError("empty file", path, 1)
-            yield header, reader
+            yield header, reader, fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not valid UTF-8: {exc}", path) from None
     except csv.Error as exc:
@@ -271,16 +272,58 @@ def _parse_row(tokens: list[str], columns, path, line_no) -> np.ndarray:
     return np.array([_parse_float(t, path, line_no, c) for t, c in zip(tokens, columns)])
 
 
+CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'  # csv quoting; blanks to numpy that float() rejects
+
+
+def _loadtxt_features(fh, d: int) -> FeatureTable | None:
+    """The rest of ``fh`` in one pass of numpy's C reader into one growing
+    (n, d) array, each token parsed by ``PyOS_string_to_double`` as ``float``
+    does. None if the csv-module loop must read the file: a line with a
+    CSV_ONLY character, an empty first value or a field over the csv limit,
+    a duplicate id, a token or row numpy rejects (also ``1_0`` and non-ASCII
+    digits, which ``float`` takes), invalid UTF-8 or a non-finite value."""
+    ids, limit = [], csv.field_size_limit()
+
+    def value_lines():
+        for line in fh:  # split as the csv module splits, unlike str.splitlines
+            if line in ("\n", "\r", "\r\n"):
+                continue  # the csv module skips blank lines too
+            sid, _, values = line.partition(",")
+            if (values[:1] in ("", "\r", "\n") or any(c in line for c in CSV_ONLY)
+                    or len(line) > limit and max(map(len, line.split(","))) > limit):
+                raise ValueError("a line for the csv module")
+            ids.append(sid)
+            yield values
+
+    try:
+        lines = value_lines()
+        first = next(lines, None)  # np.loadtxt warns on empty input
+        features = np.empty((0, d)) if first is None else np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", dtype=np.float64,
+            comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if (len(set(ids)) < len(ids) or features.shape != (len(ids), d)
+            or not np.isfinite(features).all()):
+        return None
+    return FeatureTable(ids=tuple(ids), features=features)
+
+
 def load_features_csv(path) -> FeatureTable:
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    with _open_csv(path) as (header, reader):
+    """By ``_loadtxt_features``, else by the csv-module loop, which gives every error."""
+    with _open_csv(path) as (header, _, fh):
         if not header or header[0] != "id":
             raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
         d = len(header) - 1
         if header != ["id"] + [f"f{j}" for j in range(d)]:
             raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+        table = _loadtxt_features(fh, d)
+    if table is not None:
+        return table
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    seen: set[str] = set()
+    with _open_csv(path) as (_, reader, _):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -373,7 +416,7 @@ def _load_label_rows(path, age_kind):
     age (n,), country ids (n,))."""
     ids, emotions, ages, countries = [], [], [], []
     seen = set()
-    with _open_csv(path) as (header, reader):
+    with _open_csv(path) as (header, reader, _):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
         for line_no, row in enumerate(reader, start=2):

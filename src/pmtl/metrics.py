@@ -84,15 +84,11 @@ def uar(pred_classes, true_classes, n_classes: int = N_COUNTRY_CLASSES) -> float
     true = np.asarray(true_classes).astype(np.int64).reshape(-1)
     if pred.shape != true.shape:
         raise ShapeError("uar", pred.shape, true.shape)
-    present = set(np.unique(true).tolist())
-    absent = [c for c in range(n_classes) if c not in present]
+    masks = [true == c for c in range(n_classes)]
+    absent = [c for c, mask in enumerate(masks) if not mask.any()]
     if absent:
         raise MissingClassError(absent)
-    recalls = []
-    for c in range(n_classes):
-        mask = true == c
-        recalls.append(float(np.mean(pred[mask] == c)))
-    return float(np.mean(recalls))
+    return float(np.mean([float(np.mean(pred[mask] == c)) for c, mask in enumerate(masks)]))
 
 
 def mae(pred, true) -> float:

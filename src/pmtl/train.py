@@ -243,6 +243,7 @@ def _epoch_pass(params, config: TrainConfig, x, y_emotion, y_country, y_age_scal
         sum_e += l_e * frac
         sum_c += l_c * frac
         sum_a += l_a * frac
+        del outputs, caches  # not alive while the next forward allocates
     return combine(sum_e, sum_c, sum_a, config.loss)
 
 

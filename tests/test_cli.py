@@ -5,6 +5,8 @@ is the JSON summary the real CLI would print.
 """
 
 import json
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -241,6 +243,19 @@ def test_eval_reproduces_training_best_score(workspace, capsys):
     bundle = last_json(out)
     manifest = json.loads((workspace / "run" / "manifest.json").read_text())
     assert bundle["score"] == manifest["best_val"]["score"]
+
+
+def test_eval_does_not_import_numpy_ma(workspace):
+    # a fresh process: numpy.ma costs every command an import and about 0.5 MB
+    data = workspace / "data"
+    argv = ["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+            "--features", str(data / "val_features.csv"),
+            "--labels", str(data / "val_labels.csv")]
+    script = ("import sys\nfrom pmtl.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_eval_predictions_then_score(workspace, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Loaders, alignment, standardization, batching, synthetic data."""
 
 import csv
+import io
 import math
+import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -117,8 +120,11 @@ def test_load_features_dispatches_on_magic(tmp_path, rng_np):
     ("id,f0\na,nan\n", "non-finite"),
     ("id,g0\na,1.0\n", "header"),
     ("", "empty"),
+    ("id,f0\na,1.0\nb,2\x00.0\n", re.escape(r"column 'f0': cannot parse '2\x00.0' as float")),
     pytest.param('id,f0\na,"' + "1" * 200_000 + "\n", "malformed CSV",
                  id="field-over-csv-limit"),
+    pytest.param("id,f0\na,0." + "0" * 200_000 + "\n", "malformed CSV",
+                 id="unquoted-field-over-csv-limit"),
 ])
 def test_features_csv_errors_carry_location(tmp_path, body, fragment):
     path = write(tmp_path / "bad.csv", body)
@@ -166,6 +172,16 @@ def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak)
     assert peak <= 2.5 * back.features.nbytes
 
 
+def test_csv_load_fills_one_array(tmp_path, rng_np, traced_peak):
+    table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(2000)),
+                         features=rng_np.standard_normal((2000, 256)))
+    path = tmp_path / "t.csv"
+    save_features_csv(table, path)
+    back, peak = traced_peak(lambda: load_features(path))
+    assert back.features.tobytes() == table.features.tobytes()
+    assert peak <= 1.5 * back.features.nbytes
+
+
 @pytest.mark.parametrize("n,d,tail", [
     (1, 2**32 - 1, b"\x01\x00a" + bytes(16)),  # promises ~34 GB of payload
     (2**32 - 1, 2**32 - 1, b"\x01"),            # id table cut short
@@ -185,7 +201,7 @@ def test_huge_binary_header_fails_before_allocating(tmp_path, n, d, tail):
 ADVERSARIAL_TOKENS = (
     "-0.0", "5e-324", "1e-400", "-1e-400", "1_0", "1__0", "_1", "\u0661\u0662\u0663",
     "\uff11\uff12\uff13", " 1.5 ", "\t2\n", "+.5", "5.", "1E5", "0x10", "", "abc",
-    "infinity", "-inf", "nan", "1e400", "1.5e",
+    "infinity", "-inf", "nan", "1e400", "1.5e", "\x1c1.5", "1.5\x1f",
 )
 
 
@@ -226,6 +242,46 @@ def test_csv_rejects_what_per_token_float_rejects(tmp_path, token):
     with pytest.raises(DataFormatError, match="column 'f1'") as info:
         load_features_csv(path)
     assert info.value.line == 3
+
+
+def _reference_table(text):
+    """The csv module's rows, each value parsed on its own by ``float``."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    return (tuple(row[0] for row in rows),
+            np.array([[_reference_float(t) for t in row[1:]] for row in rows]))
+
+
+@pytest.mark.parametrize("text", [
+    'id,f0,f1\na,"1.5",-2.0\nb,"3e-5","0.1"\n',
+    "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\n",
+    "id,f0,f1\r\na,1.5,-2.0\r\nb,3e-5,0.1\r\n",
+    "id,f0,f1\ra,1.5,-2.0\rb,3e-5,0.1",
+    "id,f0,f1\n\na,1.5,-2.0\n\r\n\rb,3e-5,0.1\n\n",
+    "id,f0\na,1.5\nb,-0.0\nc,5e-324\n",
+    "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\nc,2.5,1_0\n",
+    "id,f0,f1\n\u00efd,1.5,-2.0\n\u4e2d\u6587,3e-5,0.1\n\U0001f600,2.5,1.0\n",
+], ids=["quoted", "lf", "crlf", "cr", "blank-lines", "one-column", "late-underscore",
+        "non-ascii-ids"])
+def test_csv_load_matches_per_token_reference(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ids, expected = _reference_table(text)
+    table = load_features_csv(path)
+    assert table.ids == ids
+    assert table.features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text,ids,shape", [
+    ("id,f0,f1,f2\n\n", (), (0, 3)),
+    ("id\na\nb\n", ("a", "b"), (2, 0)),
+], ids=["header-only", "no-columns"])
+def test_csv_load_without_values_warns_nothing(tmp_path, text, ids, shape):
+    path = write(tmp_path / "t.csv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_features_csv(path)
+    assert table.ids == ids
+    assert table.features.shape == shape
 
 
 @pytest.fixture(scope="module")

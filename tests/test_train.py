@@ -279,7 +279,7 @@ def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
                      "zscore")
     config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=128,
                          max_epochs=4, patience=4, learning_rate=1e-2)
-    train_run(config, ds)  # the first run imports numpy.ma lazily, via np.unique
+    train_run(config, ds)  # warm-up, so that one-time lazy imports are not counted
     (_, history), peak = traced_peak(lambda: train_run(config, ds))
     assert history.best_epoch > 1  # at least one improving epoch after the first
     param_bytes = 8 * sum(math.prod(shape) for _, shape in param_shapes(config.model))
