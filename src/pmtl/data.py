@@ -258,20 +258,6 @@ def _open_csv(path):
         raise DataFormatError(f"malformed CSV: {exc}", path, reader.line_num) from None
 
 
-def _parse_row(tokens: list[str], columns, path, line_no) -> np.ndarray:
-    """The finite float64 values of one row's tokens, converted in one numpy
-    call: numpy parses a str with Python's ``float``, so the bits are those
-    of a per-token parse. Only a row that fails is parsed again token by
-    token, so that the DataFormatError names the column."""
-    try:
-        values = np.array(tokens, dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    return np.array([_parse_float(t, path, line_no, c) for t, c in zip(tokens, columns)])
-
-
 CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'  # csv quoting; blanks to numpy that float() rejects
 
 
@@ -279,15 +265,14 @@ def _loadtxt_features(fh, d: int) -> FeatureTable | None:
     """The rest of ``fh`` in one pass of numpy's C reader into one growing
     (n, d) array, each token parsed by ``PyOS_string_to_double`` as ``float``
     does. None if the csv-module loop must read the file: a line with a
-    CSV_ONLY character, an empty first value or a field over the csv limit,
-    a duplicate id, a token or row numpy rejects (also ``1_0`` and non-ASCII
-    digits, which ``float`` takes), invalid UTF-8 or a non-finite value."""
+    CSV_ONLY character, an empty first value (a blank line too) or a field
+    over the csv limit, a duplicate id, a token or row numpy rejects (also
+    ``1_0`` and non-ASCII digits, which ``float`` takes), invalid UTF-8 or a
+    non-finite value."""
     ids, limit = [], csv.field_size_limit()
 
     def value_lines():
         for line in fh:  # split as the csv module splits, unlike str.splitlines
-            if line in ("\n", "\r", "\r\n"):
-                continue  # the csv module skips blank lines too
             sid, _, values = line.partition(",")
             if (values[:1] in ("", "\r", "\n") or any(c in line for c in CSV_ONLY)
                     or len(line) > limit and max(map(len, line.split(","))) > limit):
@@ -334,7 +319,8 @@ def load_features_csv(path) -> FeatureTable:
                 raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
             seen.add(sid)
             ids.append(sid)
-            rows.append(_parse_row(row[1:], header[1:], path, line_no))
+            rows.append(np.array([_parse_float(t, path, line_no, c)
+                                  for t, c in zip(row[1:], header[1:])]))
     features = np.array(rows, dtype=np.float64).reshape(len(ids), d)
     return FeatureTable(ids=tuple(ids), features=features)
 

@@ -172,6 +172,20 @@ def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak)
     assert peak <= 2.5 * back.features.nbytes
 
 
+def test_quoted_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak):
+    # quoting sends the file to the csv-module loop
+    features = rng_np.standard_normal((200, 256))
+    path = tmp_path / "t.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["id"] + [f"f{j}" for j in range(256)])
+        writer.writerows([f"s{i:04d}"] + [repr(float(v)) for v in row]
+                         for i, row in enumerate(features))
+    back, peak = traced_peak(lambda: load_features(path))
+    assert back.features.tobytes() == features.tobytes()
+    assert peak <= 2.5 * back.features.nbytes
+
+
 def test_csv_load_fills_one_array(tmp_path, rng_np, traced_peak):
     table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(2000)),
                          features=rng_np.standard_normal((2000, 256)))
