@@ -72,11 +72,12 @@ def _object(value, what: str) -> dict:
 def _read_json(path, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _object(json.load(fh), f"{kind} file {path}")
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8 and over-long integers
         raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}")
+    return _object(raw, f"{kind} file {path}")
 
 
 def _write_json(obj, path) -> None:
@@ -167,13 +168,8 @@ def cmd_train(args) -> int:
     manifest = {
         "train_config": asdict(config),
         "standardize": mode,
-        "inputs": {
-            "train_features": {"path": str(args.train_features),
-                               "sha256": _sha256(args.train_features)},
-            "val_features": {"path": str(args.val_features),
-                             "sha256": _sha256(args.val_features)},
-            "labels": {"path": str(args.labels), "sha256": _sha256(args.labels)},
-        },
+        "inputs": {key: {"path": str(getattr(args, key)), "sha256": _sha256(getattr(args, key))}
+                   for key in ("train_features", "val_features", "labels")},
         "best_epoch": history.best_epoch,
         "best_val": asdict(history.best_val),
         "initial_val": asdict(history.initial_val),
@@ -246,8 +242,10 @@ def score_files(predictions_path, labels_path):
 
 def cmd_score(args) -> int:
     if args.components is not None:
-        c, u, m = args.components
-        score, flagged = multitask_score_detail(c, u, m)
+        try:
+            score, flagged = multitask_score_detail(*args.components)
+        except ValueError as exc:  # a NaN component
+            raise ConfigError(str(exc)) from None
         print(json.dumps({"s_mtl": score, "nonpositive_component": flagged},
                          sort_keys=True))
         return 0

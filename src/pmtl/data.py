@@ -33,11 +33,11 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DataFormatError, ShapeError, is_number
+from .errors import ConfigError, DataError, DataFormatError, ShapeError, check_fields
 from .rng import RngStream
 
 EMOTIONS = (
@@ -258,6 +258,22 @@ def _open_csv(path):
         raise DataFormatError(f"malformed CSV: {exc}", path, reader.line_num) from None
 
 
+def _csv_records(reader, n_fields: int, path):
+    """``(line number, row)`` of each record after the header, blank rows
+    skipped. A row without ``n_fields`` fields or with a repeated id raises
+    DataFormatError."""
+    seen = set()
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise DataFormatError(f"expected {n_fields} fields, got {len(row)}", path, line_no)
+        if row[0] in seen:
+            raise DataFormatError(f"duplicate id {row[0]!r}", path, line_no)
+        seen.add(row[0])
+        yield line_no, row
+
+
 CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'  # csv quoting; blanks to numpy that float() rejects
 
 
@@ -307,18 +323,9 @@ def load_features_csv(path) -> FeatureTable:
         return table
     ids: list[str] = []
     rows: list[np.ndarray] = []
-    seen: set[str] = set()
     with _open_csv(path) as (_, reader, _):
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise DataFormatError(f"expected {d + 1} fields, got {len(row)}", path, line_no)
-            sid = row[0]
-            if sid in seen:
-                raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
-            seen.add(sid)
-            ids.append(sid)
+        for line_no, row in _csv_records(reader, d + 1, path):
+            ids.append(row[0])
             rows.append(np.array([_parse_float(t, path, line_no, c)
                                   for t, c in zip(row[1:], header[1:])]))
     features = np.array(rows, dtype=np.float64).reshape(len(ids), d)
@@ -401,21 +408,10 @@ def _load_label_rows(path, age_kind):
     labels; predicted ages must be finite. Returns (ids, emotion (n, 10),
     age (n,), country ids (n,))."""
     ids, emotions, ages, countries = [], [], [], []
-    seen = set()
     with _open_csv(path) as (header, reader, _):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LABEL_HEADER):
-                raise DataFormatError(
-                    f"expected {len(LABEL_HEADER)} fields, got {len(row)}", path, line_no
-                )
-            sid = row[0]
-            if sid in seen:
-                raise DataFormatError(f"duplicate id {sid!r}", path, line_no)
-            seen.add(sid)
+        for line_no, row in _csv_records(reader, len(LABEL_HEADER), path):
             emotions.append([_parse_float(t, path, line_no, c)
                              for t, c in zip(row[1:11], EMOTIONS)])
             try:
@@ -425,7 +421,7 @@ def _load_label_rows(path, age_kind):
                 raise DataFormatError(f"age {row[11]!r} is not {kind}", path, line_no)
             if row[12] not in COUNTRY_TO_ID:
                 raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path, line_no)
-            ids.append(sid)
+            ids.append(row[0])
             countries.append(COUNTRY_TO_ID[row[12]])
     emotion = np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS))
     try:
@@ -533,8 +529,6 @@ def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:
     """Shuffled minibatch index lists for one epoch; the last batch may be
     short. A batch size larger than n yields a single full batch."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
@@ -560,18 +554,14 @@ class SynthSpec:
     country_noise: float = 0.3
 
     def __post_init__(self):
-        for f in fields(self):  # each is annotated "int" or "float"
-            value, integer = getattr(self, f.name), f.type == "int"
-            if not is_number(value, integer):
-                kind = "an integer" if integer else "a number"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        check_fields(self)
         if self.rank > self.dim:
-            raise ValueError(f"rank {self.rank} exceeds dim {self.dim}")
+            raise ConfigError(f"rank {self.rank} exceeds dim {self.dim}")
         if min(self.n_train, self.n_val) < 2 or self.n_test < 0:
-            raise ValueError("need n_train, n_val >= 2 and n_test >= 0")
+            raise ConfigError("need n_train, n_val >= 2 and n_test >= 0")
         for name in ("feature_noise", "emotion_noise", "age_noise", "country_noise"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 AGE_MIN, AGE_MAX = 20, 39

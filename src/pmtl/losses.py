@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, is_number
+from .errors import ConfigError, NumericalError, ShapeError, check_fields
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,10 @@ class LossConfig:
     alpha_age: float = 0.33
 
     def __post_init__(self):
-        for name in ("alpha_emotion", "alpha_country", "alpha_age"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        check_fields(self)
+        for name, alpha in vars(self).items():  # so 1 / (2 exp(alpha)) is finite, normal, > 0
+            if not -700 <= alpha <= 700:
+                raise ConfigError(f"{name} must lie in [-700, 700], got {alpha!r}")
 
     def weights(self) -> tuple[float, float, float]:
         """Multipliers on (emotion, country, age) losses inside the total."""

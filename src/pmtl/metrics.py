@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingClassError, ShapeError
+from .errors import MissingClassError, ShapeError, TooFewPointsError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
@@ -42,7 +42,7 @@ def ccc_detail(x, y) -> tuple[float, bool]:
         raise ShapeError("ccc", x.shape, y.shape)
     n = x.size
     if n < 2:
-        raise ValueError(f"ccc needs at least 2 points, got {n}")
+        raise TooFewPointsError(f"ccc needs at least 2 points, got {n}")
     mx = x.mean()
     my = y.mean()
     dx = x - mx
@@ -98,7 +98,7 @@ def mae(pred, true) -> float:
     if pred.shape != true.shape:
         raise ShapeError("mae", pred.shape, true.shape)
     if pred.size == 0:
-        raise ValueError("mae needs at least 1 point")
+        raise TooFewPointsError("mae needs at least 1 point")
     return float(np.mean(np.abs(pred - true)))
 
 
@@ -107,7 +107,7 @@ def multitask_score(mean_ccc_value: float, uar_value: float, inv_mae_value: floa
 
     Defined for positive components; if any component is <= 0 the score
     is 0 (see ``multitask_score_detail`` for the flag). An infinite
-    component simply drops out of the sum of reciprocals.
+    component simply drops out of the sum of reciprocals; three give +inf.
     """
     return multitask_score_detail(mean_ccc_value, uar_value, inv_mae_value)[0]
 
@@ -120,7 +120,8 @@ def multitask_score_detail(
         raise ValueError(f"multitask_score: NaN component in {components}")
     if any(v <= 0.0 for v in components):
         return 0.0, True
-    return 3.0 / sum(1.0 / v for v in components), False
+    reciprocals = sum(1.0 / v for v in components)  # 0 if every component is infinite
+    return (3.0 / reciprocals if reciprocals else math.inf), False
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import Literal
 
 import numpy as np
 
-from .errors import ShapeError, is_number
+from .errors import ConfigError, ShapeError, check_fields
 from .layers import (
     layer_norm_backward,
     layer_norm_forward,
@@ -41,9 +42,6 @@ from .layers import (
     sigmoid_forward,
 )
 from .rng import RngStream
-
-HEAD_VARIANTS = ("two-layer-age", "one-hidden-all")
-EMOTION_ACTIVATIONS = ("sigmoid", "linear")
 
 
 @dataclass(frozen=True)
@@ -57,34 +55,23 @@ class ModelConfig:
     country_out: int = 4
     leaky_slope: float = 0.01
     ln_eps: float = 1e-5
-    head_variant: str = "two-layer-age"
-    emotion_activation: str = "sigmoid"
+    head_variant: Literal["two-layer-age", "one-hidden-all"] = "two-layer-age"
+    emotion_activation: Literal["sigmoid", "linear"] = "sigmoid"
 
     def __post_init__(self):
-        # JSON gives lists; layer_plan's cache needs the config hashable
-        object.__setattr__(self, "shared_dims", tuple(self.shared_dims))
-        object.__setattr__(self, "age_head_dims", tuple(self.age_head_dims))
+        check_fields(self)  # also makes JSON lists tuples, which layer_plan's cache hashes
         dims = (self.input_dim, *self.shared_dims, *self.age_head_dims, self.emotion_hidden,
                 self.country_hidden, self.emotion_out, self.country_out)
-        if not all(is_number(d, integer=True) for d in dims):
-            raise ValueError(f"all dimensions must be integers, got {dims}")
         if any(d < 1 for d in dims):
-            raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        for name in ("leaky_slope", "ln_eps"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            raise ConfigError(f"all dimensions must be >= 1, got {dims}")
         if not self.shared_dims or not self.age_head_dims:
-            raise ValueError("shared_dims and age_head_dims must not be empty")
-        if self.head_variant not in HEAD_VARIANTS:
-            raise ValueError(f"head_variant must be one of {HEAD_VARIANTS}")
-        if self.emotion_activation not in EMOTION_ACTIVATIONS:
-            raise ValueError(f"emotion_activation must be one of {EMOTION_ACTIVATIONS}")
+            raise ConfigError("shared_dims and age_head_dims must not be empty")
         if self.head_variant == "two-layer-age" and len(self.age_head_dims) != 2:
-            raise ValueError("two-layer-age needs exactly 2 age_head_dims")
+            raise ConfigError("two-layer-age needs exactly 2 age_head_dims")
         if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
+            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not self.ln_eps > 0.0:
-            raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
+            raise ConfigError(f"ln_eps must be > 0, got {self.ln_eps}")
 
 
 def _blocks(prefix: str, d_in: int, widths) -> tuple:

@@ -23,40 +23,32 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, replace
+from typing import Literal
 
 import numpy as np
 
 from .data import SplitDataset, atomic_open
-from .errors import ConfigError, DataFormatError, PmtlError, is_number
+from .errors import ConfigError, DataFormatError, PmtlError, check_fields
 from .metrics import MetricsBundle
 from .rng import derive_subseed
 from .train import TrainConfig, train_run
 
-AXES = ("seed", "batch_size", "feature_set", "standardization")
-AGGREGATIONS = ("mean_std", "best")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
-    axis: str
+    axis: Literal["seed", "batch_size", "feature_set", "standardization"]
     values: tuple
     base: TrainConfig
     runs_per_cell: int = 5
-    aggregation: str = "mean_std"
+    aggregation: Literal["mean_std", "best"] = "mean_std"
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
+        check_fields(self)
         if not self.values:
             raise ConfigError("sweep needs at least one value")
-        if not is_number(self.runs_per_cell, integer=True) or self.runs_per_cell < 1:
-            raise ConfigError(f"runs_per_cell must be an integer >= 1, got {self.runs_per_cell!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(
-                f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
-            )
+        if self.runs_per_cell < 1:
+            raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         try:
-            object.__setattr__(self, "values", tuple(self.values))
             hash(self.values)  # cell values key the per-cell datasets
             for value in self.values:
                 self.cell_config(value)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import SplitDataset, SplitPart, batches
-from .errors import ConfigError, DataError, NumericalError, is_number
+from .data import COUNTRIES, EMOTIONS, SplitDataset, SplitPart, batches
+from .errors import ConfigError, DataError, NumericalError, check_fields
 from .losses import LossBreakdown, LossConfig, combine, cross_entropy_loss, mse_loss
 from .metrics import MetricsBundle, compute_bundle
 from .model import (
@@ -52,31 +52,23 @@ class TrainConfig:
     clip_norm: float | None = None  # optional global-norm gradient clip
 
     def __post_init__(self):
-        for name in ("seed", "batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if not is_number(value, integer=True):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        check_fields(self)
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in (0, 1)")
+            raise ConfigError("adam betas must lie in (0, 1)")
         if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0 <= self.patience <= self.max_epochs:
-            raise ValueError(
+            raise ConfigError(
                 f"patience must lie in [0, max_epochs], got {self.patience}"
             )
-        if self.clip_norm is not None and not (is_number(self.clip_norm) and self.clip_norm > 0):
-            raise ValueError(f"clip_norm must be None or a number > 0, got {self.clip_norm!r}")
-
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ConfigError(f"clip_norm must be None or > 0, got {self.clip_norm!r}")
 
 
 # -- optimizer --------------------------------------------------------------
@@ -166,13 +158,6 @@ class EpochRecord:
     val: MetricsBundle
     wall_seconds: float
 
-    def canonical_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": asdict(self.train_loss),
-            "val": asdict(self.val),
-        }
-
 
 @dataclass(frozen=True)
 class RunHistory:
@@ -184,14 +169,13 @@ class RunHistory:
     wall_seconds: float
 
     def canonical_dict(self) -> dict:
-        """Everything that the determinism contract covers (no timing)."""
-        return {
-            "initial_val": asdict(self.initial_val),
-            "epochs": [e.canonical_dict() for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "best_val": asdict(self.best_val),
-            "stopped_early": self.stopped_early,
-        }
+        """Everything that the determinism contract covers: ``asdict``
+        without the timing fields."""
+        record = asdict(self)
+        del record["wall_seconds"]
+        record["epochs"] = [{k: v for k, v in epoch.items() if k != "wall_seconds"}
+                            for epoch in record["epochs"]]
+        return record
 
 
 # -- evaluation -------------------------------------------------------------
@@ -257,10 +241,11 @@ def train_run(config: TrainConfig, data: SplitDataset):
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
-    if data.dim != config.model.input_dim:
-        raise ConfigError(
-            f"model expects input_dim {config.model.input_dim}, data has {data.dim}"
-        )
+    widths = (config.model.input_dim, config.model.emotion_out, config.model.country_out)
+    expected = (data.dim, len(EMOTIONS), len(COUNTRIES))
+    if widths != expected:
+        raise ConfigError(f"model (input_dim, emotion_out, country_out) must be {expected} "
+                          f"to fit the data and labels, got {widths}")
 
     t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))

@@ -322,6 +322,32 @@ def test_score_components_direct(capsys):
     assert result["nonpositive_component"] is False
 
 
+def test_score_nan_component_exits_1(capsys):
+    code, _, err = run(capsys, ["score", "--components", "nan", "1", "1"])
+    assert code == 1
+    assert err.startswith("pmtl: error:") and "NaN" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["train-val", "eval-labels", "score", "score-header-only"])
+def test_too_few_rows_exits_2(workspace, tmp_path, capsys, case):
+    data = workspace / "data"
+    rows = 1 if case != "score-header-only" else 0
+    short = tmp_path / "short.csv"
+    source = data / ("val_labels.csv" if case.startswith("score") else "val_features.csv")
+    short.write_text("".join(source.read_text().splitlines(keepends=True)[:1 + rows]))
+    argv = {"train-val": ["train", "--train-features", str(data / "train_features.csv"),
+                          "--val-features", str(short), "--labels", str(data / "labels.csv"),
+                          "--max-epochs", "1", "--out", str(tmp_path / "o")],
+            "eval-labels": ["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+                            "--features", str(short), "--labels", str(data / "labels.csv")],
+            }.get(case, ["score", "--predictions", str(short), "--labels", str(short)])
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("pmtl: error:") and f"got {rows}" in err
+    assert "Traceback" not in err
+
+
 def test_eval_without_outputs_exits_1(workspace, capsys):
     data = workspace / "data"
     code, _, err = run(capsys, [
@@ -491,6 +517,18 @@ def test_invalid_config_json_exits_1(workspace, tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("body", [b'{"seed": \xff}', b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "over-long-integer"])
+def test_undecodable_config_exits_1(workspace, tmp_path, capsys, body):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config", str(bad),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model_key,value", [("leaky_slope", 1.5), ("ln_eps", 0.0)])
 def test_invalid_model_constant_exits_1(workspace, tmp_path, capsys, model_key, value):
     bad = tmp_path / "bad.json"
@@ -519,9 +557,9 @@ def test_non_integer_train_count_exits_1(workspace, tmp_path, capsys, key, value
 
 @pytest.mark.parametrize("section,key,value,fragment", [
     (None, "learning_rate", True, "learning_rate must be a number, got True"),
-    (None, "clip_norm", True, "clip_norm must be None or a number > 0, got True"),
-    ("model", "shared_dims", [64.7, 8], "dimensions must be integers"),
-    ("model", "emotion_hidden", 8.5, "dimensions must be integers"),
+    (None, "clip_norm", True, "clip_norm must be a number or None, got True"),
+    ("model", "shared_dims", [64.7, 8], "shared_dims must be a list of integers, got [64.7, 8]"),
+    ("model", "emotion_hidden", 8.5, "emotion_hidden must be an integer, got 8.5"),
     ("loss", "alpha_age", "x", "alpha_age must be a number, got 'x'"),
 ], ids=["bool-learning-rate", "bool-clip-norm", "fractional-shared-dims",
         "fractional-emotion-hidden", "string-alpha-age"])
@@ -535,6 +573,21 @@ def test_wrong_type_config_value_exits_1(workspace, tmp_path, capsys,
                                 "--max-epochs", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [("emotion_out", 5), ("country_out", 3),
+                                       ("country_out", 6)])
+def test_output_width_other_than_labels_exits_1(workspace, tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TRAIN_CONFIG, model=dict(TRAIN_CONFIG["model"],
+                                                            **{key: value}))))
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config", str(bad),
+                                "--max-epochs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "(input_dim, emotion_out, country_out) must be (16, 10, 4)" in err
+    assert str(value) in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import NumericalError, ShapeError
+from pmtl.errors import ConfigError, NumericalError, ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.losses import (
     LossConfig,
@@ -132,6 +132,22 @@ def test_loss_config_rejects_non_numbers(key, value):
     with pytest.raises(ValueError, match=f"{key} must be a number"):
         LossConfig(**{key: value})
     assert LossConfig(**{key: 1}).weights()  # an int is a number
+
+
+@pytest.mark.parametrize("key,value", [
+    ("alpha_age", 1000), ("alpha_age", 710), ("alpha_emotion", -1000), ("alpha_country", -746),
+    ("alpha_age", math.inf), ("alpha_age", -math.inf), ("alpha_emotion", math.nan),
+    ("alpha_country", 10 ** 400),
+])
+def test_loss_config_rejects_alphas_without_a_finite_positive_weight(key, value):
+    with pytest.raises(ConfigError, match=key):
+        LossConfig(**{key: value})
+
+
+def test_loss_config_weights_finite_and_positive_at_the_alpha_bounds():
+    for bound in (-700, 700):
+        weights = LossConfig(alpha_emotion=bound, alpha_country=bound, alpha_age=bound).weights()
+        assert all(0.0 < w < math.inf for w in weights)
 
 
 def test_total_loss_zero_components():

@@ -191,6 +191,7 @@ def test_multitask_score_nonpositive_flag():
 def test_multitask_score_infinite_component_drops_out():
     s = multitask_score(1.0, 1.0, math.inf)
     assert s == pytest.approx(1.5, abs=1e-14)
+    assert multitask_score(math.inf, math.inf, math.inf) == math.inf
 
 
 def test_multitask_score_nan_rejected():

@@ -1,6 +1,7 @@
 """Network forward/backward: shapes, determinism, and finite differences."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -79,7 +80,9 @@ def test_config_validation():
     # integer dimensions and real constants; a bool is neither
     for bad in ({"shared_dims": (64.7, 8)}, {"emotion_hidden": 8.5}, {"input_dim": True},
                 {"ln_eps": True}, {"leaky_slope": "0.1"}):
-        with pytest.raises(ValueError, match="integers|number"):
+        (key, value), = bad.items()
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be ") + ".*"
+                           + re.escape(f", got {value!r}")):
             ModelConfig(**{"input_dim": 4, **bad})
 
 
