@@ -101,6 +101,10 @@ class TooFewPointsError(DataError, ValueError):
     """A metric got fewer points, the rows of a split or file, than it needs."""
 
 
+class MomentOverflowError(DataError, ValueError):
+    """A metric's moments are not finite: the values are too large to score."""
+
+
 class MissingClassError(DataError, ValueError):
     """A class id never occurs in the reference labels, so per-class recall
     is undefined."""

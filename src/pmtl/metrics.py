@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingClassError, ShapeError, TooFewPointsError
+from .errors import MissingClassError, MomentOverflowError, ShapeError, TooFewPointsError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
@@ -29,20 +29,21 @@ def _as_series(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-def ccc_detail(x, y) -> tuple[float, bool]:
+def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
     """CCC of two equal-length series, plus a degeneracy flag.
 
     CCC = 2*cov(x,y) / (var(x) + var(y) + (mean(x) - mean(y))^2) with
     population (1/n) moments. A denominator below 1e-12 (both series
-    constant and equal means) yields (0.0, True).
+    constant and equal means) yields (0.0, True). Moments that overflow
+    raise MomentOverflowError; ``name`` heads every error message.
     """
     x = _as_series(x)
     y = _as_series(y)
     if x.shape != y.shape:
-        raise ShapeError("ccc", x.shape, y.shape)
+        raise ShapeError(name, x.shape, y.shape)
     n = x.size
     if n < 2:
-        raise TooFewPointsError(f"ccc needs at least 2 points, got {n}")
+        raise TooFewPointsError(f"{name} needs at least 2 points, got {n}")
     mx = x.mean()
     my = y.mean()
     dx = x - mx
@@ -51,6 +52,8 @@ def ccc_detail(x, y) -> tuple[float, bool]:
     var_y = float(dy @ dy) / n
     cov = float(dx @ dy) / n
     denom = var_x + var_y + (mx - my) ** 2
+    if not (math.isfinite(denom) and math.isfinite(cov)):
+        raise MomentOverflowError(f"{name}: values too large, moments are not finite")
     if denom < CCC_DEGENERATE_DENOM:
         return 0.0, True
     return 2.0 * cov / denom, False
@@ -70,7 +73,7 @@ def ccc_columns(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
     values = np.empty(pred.shape[1])
     degenerate = np.zeros(pred.shape[1], dtype=bool)
     for j in range(pred.shape[1]):
-        values[j], degenerate[j] = ccc_detail(pred[:, j], target[:, j])
+        values[j], degenerate[j] = ccc_detail(pred[:, j], target[:, j], f"ccc of emotion {j}")
     return values, degenerate
 
 

@@ -148,7 +148,10 @@ class Params(dict):
             starts[name] = total
             total += sizes[name]
         if flat is None:
-            flat = np.zeros(total)
+            try:
+                flat = np.zeros(total)
+            except MemoryError:
+                raise ConfigError(f"a model of {total:,} parameters does not fit in memory") from None
         super().__init__(
             (name, flat[starts[name]:starts[name] + sizes[name]].reshape(shape))
             for name, shape in shapes.items()

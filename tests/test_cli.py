@@ -5,6 +5,7 @@ is the JSON summary the real CLI would print.
 """
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import asdict
@@ -27,7 +28,7 @@ from pmtl.data import (
     save_predictions_csv,
     synth_tables,
 )
-from pmtl.model import Params
+from pmtl.model import ModelConfig, Params, param_shapes
 from pmtl.rng import derive_subseed
 
 TRAIN_CONFIG = {
@@ -348,6 +349,19 @@ def test_too_few_rows_exits_2(workspace, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_score_overflowing_emotion_exits_2(workspace, tmp_path, capsys):
+    # values of 1e308 overflow the CCC moments: a data error naming the column
+    labels = load_labels_csv(workspace / "data" / "val_labels.csv")
+    preds = tmp_path / "huge.csv"
+    save_predictions_csv(labels.ids, np.full_like(labels.emotion, 1e308),
+                         labels.age.astype(float), labels.country, preds)
+    code, _, err = run(capsys, ["score", "--predictions", str(preds),
+                                "--labels", str(workspace / "data" / "val_labels.csv")])
+    assert code == 2
+    assert err.startswith("pmtl: error: ccc of emotion 0:") and "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_eval_without_outputs_exits_1(workspace, capsys):
     data = workspace / "data"
     code, _, err = run(capsys, [
@@ -588,6 +602,22 @@ def test_output_width_other_than_labels_exits_1(workspace, tmp_path, capsys, key
     assert code == 1
     assert "(input_dim, emotion_out, country_out) must be (16, 10, 4)" in err
     assert str(value) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_too_large_to_allocate_exits_1(workspace, tmp_path, capsys):
+    # 560 TiB of parameters: the allocation fails at once, where a smaller
+    # width could really fill memory before it failed
+    model = dict(TRAIN_CONFIG["model"], emotion_hidden=10**12)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TRAIN_CONFIG, model=model)))
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config", str(bad),
+                                "--max-epochs", "1", "--out", str(tmp_path / "o")])
+    count = sum(math.prod(shape) for _, shape in
+                param_shapes(ModelConfig(input_dim=SYNTH_CONFIG["dim"], **model)))
+    assert code == 1
+    assert f"a model of {count:,} parameters does not fit in memory" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

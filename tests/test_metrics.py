@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import DataError, MissingClassError, ShapeError
+from pmtl.errors import DataError, MissingClassError, MomentOverflowError, ShapeError
 from pmtl.metrics import (
     MetricsBundle,
     ccc,
@@ -87,6 +87,15 @@ def test_ccc_degenerate_flag():
 def test_ccc_needs_two_points():
     with pytest.raises(ValueError):
         ccc(np.array([1.0]), np.array([1.0]))
+
+
+def test_ccc_overflowing_moments_raise_data_error():
+    with pytest.raises(MomentOverflowError, match="ccc: values too large"):
+        ccc_detail(np.full(3, 1e308), np.arange(3.0))
+    with pytest.raises(MomentOverflowError, match="ccc of emotion 1:"):
+        ccc_columns(np.array([[0.0, 1e308], [1.0, -1e308]]), np.eye(2))
+    assert issubclass(MomentOverflowError, DataError)
+    assert issubclass(MomentOverflowError, ValueError)
 
 
 def test_mean_ccc_columns(rng_np):

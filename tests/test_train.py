@@ -164,6 +164,22 @@ def test_adam_chunked_update_matches_per_tensor_reference():
         assert params[k].tobytes() == ref_p[k].tobytes(), k
 
 
+def test_adam_step_allocates_only_its_chunk_buffers(traced_peak):
+    # two chunk-sized scratch buffers and the pre-scan's boolean array: less
+    # than one float64 copy of the parameters, so per-tensor temporaries fail
+    model = ModelConfig(input_dim=1024)
+    params, grads = init_params(model, RngStream(0)), init_grads(model)
+    grads.flat[...] = np.random.default_rng(1).standard_normal(grads.flat.size)
+    state = init_adam(params)
+    config = small_train_config(model=model)
+    adam_step(params, grads, state, config)  # warm-up, so lazy set-up is not counted
+    _, peak = traced_peak(lambda: adam_step(params, grads, state, config))
+    size = params.flat.size
+    bound = 2 * 8 * ADAM_CHUNK + size + 16384
+    assert bound < 8 * size
+    assert peak <= bound
+
+
 def test_grad_global_norm_oracle():
     grads = {"a": np.array([3.0]), "b": np.array([[4.0]])}
     assert grad_global_norm(grads) == pytest.approx(5.0)
