@@ -7,6 +7,10 @@ validation combined score are retained, with ties resolved toward the
 earliest epoch, and training stops once the score has not improved for
 ``patience`` consecutive epochs.
 
+The optimizer is Adam in Kingma & Ba's efficient form: after the moment
+updates, ``p -= alpha * m / (sqrt(v) + eps_hat)`` with
+``alpha = lr*sqrt(1-b2^t)/(1-b1^t)`` and ``eps_hat = eps*sqrt(1-b2^t)``.
+
 Wall-clock fields in RunHistory are informational only; the canonical
 form used for run comparison (``RunHistory.canonical_dict``) excludes
 them, since timing can never be bit-reproducible.
@@ -90,25 +94,25 @@ def init_adam(params: Params) -> AdamState:
 
 
 def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConfig):
-    """One bias-corrected adaptive-moment update, in place.
+    """One bias-corrected adaptive-moment update, in place, in Kingma & Ba's
+    efficient form (arXiv:1412.6980, section 2).
 
-    The bias correction makes the very first step have magnitude close to
-    the learning rate elementwise, independent of gradient scale. A
+    ``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, then
+    ``p -= alpha * m / (sqrt(v) + eps_hat)`` at step t, with
+    ``alpha = lr*sqrt(1-b2^t)/(1-b1^t)`` and ``eps_hat = eps*sqrt(1-b2^t)``:
+    the textbook ``lr*(m/bc1)/(sqrt(v/bc2)+eps)`` rewritten exactly, so only
+    rounding differs, with one divide and one square root per element. A
     non-finite gradient raises NumericalError naming its tensor and leaves
     params and state untouched. The update runs over the flat buffers in
-    cache-sized chunks; each element sees the same operations in the same
-    order as the per-tensor expression
-    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits match it.
-    Returns the mutated ``(params, state)``.
-    """
+    cache-sized chunks."""
     if not np.isfinite(grads.flat).all():
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
         raise NumericalError(f"non-finite gradient for tensor {bad!r}")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    lr, eps = config.learning_rate, config.adam_eps
+    root_bc2 = math.sqrt(1.0 - b2 ** state.step)
+    alpha = config.learning_rate * root_bc2 / (1.0 - b1 ** state.step)
+    eps_hat = config.adam_eps * root_bc2
     size = params.flat.size
     t_buf = np.empty(min(size, ADAM_CHUNK))
     u_buf = np.empty_like(t_buf)
@@ -124,14 +128,11 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
         np.multiply(g, 1.0 - b2, out=t)
         t *= g
         v += t
-        np.divide(m, bc1, out=t)
-        t *= lr
-        np.divide(v, bc2, out=u)
-        np.sqrt(u, out=u)
-        u += eps
+        np.sqrt(v, out=u)
+        u += eps_hat
+        np.multiply(m, alpha, out=t)
         t /= u
         p -= t
-    return params, state
 
 
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -26,16 +26,16 @@ CASES = {
     "two-layer-age-sigmoid": (
         {"model": MODEL, "seed": 8, "batch_size": 8,
          "max_epochs": 3, "patience": 3},
-        "f9cce43358659350aeee6101f3c4d902c130824d42c509b0b8d96eb740d38fc4",
-        "1e0f949a1e8b403d9f04d25203f51a16cd6077ff283a81856c9816e8922014f1",
+        "0ed1e14d7ff219c20733695fa8ff6ccc18de983e0df47a27c004d7c2efa84ad8",
+        "919588dac86bff27e601e7aa37c84174dcb13901cf31985b8de257389db3e516",
     ),
     "one-hidden-all-linear-clip": (
         {"model": dict(MODEL, age_head_dims=[5], head_variant="one-hidden-all",
                        emotion_activation="linear"),
          "seed": 9, "batch_size": 8, "max_epochs": 3, "patience": 3,
          "clip_norm": 1.2},
-        "0bf5d57b8d0ad0aa37a951637ccc184ec0fd4e55aff50eaa695cb8323970c03e",
-        "4643e2d8eaf401150f15beb9568ad099926bde05d21a24840327087bcb1780d3",
+        "b7a53163a11a1228f216ee5fdab95e59a980f2acf159c6ef26e5dc053e77be72",
+        "41d917975a1f8bf362b2ebd4a33b3714aabc36eef8e8b95867362c5a59edf8e6",
     ),
 }
 
