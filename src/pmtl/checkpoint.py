@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AgeScaler, Standardizer, atomic_open
+from .data import AgeScaler, Standardizer, atomic_open, read_header
 from .errors import DataFormatError, ShapeError
 from .model import ModelConfig, Params, check_params
 
@@ -101,14 +101,7 @@ def load_checkpoint(path) -> Checkpoint:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}", path)
-    try:
-        version, header_len = struct.unpack_from("<HI", blob, 4)
-    except struct.error:
-        raise DataFormatError("truncated header", path)
-    if version != VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}", path)
+    header_len, = read_header(blob, MAGIC, "<HI", VERSION, path)
     header_raw = blob[10:10 + header_len]
     if len(header_raw) != header_len:
         raise DataFormatError("truncated header", path)

@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,11 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     STANDARDIZE_MODES,
-    SplitDataset,
     SynthSpec,
     atomic_open,
     build_part,
+    check_mode,
+    feature_dim,
     join_splits,
     load_features,
     load_labels_csv,
@@ -53,6 +54,7 @@ from .sweep import (
 from .train import TrainConfig, evaluate, train_run
 
 PROG = "pmtl"
+REPORTS = {"markdown": ("report.md", report_markdown), "csv": ("report.csv", report_csv)}
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage errors with status 2; the contract is 1."""
@@ -101,11 +103,10 @@ def parse_train_config(raw: dict, input_dim: int | None = None):
     """Build (TrainConfig, standardize_mode) from a config dict.
 
     ``model.input_dim`` may be omitted and is then inferred from the
-    loaded feature files. Unknown keys are rejected rather than ignored;
-    the mode is checked where it is applied, by ``Standardizer.fit``.
+    loaded feature files. Unknown keys are rejected rather than ignored.
     """
     d = _object(raw, "train config")
-    mode = d.pop("standardize", "zscore")
+    mode = check_mode(d.pop("standardize", "zscore"))
     model_d = _object(d.pop("model", {}), "train config 'model'")
     loss_d = _object(d.pop("loss", {}), "train config 'loss'")
     if model_d.get("input_dim") is None:
@@ -138,12 +139,8 @@ def _apply_overrides(raw: dict, args) -> dict:
     return d
 
 
-def _load_dataset(args):
-    features = {
-        "train": load_features(args.train_features),
-        "val": load_features(args.val_features),
-    }
-    labels = load_labels_csv(args.labels)
+def _load_dataset(train_path, val_path, labels):
+    features = {"train": load_features(train_path), "val": load_features(val_path)}
     return join_splits(features, labels)
 
 
@@ -153,7 +150,7 @@ def _load_dataset(args):
 def cmd_train(args) -> int:
     raw = _read_json(args.config, "config") if args.config else {}
     raw = _apply_overrides(raw, args)
-    ds = _load_dataset(args)
+    ds = _load_dataset(args.train_features, args.val_features, load_labels_csv(args.labels))
     config, mode = parse_train_config(raw, input_dim=ds.dim)
     ds = standardize(ds, mode)
 
@@ -258,39 +255,46 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _sweep_data(spec_raw: dict, args):
-    """Load the joined, not yet standardized data a sweep trains on: one
-    dataset per value of a feature_set sweep, else one shared dataset."""
-    if spec_raw.get("axis") != "feature_set":
+def _feature_paths(raw: dict, args):
+    """``value -> (train path, val path)`` for a sweep's cells, and all their
+    paths in cell order. Only a feature_set sweep's paths depend on the
+    value: they come from its ``feature_sets`` mapping, the others' from
+    the flags."""
+    if raw.get("axis") != "feature_set":
         if None in (args.train_features, args.val_features, args.labels):
-            raise ConfigError(
-                "sweep needs --train-features, --val-features, and --labels"
-            )
-        return _load_dataset(args)
-    if args.labels is None:
-        raise ConfigError("feature_set sweep needs --labels")
-    sets = spec_raw.get("feature_sets")
-    if not isinstance(sets, dict):
-        raise ConfigError("feature_set sweep needs a 'feature_sets' mapping "
-                          "{name: {train: path, val: path}}")
-    values = spec_raw.get("values")
-    if not isinstance(values, list):
-        raise ConfigError("feature_set sweep needs a 'values' list of feature_sets names")
+            raise ConfigError("sweep needs --train-features, --val-features, and --labels")
+        pair = (args.train_features, args.val_features)
+        return lambda value: pair, pair
+    sets, values = raw.get("feature_sets"), raw.get("values")
+    if args.labels is None or not (isinstance(sets, dict) and isinstance(values, list)):
+        raise ConfigError("feature_set sweep needs --labels, a 'values' list of names and a "
+                          "'feature_sets' mapping {name: {train: path, val: path}}")
     for value in values:
         entry = sets.get(value) if isinstance(value, str) else None
         if not (isinstance(entry, dict)
                 and all(isinstance(entry.get(split), str) for split in ("train", "val"))):
             raise ConfigError(f"feature_sets needs an entry {{train: path, val: path}} "
                               f"for {value!r}")
-    labels = load_labels_csv(args.labels)
-    return {value: join_splits({split: load_features(sets[value][split])
-                                for split in ("train", "val")}, labels)
-            for value in values}
+    pairs = {value: (sets[value]["train"], sets[value]["val"]) for value in values}
+    return pairs.__getitem__, [path for pair in pairs.values() for path in pair]
 
 
-def _copy_features(ds: SplitDataset) -> SplitDataset:
-    return replace(ds, train=replace(ds.train, x=ds.train.x.copy()),
-                   val=replace(ds.val, x=ds.val.x.copy()))
+def _cell_data(spec: SweepSpec, paths, mode: str, labels):
+    """``value -> SplitDataset`` for ``run_sweep``. A cell's inputs are its
+    train and val paths, ``paths(value)``, and its mode: the value itself on
+    the standardization axis, ``mode`` on the others. They are loaded,
+    joined with ``labels`` and standardized. Only the last inputs' dataset
+    is held: repeated inputs get it back, new inputs drop it before loading."""
+    held = {}
+
+    def cell_data(value):
+        inputs = (*paths(value), value if spec.axis == "standardization" else mode)
+        if inputs not in held:
+            held.clear()
+            train, val, cell_mode = inputs
+            held[inputs] = standardize(_load_dataset(train, val, labels), cell_mode)
+        return held[inputs]
+    return cell_data
 
 
 def cmd_sweep(args) -> int:
@@ -300,32 +304,22 @@ def cmd_sweep(args) -> int:
     base_raw = spec_d.pop("base", None)
     if base_raw is None:
         raise ConfigError("sweep spec needs a 'base' train config")
-    data = _sweep_data(raw, args)
-    first = data if isinstance(data, SplitDataset) else next(iter(data.values()), None)
-    base, mode = parse_train_config(base_raw, input_dim=first.dim if first else None)
+    paths, files = _feature_paths(raw, args)
+    # every distinct feature file's header, before any run trains
+    widths = [feature_dim(path) for path in dict.fromkeys(files)]
+    base, mode = parse_train_config(base_raw, input_dim=widths[0] if widths else None)
     try:
         spec = SweepSpec(base=base, **spec_d)
     except TypeError as exc:
         raise ConfigError(f"bad sweep spec: {exc}")
-
-    if spec.axis == "feature_set":
-        datasets = {value: standardize(ds, mode) for value, ds in data.items()}
-    elif spec.axis == "standardization":
-        # standardize overwrites its input, so each value gets its own copy
-        datasets = {value: standardize(_copy_features(data), value) for value in spec.values}
-    else:
-        datasets = standardize(data, mode)
-    table = run_sweep(spec, datasets)
+    table = run_sweep(spec, _cell_data(spec, paths, mode, load_labels_csv(args.labels)))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_results(table, out / "results.json")
-    if args.format == "csv":
-        report_path = out / "report.csv"
-        _write_text(report_csv(table), report_path)
-    else:
-        report_path = out / "report.md"
-        _write_text(report_markdown(table), report_path)
+    name, render = REPORTS[args.format]
+    report_path = out / name
+    _write_text(render(table), report_path)
     _write_text(sidecar_csv(table), out / "full.csv")
 
     print(json.dumps({
@@ -335,10 +329,7 @@ def cmd_sweep(args) -> int:
         if table.best_index() is not None else None,
         "report": str(report_path),
     }, sort_keys=True))
-    if table.has_failures:
-        codes = [c.error_code for c in table.cells if c.failed]
-        return max(code if code is not None else 3 for code in codes)
-    return 0
+    return max((c.error_code for c in table.cells if c.failed), default=0)
 
 
 def cmd_synth(args) -> int:
@@ -374,7 +365,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     table = load_results(args.results)
-    text = report_csv(table) if args.format == "csv" else report_markdown(table)
+    text = REPORTS[args.format][1](table)
     if args.out:
         _write_text(text, args.out)
         print(json.dumps({"report": str(args.out)}, sort_keys=True))
@@ -429,7 +420,7 @@ def build_parser() -> _Parser:
     _add_data_args(p, required=False)  # feature_set sweeps carry paths in the spec file
     p.add_argument("--spec", required=True, help="JSON sweep spec")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
+    p.add_argument("--format", choices=tuple(REPORTS), default="markdown")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -441,7 +432,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="re-render stored sweep results")
     p.add_argument("--results", required=True, help="results.json from a sweep")
-    p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
+    p.add_argument("--format", choices=tuple(REPORTS), default="markdown")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

@@ -22,6 +22,8 @@ file into one float64 (n, d) array; the CSV loader streams into one growing
 array, and only its csv-module fallback holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
+A sweep holds one cell's features at a time: it loads a cell's files just
+before the cell runs, and drops them before it loads another cell's.
 """
 
 from __future__ import annotations
@@ -51,8 +53,16 @@ LABEL_HEADER = ("id",) + EMOTIONS + ("age", "country")
 
 FEATURE_MAGIC = b"PMTL"
 FEATURE_VERSION = 1
+FEATURE_HEADER = "<HII"  # version, n, d
 
 STANDARDIZE_MODES = ("none", "zscore", "minmax")
+
+
+def check_mode(mode) -> str:
+    """``mode``, if it is one of STANDARDIZE_MODES; else ConfigError."""
+    if mode not in STANDARDIZE_MODES:
+        raise ConfigError(f"standardize mode must be one of {STANDARDIZE_MODES}, got {mode!r}")
+    return mode
 
 
 def fmt_float(x: float) -> str:
@@ -153,8 +163,7 @@ class Standardizer:
 
     @classmethod
     def fit(cls, train_x: np.ndarray, mode: str) -> "Standardizer":
-        if mode not in STANDARDIZE_MODES:
-            raise ConfigError(f"standardize mode must be one of {STANDARDIZE_MODES}, got {mode!r}")
+        check_mode(mode)
         d = train_x.shape[1]
         if mode == "none":
             return cls(mode, np.zeros(d), np.ones(d))
@@ -310,14 +319,20 @@ def _loadtxt_features(fh, d: int) -> FeatureTable | None:
     return FeatureTable(ids=tuple(ids), features=features)
 
 
+def _csv_dim(header: list, path) -> int:
+    """The width d of a features CSV header, which must be ``id,f0..f{d-1}``."""
+    if not header or header[0] != "id":
+        raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
+    d = len(header) - 1
+    if header != ["id"] + [f"f{j}" for j in range(d)]:
+        raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+    return d
+
+
 def load_features_csv(path) -> FeatureTable:
     """By ``_loadtxt_features``, else by the csv-module loop, which gives every error."""
     with _open_csv(path) as (header, _, fh):
-        if not header or header[0] != "id":
-            raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
-        d = len(header) - 1
-        if header != ["id"] + [f"f{j}" for j in range(d)]:
-            raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+        d = _csv_dim(header, path)
         table = _loadtxt_features(fh, d)
     if table is not None:
         return table
@@ -344,7 +359,7 @@ def save_features_binary(table: FeatureTable, path) -> None:
     n, d = table.features.shape
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<HII", FEATURE_VERSION, n, d))
+        fh.write(struct.pack(FEATURE_HEADER, FEATURE_VERSION, n, d))
         for sid in table.ids:
             raw = sid.encode("utf-8")
             if len(raw) > 0xFFFF:
@@ -354,17 +369,23 @@ def save_features_binary(table: FeatureTable, path) -> None:
         fh.write(np.ascontiguousarray(table.features, dtype="<f8").tobytes())
 
 
+def read_header(head: bytes, magic: bytes, fmt: str, version: int, path) -> list:
+    """The fields of a binary file's header ``head``: ``magic``, then the
+    struct ``fmt``, whose first field is the format ``version``."""
+    if head[:4] != magic:
+        raise DataFormatError(f"bad magic {head[:4]!r}, expected {magic!r}", path)
+    try:
+        found, *fields = struct.unpack_from(fmt, head, 4)
+    except struct.error:
+        raise DataFormatError("truncated header", path) from None
+    if found != version:
+        raise DataFormatError(f"unsupported version {found}", path)
+    return fields
+
+
 def load_features_binary(path) -> FeatureTable:
     with open(path, "rb") as fh:
-        head = fh.read(14)
-        if head[:4] != FEATURE_MAGIC:
-            raise DataFormatError(f"bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}", path)
-        try:
-            version, n, d = struct.unpack_from("<HII", head, 4)
-        except struct.error:
-            raise DataFormatError("truncated header", path)
-        if version != FEATURE_VERSION:
-            raise DataFormatError(f"unsupported version {version}", path)
+        n, d = read_header(fh.read(14), FEATURE_MAGIC, FEATURE_HEADER, FEATURE_VERSION, path)
         ids = []
         seen = set()
         for _ in range(n):
@@ -400,6 +421,17 @@ def load_features(path) -> FeatureTable:
     if head == FEATURE_MAGIC:
         return load_features_binary(path)
     return load_features_csv(path)
+
+
+def feature_dim(path) -> int:
+    """The width of the features file at ``path``, by the loaders' header
+    checks alone: no row is read."""
+    with open(path, "rb") as fh:
+        head = fh.read(14)
+    if head[:4] == FEATURE_MAGIC:
+        return read_header(head, FEATURE_MAGIC, FEATURE_HEADER, FEATURE_VERSION, path)[1]
+    with _open_csv(path) as (header, _, _):
+        return _csv_dim(header, path)
 
 
 def _load_label_rows(path, age_kind):

@@ -44,14 +44,15 @@ def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
     n = x.size
     if n < 2:
         raise TooFewPointsError(f"{name} needs at least 2 points, got {n}")
-    mx = x.mean()
-    my = y.mean()
-    dx = x - mx
-    dy = y - my
-    var_x = float(dx @ dx) / n
-    var_y = float(dy @ dy) / n
-    cov = float(dx @ dy) / n
-    denom = var_x + var_y + (mx - my) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+        mx = x.mean()
+        my = y.mean()
+        dx = x - mx
+        dy = y - my
+        var_x = float(dx @ dx) / n
+        var_y = float(dy @ dy) / n
+        cov = float(dx @ dy) / n
+        denom = var_x + var_y + (mx - my) ** 2
     if not (math.isfinite(denom) and math.isfinite(cov)):
         raise MomentOverflowError(f"{name}: values too large, moments are not finite")
     if denom < CCC_DEGENERATE_DENOM:

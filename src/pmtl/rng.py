@@ -79,9 +79,6 @@ class RngStream:
         self._key = mix64(self.seed)
         self._counter = 0
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, counter={self._counter})"
-
     # -- raw words ---------------------------------------------------------
 
     def next_u64(self) -> int:

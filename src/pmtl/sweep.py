@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import SplitDataset, atomic_open
+from .data import atomic_open, check_mode
 from .errors import ConfigError, DataFormatError, PmtlError, check_fields
 from .metrics import MetricsBundle
 from .rng import derive_subseed
@@ -49,9 +49,10 @@ class SweepSpec:
         if self.runs_per_cell < 1:
             raise ConfigError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
         try:
-            hash(self.values)  # cell values key the per-cell datasets
             for value in self.values:
                 self.cell_config(value)
+                if self.axis == "standardization":
+                    check_mode(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep value: {exc}") from None
 
@@ -98,6 +99,11 @@ class ReportRow:
     s_mtl_std: float | None = None
 
 
+# report column -> the MetricsBundle field it aggregates
+METRIC_FIELDS = {"ccc": "mean_ccc", "uar": "uar", "inv_mae": "inv_mae", "s_mtl": "score"}
+METRIC_NAMES = tuple(METRIC_FIELDS)
+
+
 @dataclass(frozen=True)
 class ReportTable:
     axis: str
@@ -110,13 +116,8 @@ class ReportTable:
 
     def rows(self) -> list[ReportRow | None]:
         """One rendered row per cell, None for failed cells."""
-        out: list[ReportRow | None] = []
-        for cell in self.cells:
-            if cell.failed:
-                out.append(None)
-                continue
-            out.append(_aggregate(cell, self.aggregation))
-        return out
+        return [None if cell.failed else _aggregate(cell, self.aggregation)
+                for cell in self.cells]
 
     def best_index(self) -> int | None:
         """Index of the highest combined-score row; ties go to the first."""
@@ -131,41 +132,28 @@ def _aggregate(cell: CellResult, aggregation: str) -> ReportRow:
     if aggregation == "best":
         scores = [r.bundle.score for r in cell.runs]
         best = cell.runs[int(np.argmax(scores))]  # argmax ties -> earliest run
-        return ReportRow(
-            label=cell.label,
-            ccc=best.bundle.mean_ccc,
-            uar=best.bundle.uar,
-            inv_mae=best.bundle.inv_mae,
-            s_mtl=best.bundle.score,
-        )
-    cols = {
-        name: np.array([getattr(r.bundle, attr) for r in cell.runs])
-        for name, attr in (
-            ("ccc", "mean_ccc"), ("uar", "uar"),
-            ("inv_mae", "inv_mae"), ("s_mtl", "score"),
-        )
-    }
-    return ReportRow(
-        label=cell.label,
-        ccc=float(cols["ccc"].mean()), ccc_std=float(cols["ccc"].std()),
-        uar=float(cols["uar"].mean()), uar_std=float(cols["uar"].std()),
-        inv_mae=float(cols["inv_mae"].mean()), inv_mae_std=float(cols["inv_mae"].std()),
-        s_mtl=float(cols["s_mtl"].mean()), s_mtl_std=float(cols["s_mtl"].std()),
-    )
+        return ReportRow(cell.label, **{name: getattr(best.bundle, field)
+                                        for name, field in METRIC_FIELDS.items()})
+    row = {}
+    for name, field in METRIC_FIELDS.items():
+        column = np.array([getattr(r.bundle, field) for r in cell.runs])
+        row[name], row[name + "_std"] = float(column.mean()), float(column.std())
+    return ReportRow(cell.label, **row)
 
 
 # -- execution --------------------------------------------------------------
 
 
-def _run_cell(spec: SweepSpec, value, dataset: SplitDataset) -> CellResult:
+def _run_cell(spec: SweepSpec, value, cell_data) -> CellResult:
     label = f"{spec.axis}={value}"
-    config = spec.cell_config(value)
-    if spec.axis == "feature_set" and dataset.dim != config.model.input_dim:
-        # feature sets legitimately differ in width; size each cell's model
-        # to its own data
-        config = replace(config, model=replace(config.model, input_dim=dataset.dim))
     runs = []
     try:
+        dataset = cell_data(value)
+        config = spec.cell_config(value)
+        if spec.axis == "feature_set" and dataset.dim != config.model.input_dim:
+            # feature sets legitimately differ in width; size each cell's
+            # model to its own data
+            config = replace(config, model=replace(config.model, input_dim=dataset.dim))
         for r in range(spec.runs_per_cell):
             run_config = replace(config, seed=derive_subseed(config.seed, r))
             _, history = train_run(run_config, dataset)
@@ -183,25 +171,20 @@ def _run_cell(spec: SweepSpec, value, dataset: SplitDataset) -> CellResult:
     return CellResult(label=label, value=value, runs=tuple(runs))
 
 
-def run_sweep(spec: SweepSpec, datasets) -> ReportTable:
+def run_sweep(spec: SweepSpec, cell_data) -> ReportTable:
     """Execute every cell, in value order, and assemble the report.
 
-    ``datasets`` is the (already standardized) SplitDataset every cell
-    trains on, or a dict mapping each cell value to its own.
+    ``cell_data(value)`` gives the standardized SplitDataset a cell trains
+    on. It is called once per cell, just before that cell's runs, and a
+    PmtlError it raises fails that cell. No reference to the dataset is kept
+    once the cell has ended, so a ``cell_data`` that builds each cell's data
+    lets the sweep hold one cell's data at a time.
     """
-    if isinstance(datasets, SplitDataset):
-        datasets = dict.fromkeys(spec.values, datasets)
-    missing = [value for value in spec.values if value not in datasets]
-    if missing:
-        raise ConfigError(f"no dataset provided for cell value {missing[0]!r}")
-    cells = tuple(_run_cell(spec, value, datasets[value]) for value in spec.values)
+    cells = tuple(_run_cell(spec, value, cell_data) for value in spec.values)
     return ReportTable(axis=spec.axis, aggregation=spec.aggregation, cells=cells)
 
 
 # -- rendering --------------------------------------------------------------
-
-
-METRIC_NAMES = ("ccc", "uar", "inv_mae", "s_mtl")
 
 
 def _report_cells(table: ReportTable):

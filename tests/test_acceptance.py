@@ -295,7 +295,7 @@ def test_criterion_5_sweep_structure():
 
     seeds = (42, 101, 102, 103, 104, 105, 106)
     seed_table = run_sweep(
-        SweepSpec(axis="seed", values=seeds, base=base, runs_per_cell=5), ds)
+        SweepSpec(axis="seed", values=seeds, base=base, runs_per_cell=5), lambda value: ds)
     failures += check_table_structure(report_markdown(seed_table), len(seeds),
                                       "seed table")
     if sidecar_csv(seed_table).count("\n") != 1 + len(seeds) * 5:
@@ -304,7 +304,7 @@ def test_criterion_5_sweep_structure():
     batches_axis = (2, 4, 8, 16, 32)
     batch_table = run_sweep(
         SweepSpec(axis="batch_size", values=batches_axis, base=base,
-                  runs_per_cell=5), ds)
+                  runs_per_cell=5), lambda value: ds)
     failures += check_table_structure(report_markdown(batch_table),
                                       len(batches_axis), "batch table")
     if sidecar_csv(batch_table).count("\n") != 1 + len(batches_axis) * 5:

@@ -13,6 +13,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import pmtl.cli
 from pmtl.checkpoint import load_checkpoint, save_checkpoint
 from pmtl.cli import main, score_files
 from pmtl.data import (
@@ -713,6 +714,143 @@ def test_standardization_sweep_cells_match_solo_runs(workspace, tmp_path, capsys
         assert cell["label"] == f"standardization={mode}"
         assert cell["runs"][0]["seed"] == seed
         assert cell["runs"][0]["bundle"] == history["run"]["best_val"]
+
+
+def narrow_binary_set(workspace, root, width=8):
+    """The workspace splits cut to their first ``width`` columns, as binary
+    files under ``root``: a second feature set with the same ids and labels."""
+    root.mkdir(exist_ok=True)
+    for split in ("train", "val"):
+        table = load_features(workspace / "data" / f"{split}_features.csv")
+        save_features_binary(FeatureTable(table.ids, table.features[:, :width].copy()),
+                             root / f"{split}.bin")
+    return {"train": str(root / "train.bin"), "val": str(root / "val.bin")}
+
+
+def write_feature_set_spec(workspace, path, narrow, **fields):
+    data = workspace / "data"
+    sets = {"wide": {"train": str(data / "train_features.csv"),
+                     "val": str(data / "val_features.csv")},
+            "narrow": narrow}
+    path.write_text(json.dumps({"axis": "feature_set", "values": ["wide", "narrow"],
+                                "feature_sets": sets, "runs_per_cell": 1,
+                                "base": TRAIN_CONFIG, **fields}))
+
+
+def test_feature_set_sweep_cells_match_solo_runs(workspace, tmp_path, capsys, monkeypatch):
+    # a CSV set 16 wide and a binary set 8 wide, the latter named relative
+    # to the current directory
+    narrow_binary_set(workspace, tmp_path / "narrow")
+    monkeypatch.chdir(tmp_path)
+    write_feature_set_spec(workspace, tmp_path / "spec.json",
+                           {"train": "narrow/train.bin", "val": "narrow/val.bin"})
+    code, _, err = run(capsys, ["sweep", "--labels", str(workspace / "data" / "labels.csv"),
+                                "--spec", "spec.json", "--out", "sweep"])
+    assert code == 0, err
+    cells = json.loads((tmp_path / "sweep" / "results.json").read_text())["cells"]
+    seed = derive_subseed(TRAIN_CONFIG["seed"], 0)
+    solo_inputs = {"wide": data_args(workspace)[:4],
+                   "narrow": ["--train-features", "narrow/train.bin",
+                              "--val-features", "narrow/val.bin"]}
+    for (name, inputs), cell in zip(solo_inputs.items(), cells, strict=True):
+        code, _, err = run(capsys, ["train", *inputs,
+                                    "--labels", str(workspace / "data" / "labels.csv"),
+                                    "--config", str(workspace / "train_config.json"),
+                                    "--seed", str(seed), "--out", name])
+        assert code == 0, err
+        history = json.loads((tmp_path / name / "history.json").read_text())
+        assert cell["label"] == f"feature_set={name}"
+        assert cell["runs"][0]["seed"] == seed
+        assert cell["runs"][0]["bundle"] == history["run"]["best_val"]
+
+
+@pytest.mark.parametrize("body,fragment", [
+    (None, "No such file"),
+    ("id,f0,f2\na,1,2\n", ":1: header must be id,f0..f1"),
+], ids=["missing", "bad-header"])
+def test_feature_set_sweep_bad_file_exits_2(workspace, tmp_path, capsys, body, fragment):
+    # every feature file's header is read before any run trains
+    bad = tmp_path / "bad.csv"
+    if body is not None:
+        bad.write_text(body)
+    write_feature_set_spec(workspace, tmp_path / "spec.json",
+                           {"train": str(bad), "val": str(workspace / "data" / "val_features.csv")})
+    code, _, err = run(capsys, ["sweep", "--labels", str(workspace / "data" / "labels.csv"),
+                                "--spec", str(tmp_path / "spec.json"),
+                                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert err.startswith("pmtl: error:") and fragment in err and "bad.csv" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_feature_set_sweep_bad_row_fails_its_cell(workspace, tmp_path, capsys):
+    # a row error shows only when the cell loads its data: that cell fails
+    # with the data exit code, the cells before it keep their results
+    narrow = narrow_binary_set(workspace, tmp_path / "narrow")
+    bad = tmp_path / "val.csv"
+    bad.write_text("id,f0\nval_00000,x\n")
+    write_feature_set_spec(workspace, tmp_path / "spec.json", dict(narrow, val=str(bad)))
+    code, stdout, _ = run(capsys, ["sweep", "--labels", str(workspace / "data" / "labels.csv"),
+                                   "--spec", str(tmp_path / "spec.json"),
+                                   "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert last_json(stdout)["failed"] == ["feature_set=narrow"]
+    wide, narrow_cell = json.loads((tmp_path / "o" / "results.json").read_text())["cells"]
+    assert wide["error"] is None and len(wide["runs"]) == 1
+    assert narrow_cell["error"].startswith("DataFormatError:") and narrow_cell["error_code"] == 2
+
+
+def test_bad_base_standardize_in_sweep_exits_1(workspace, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axis": "seed", "values": [1], "runs_per_cell": 1,
+                                     "base": dict(TRAIN_CONFIG, standardize="robust")}))
+    code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
+                                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "'robust'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("axis,values,loads", [
+    ("seed", [1, 2, 3], 2),
+    ("batch_size", [4, 8], 2),
+    ("standardization", ["none", "zscore", "minmax"], 6),
+])
+def test_sweep_loads_features_once_per_distinct_input(workspace, tmp_path, capsys,
+                                                      monkeypatch, axis, values, loads):
+    calls = []
+    monkeypatch.setattr(pmtl.cli, "load_features",
+                        lambda path: calls.append(path) or load_features(path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axis": axis, "values": values, "runs_per_cell": 1,
+                                     "base": dict(TRAIN_CONFIG, max_epochs=1, patience=1)}))
+    code, _, err = run(capsys, ["sweep", *data_args(workspace), "--spec", str(spec_path),
+                                "--out", str(tmp_path / "o")])
+    assert code == 0, err
+    assert len(calls) == loads
+
+
+def test_standardization_sweep_holds_one_copy_of_the_features(tmp_path, capsys, traced_peak):
+    # At most the raw arrays plus one working copy, plus a slack of half the
+    # features for the labels, the ids, the z-score scratch and the training
+    # buffers. Keeping a standardized copy per value would hold four copies.
+    features, labels = synth_tables(SynthSpec(n_train=400, n_val=100, dim=256, rank=4, seed=3))
+    for split, table in features.items():
+        save_features_binary(table, tmp_path / f"{split}.bin")
+    save_labels_csv(labels, tmp_path / "labels.csv")
+    nbytes = sum(table.features.nbytes for table in features.values())
+    del features, labels
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "axis": "standardization", "values": ["none", "zscore", "minmax"],
+        "runs_per_cell": 1, "base": dict(TRAIN_CONFIG, max_epochs=1, patience=1)}))
+    code, peak = traced_peak(lambda: main([
+        "sweep", "--train-features", str(tmp_path / "train.bin"),
+        "--val-features", str(tmp_path / "val.bin"), "--labels", str(tmp_path / "labels.csv"),
+        "--spec", str(spec_path), "--out", str(tmp_path / "o")]))
+    assert code == 0, capsys.readouterr().err
+    assert peak <= 2.5 * nbytes
 
 
 def test_missing_feature_file_exits_2(workspace, tmp_path, capsys):

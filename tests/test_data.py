@@ -25,6 +25,7 @@ from pmtl.data import (
     SynthSpec,
     batches,
     build_part,
+    feature_dim,
     join_splits,
     load_features,
     load_features_binary,
@@ -150,6 +151,27 @@ def test_binary_truncation_rejected(tmp_path, rng_np):
         bad.write_bytes(blob[:cut])
         with pytest.raises(DataFormatError):
             load_features_binary(bad)
+
+
+def test_feature_dim_reads_the_header_only(tmp_path):
+    # the rows are not read: a bad row or a short payload does not matter
+    csv_path, bin_path = tmp_path / "t.csv", tmp_path / "t.bin"
+    write(csv_path, "id,f0,f1,f2\na,1,2,x\n")
+    save_features_binary(FeatureTable(ids=("a",), features=np.zeros((1, 5))), bin_path)
+    bin_path.write_bytes(bin_path.read_bytes()[:-8])
+    assert (feature_dim(csv_path), feature_dim(bin_path)) == (3, 5)
+    with pytest.raises(DataFormatError, match="payload"):
+        load_features(bin_path)
+    # and it checks the header as the loaders do
+    for text, message in (("id,f1\n", "header must be id,f0"), ("", "empty file")):
+        write(csv_path, text)
+        for read in (feature_dim, load_features):
+            with pytest.raises(DataFormatError, match=message):
+                read(csv_path)
+    bin_path.write_bytes(FEATURE_MAGIC + b"\x02\x00" + bytes(8))
+    for read in (feature_dim, load_features):
+        with pytest.raises(DataFormatError, match="unsupported version 2"):
+            read(bin_path)
 
 
 def test_binary_load_holds_one_copy(tmp_path, rng_np, traced_peak):

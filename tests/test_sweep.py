@@ -2,6 +2,7 @@
 
 import csv
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ def make_cell(label, scores, value=None):
     {"aggregation": "median"},
     {"runs_per_cell": 1.5},
     {"runs_per_cell": True},
+    {"axis": "standardization", "values": ("zscore", "robust")},
 ])
 def test_sweep_spec_validation(overrides):
     fields = dict(axis="seed", values=(1, 2), base=base_config(),
@@ -85,9 +87,9 @@ def test_cell_config_touches_only_its_axis():
     assert SweepSpec(axis="seed", values=(7,), base=base).cell_config(7).seed == 7
     bs = SweepSpec(axis="batch_size", values=(4,), base=base).cell_config(4)
     assert bs.batch_size == 4 and bs.seed == base.seed
-    for axis in ("feature_set", "standardization"):
-        spec = SweepSpec(axis=axis, values=("x",), base=base)
-        assert spec.cell_config("x") == base
+    for axis, value in (("feature_set", "x"), ("standardization", "minmax")):
+        spec = SweepSpec(axis=axis, values=(value,), base=base)
+        assert spec.cell_config(value) == base
 
 
 # -- execution --------------------------------------------------------------
@@ -98,7 +100,7 @@ def test_single_cell_sweep_matches_direct_run(sweep_dataset):
     the first derived sub-seed of the cell seed."""
     spec = SweepSpec(axis="seed", values=(42,), base=base_config(),
                      runs_per_cell=1)
-    table = run_sweep(spec, sweep_dataset)
+    table = run_sweep(spec, lambda value: sweep_dataset)
     direct_config = dataclasses.replace(base_config(), seed=derive_subseed(42, 0))
     _, history = train_run(direct_config, sweep_dataset)
     run = table.cells[0].runs[0]
@@ -110,7 +112,7 @@ def test_single_cell_sweep_matches_direct_run(sweep_dataset):
 def test_runs_within_cell_use_distinct_seeds(sweep_dataset):
     spec = SweepSpec(axis="seed", values=(9,), base=base_config(),
                      runs_per_cell=3)
-    table = run_sweep(spec, sweep_dataset)
+    table = run_sweep(spec, lambda value: sweep_dataset)
     seeds = [r.seed for r in table.cells[0].runs]
     assert seeds == [derive_subseed(9, r) for r in range(3)]
     assert len(set(seeds)) == 3
@@ -121,8 +123,8 @@ def test_cells_reproduce_in_isolation(sweep_dataset):
     # before it
     spec = SweepSpec(axis="batch_size", values=(4, 8, 16), base=base_config(),
                      runs_per_cell=2)
-    table = run_sweep(spec, sweep_dataset)
-    last = run_sweep(dataclasses.replace(spec, values=(16,)), sweep_dataset)
+    table = run_sweep(spec, lambda value: sweep_dataset)
+    last = run_sweep(dataclasses.replace(spec, values=(16,)), lambda value: sweep_dataset)
     assert dataclasses.asdict(last.cells[0]) == dataclasses.asdict(table.cells[2])
 
 
@@ -131,7 +133,7 @@ def test_cell_failure_is_isolated(sweep_dataset):
     spec = SweepSpec(axis="seed", values=(1, 2), base=base_config(),
                      runs_per_cell=1)
     # dim-5 data against the dim-16 model: that cell alone must fail
-    table = run_sweep(spec, {1: sweep_dataset, 2: standardize(bad, "none")})
+    table = run_sweep(spec, {1: sweep_dataset, 2: standardize(bad, "none")}.__getitem__)
     good, failed = table.cells
     assert not good.failed
     assert failed.failed
@@ -154,7 +156,7 @@ def test_programming_error_in_cell_propagates(sweep_dataset, monkeypatch, broken
     monkeypatch.setattr(pmtl.sweep, "train_run", broken_train_run)
     spec = SweepSpec(axis="seed", values=(1, 2), base=base_config(), runs_per_cell=1)
     with pytest.raises(TypeError, match="unsupported operand"):
-        run_sweep(spec, sweep_dataset)
+        run_sweep(spec, lambda value: sweep_dataset)
 
 
 def test_feature_set_axis_adapts_model_width(sweep_dataset):
@@ -164,16 +166,42 @@ def test_feature_set_axis_adapts_model_width(sweep_dataset):
     )
     spec = SweepSpec(axis="feature_set", values=("wide", "narrow"),
                      base=base_config(), runs_per_cell=1)
-    table = run_sweep(spec, {"wide": sweep_dataset, "narrow": narrow})
+    table = run_sweep(spec, {"wide": sweep_dataset, "narrow": narrow}.__getitem__)
     assert not table.has_failures
     assert [c.label for c in table.cells] == ["feature_set=wide", "feature_set=narrow"]
 
 
-def test_missing_dataset_for_value(sweep_dataset):
-    spec = SweepSpec(axis="feature_set", values=("a", "b"), base=base_config(),
+def test_cell_data_error_fails_only_that_cell(sweep_dataset):
+    # a data error raised while a cell's data loads is that cell's failure
+    def cell_data(value):
+        if value == "bad":
+            raise DataFormatError("cannot parse 'x' as float", "bad.csv", 3)
+        return sweep_dataset
+
+    spec = SweepSpec(axis="feature_set", values=("bad", "good"), base=base_config(),
                      runs_per_cell=1)
-    with pytest.raises(ConfigError, match="'b'"):
-        run_sweep(spec, {"a": sweep_dataset})
+    failed, good = run_sweep(spec, cell_data).cells
+    assert failed.failed and failed.error_code == 2 and failed.runs == ()
+    assert "DataFormatError: bad.csv:3" in failed.error
+    assert not good.failed
+
+
+def test_cell_data_is_requested_per_cell_and_released(sweep_dataset):
+    # each cell asks for its data just before its runs, and the sweep keeps
+    # no reference to it once the cell has ended
+    calls, released = [], []
+
+    def cell_data(value):
+        released.append([ref() is None for ref in calls])
+        ds = dataclasses.replace(sweep_dataset)  # a new object each cell
+        calls.append(weakref.ref(ds))
+        return ds
+
+    spec = SweepSpec(axis="batch_size", values=(4, 8, 16), base=base_config(),
+                     runs_per_cell=2)
+    run_sweep(spec, cell_data)
+    assert released == [[], [True], [True, True]]
+    assert calls[-1]() is None
 
 
 # -- aggregation ------------------------------------------------------------
@@ -327,7 +355,7 @@ def test_sidecar_preserves_full_precision():
 def test_results_json_round_trip(tmp_path, sweep_dataset):
     spec = SweepSpec(axis="seed", values=(1, 2), base=base_config(),
                      runs_per_cell=1)
-    table = run_sweep(spec, sweep_dataset)
+    table = run_sweep(spec, lambda value: sweep_dataset)
     path = tmp_path / "results.json"
     save_results(table, path)
     back = load_results(path)
