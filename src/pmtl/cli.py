@@ -195,14 +195,14 @@ def cmd_eval(args) -> int:
     if ck.standardizer is not None:
         ck.standardizer.apply(features.features, out=features.features)
     labels = load_labels_csv(args.labels) if args.labels else None
-    part = build_part(features, labels, "eval", require_labels=labels is not None)
+    part = build_part(features, labels, "eval")
 
     preds = predict(ck.params, ck.config, part.x, ck.age_scaler)
     if args.out_predictions:
         save_predictions_csv(part.ids, preds.emotion, preds.age_years,
                              preds.country, args.out_predictions)
     if labels is not None:
-        bundle = evaluate(ck.params, ck.config, part, ck.age_scaler)
+        bundle = evaluate(preds, part)
         if args.out_metrics:
             _write_json(asdict(bundle), args.out_metrics)
         print(json.dumps(asdict(bundle), sort_keys=True))
@@ -271,10 +271,11 @@ def _feature_paths(raw: dict, args):
                           "'feature_sets' mapping {name: {train: path, val: path}}")
     for value in values:
         entry = sets.get(value) if isinstance(value, str) else None
-        if not (isinstance(entry, dict)
-                and all(isinstance(entry.get(split), str) for split in ("train", "val"))):
+        if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(split), str) and "\0" not in entry[split]
+                for split in ("train", "val"))):
             raise ConfigError(f"feature_sets needs an entry {{train: path, val: path}} "
-                              f"for {value!r}")
+                              f"without NUL characters for {value!r}")
     pairs = {value: (sets[value]["train"], sets[value]["val"]) for value in values}
     return pairs.__getitem__, [path for pair in pairs.values() for path in pair]
 

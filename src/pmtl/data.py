@@ -502,21 +502,21 @@ def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
 # -- joining and scaling ----------------------------------------------------
 
 
-def build_part(features: FeatureTable, labels: LabelTable | None, split: str,
-                require_labels: bool) -> SplitPart:
+def build_part(features: FeatureTable, labels: LabelTable | None, split: str) -> SplitPart:
+    """The rows of ``features`` in id order, labeled if ``labels`` is given."""
     ids, x = features.ids, features.features
     if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted: no copy
         order = np.argsort(np.array(ids, dtype=object))
         ids = tuple(ids[i] for i in order)
         x = x[order]
-    label_index = labels.index() if labels is not None else {}
+    if labels is None:
+        return SplitPart(ids=ids, x=x, y_emotion=None, y_age=None, y_country=None)
+    label_index = labels.index()
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
-        if require_labels:
-            preview = ", ".join(missing[:10])
-            more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-            raise DataError(f"{split} split: no label for ids [{preview}]{more}")
-        return SplitPart(ids=ids, x=x, y_emotion=None, y_age=None, y_country=None)
+        preview = ", ".join(missing[:10])
+        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+        raise DataError(f"{split} split: no label for ids [{preview}]{more}")
     rows = np.array([label_index[sid] for sid in ids], dtype=np.int64)
     return SplitPart(
         ids=ids,
@@ -542,8 +542,8 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     if dup:
         raise DataError(f"splits share ids: {dup[:10]}")
 
-    train = build_part(features["train"], labels, "train", require_labels=True)
-    val = build_part(features["val"], labels, "val", require_labels=True)
+    train = build_part(features["train"], labels, "train")
+    val = build_part(features["val"], labels, "val")
     return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 

@@ -6,11 +6,13 @@ in rows. Each ``*_forward`` returns ``(output, cache)`` and the matching
 is involved. Gradients here are exact analytic derivatives; they are
 cross-checked against central finite differences in the test suite.
 
-These functions sit on the training hot path and do not validate their
-operands: shapes, the leaky slope and the layer-norm eps are checked once
-at the model boundary (``ModelConfig``, ``forward``, ``backward`` and
-``check_params`` in ``pmtl.model``). Parameter-gradient backward passes accept ``out``
-arrays and write into them, so gradients can land in preallocated views.
+These functions sit on the training hot path and, like the model and the
+losses that call them, do not validate their operands. Inputs are checked
+once where they enter: ``ModelConfig`` (widths, leaky slope, layer-norm
+eps), ``load_checkpoint`` (tensor shapes against the layer plan), the
+feature and label loaders, ``train_run`` and ``pmtl eval`` (input width).
+Parameter-gradient backward passes accept ``out`` arrays and write into
+them, so gradients can land in preallocated views.
 """
 
 from __future__ import annotations

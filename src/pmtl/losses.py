@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError, check_fields
+from .errors import ConfigError, NumericalError, check_fields
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,9 @@ class LossBreakdown:
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean over all entries of squared error.
 
-    Returns ``(loss, dpred)`` with ``dpred = 2 (pred - target) / pred.size``.
+    ``pred`` and ``target`` are float64 arrays of the same shape. Returns
+    ``(loss, dpred)`` with ``dpred = 2 (pred - target) / pred.size``.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError("mse_loss", pred.shape, target.shape)
     diff = pred - target
     loss = float(np.mean(diff * diff))
     return loss, (2.0 / diff.size) * diff
@@ -71,19 +68,11 @@ def cross_entropy_loss(logits: np.ndarray, classes: np.ndarray):
     """Mean negative log-softmax of the true class, max-subtracted for
     stability.
 
-    ``classes`` holds integer ids in [0, n_classes). Returns
-    ``(loss, dlogits)`` with ``dlogits = (softmax - onehot) / n``.
+    ``logits`` is a float64 (n, k) array and ``classes`` an (n,) integer
+    array of ids in [0, k). Returns ``(loss, dlogits)`` with
+    ``dlogits = (softmax - onehot) / n``.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    classes = np.asarray(classes)
-    if logits.ndim != 2 or classes.shape != (logits.shape[0],):
-        raise ShapeError("cross_entropy_loss", logits.shape, classes.shape)
-    n, k = logits.shape
-    classes = classes.astype(np.int64)
-    if classes.size and (classes.min() < 0 or classes.max() >= k):
-        bad = sorted(set(classes[(classes < 0) | (classes >= k)].tolist()))
-        raise ValueError(f"class ids {bad} outside [0, {k})")
-
+    n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     softmax = exp / exp.sum(axis=1, keepdims=True)

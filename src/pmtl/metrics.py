@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingClassError, MomentOverflowError, ShapeError, TooFewPointsError
+from .errors import MissingClassError, MomentOverflowError, TooFewPointsError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
@@ -39,8 +39,6 @@ def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
     """
     x = _as_series(x)
     y = _as_series(y)
-    if x.shape != y.shape:
-        raise ShapeError(name, x.shape, y.shape)
     n = x.size
     if n < 2:
         raise TooFewPointsError(f"{name} needs at least 2 points, got {n}")
@@ -65,12 +63,10 @@ def ccc(x, y) -> float:
 
 
 def ccc_columns(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CCC of each column pair and its degeneracy flag; a degenerate
-    column scores 0."""
+    """CCC of each column pair of two (n, k) arrays and its degeneracy
+    flag; a degenerate column scores 0."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.ndim != 2 or pred.shape != target.shape:
-        raise ShapeError("ccc_columns", pred.shape, target.shape)
     values = np.empty(pred.shape[1])
     degenerate = np.zeros(pred.shape[1], dtype=bool)
     for j in range(pred.shape[1]):
@@ -79,15 +75,14 @@ def ccc_columns(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def uar(pred_classes, true_classes, n_classes: int = N_COUNTRY_CLASSES) -> float:
-    """Unweighted average recall: mean over classes of per-class recall.
+    """Unweighted average recall of two equal-length class-id series: the
+    mean over classes of per-class recall.
 
     Every class id in [0, n_classes) must occur in ``true_classes``,
     otherwise its recall is undefined and MissingClassError is raised.
     """
     pred = np.asarray(pred_classes).astype(np.int64).reshape(-1)
     true = np.asarray(true_classes).astype(np.int64).reshape(-1)
-    if pred.shape != true.shape:
-        raise ShapeError("uar", pred.shape, true.shape)
     masks = [true == c for c in range(n_classes)]
     absent = [c for c, mask in enumerate(masks) if not mask.any()]
     if absent:
@@ -96,11 +91,9 @@ def uar(pred_classes, true_classes, n_classes: int = N_COUNTRY_CLASSES) -> float
 
 
 def mae(pred, true) -> float:
-    """Mean absolute error."""
+    """Mean absolute error of two equal-length series."""
     pred = _as_series(pred)
     true = _as_series(true)
-    if pred.shape != true.shape:
-        raise ShapeError("mae", pred.shape, true.shape)
     if pred.size == 0:
         raise TooFewPointsError("mae needs at least 1 point")
     return float(np.mean(np.abs(pred - true)))

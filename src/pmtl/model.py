@@ -30,6 +30,7 @@ from typing import Literal
 
 import numpy as np
 
+from .data import COUNTRIES, EMOTIONS
 from .errors import ConfigError, ShapeError, check_fields
 from .layers import (
     layer_norm_backward,
@@ -60,8 +61,12 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)  # also makes JSON lists tuples, which layer_plan's cache hashes
+        outs, labels = (self.emotion_out, self.country_out), (len(EMOTIONS), len(COUNTRIES))
+        if outs != labels:
+            raise ConfigError(f"(emotion_out, country_out) must be {labels} to fit the labels, "
+                              f"got {outs}")
         dims = (self.input_dim, *self.shared_dims, *self.age_head_dims, self.emotion_hidden,
-                self.country_hidden, self.emotion_out, self.country_out)
+                self.country_hidden)
         if any(d < 1 for d in dims):
             raise ConfigError(f"all dimensions must be >= 1, got {dims}")
         if not self.shared_dims or not self.age_head_dims:
@@ -231,12 +236,9 @@ def forward(params: dict, config: ModelConfig, x: np.ndarray):
     """Run the network on a batch; returns (ModelOutputs, caches), where
     ``caches`` is what ``backward`` needs.
 
-    Rows are independent (layer norm acts per row), so batched and
-    row-at-a-time evaluation agree.
+    ``x`` is a float64 (n, input_dim) array. Rows are independent (layer
+    norm acts per row), so batched and row-at-a-time evaluation agree.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise ShapeError("model forward input", x.shape, (-1, config.input_dim))
     trunk, *heads = layer_plan(config)
     h, trunk_caches = _chain_forward(params, trunk, x, config)
     ys, head_caches, sig_cache = [], [], None
@@ -267,27 +269,20 @@ def _chain_backward(grads, caches, dy, input_grad=True):
     return dy
 
 
-def backward(params: dict, caches, d_outputs: dict,
-             grads: Params | None = None) -> Params:
+def backward(params: dict, caches, d_outputs: dict, grads: Params) -> Params:
     """Gradients for every parameter given output-side gradients.
 
     ``d_outputs`` maps each name in HEAD_OUTPUTS to an array shaped like
     that output. Each head is walked from its output layer down, then the
     trunk from the top with the sum of the heads' input gradients. Every
-    gradient is written into ``grads`` (from ``init_grads``), allocated
-    when not given; the weights come from ``caches`` (from ``forward``).
+    gradient is written into ``grads`` (from ``init_grads``), which is
+    returned; the weights come from ``caches`` (from ``forward``).
     """
     config, trunk_caches, head_caches, sig_cache = caches
-    trunk, *heads = layer_plan(config)
-    if grads is None:
-        grads = init_grads(config)
-
     n = trunk_caches[0][1].x.shape[0]
-    d_shared = np.zeros((n, trunk[-1][2]))
-    for key, chain, chain_caches in zip(HEAD_OUTPUTS, heads, head_caches):
+    d_shared = np.zeros((n, config.shared_dims[-1]))
+    for key, chain_caches in zip(HEAD_OUTPUTS, head_caches):
         dy = d_outputs[key]
-        if np.shape(dy) != (n, chain[-1][2]):
-            raise ShapeError(f"backward {key}", np.shape(dy), (n, chain[-1][2]))
         if key == "emotion" and sig_cache is not None:
             dy = sigmoid_backward(sig_cache, dy)
         d_shared += _chain_backward(grads, chain_caches, dy)
@@ -312,7 +307,6 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     ``descale`` method. Country is the argmax of the logits; numpy argmax
     resolves ties toward the lowest class index.
     """
-    check_params(params, config)
     outputs, _ = forward(params, config, x)
     age_years = age_scaler.descale(outputs.age_scaled[:, 0])
     country = np.argmax(outputs.country_logits, axis=1).astype(np.int64)

@@ -24,13 +24,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import COUNTRIES, EMOTIONS, SplitDataset, SplitPart, batches
+from .data import SplitDataset, SplitPart, batches
 from .errors import ConfigError, DataError, NumericalError, check_fields
 from .losses import LossBreakdown, LossConfig, combine, cross_entropy_loss, mse_loss
 from .metrics import MetricsBundle, compute_bundle
 from .model import (
     ModelConfig,
     Params,
+    PredictionSet,
     backward,
     forward,
     init_grads,
@@ -182,11 +183,8 @@ class RunHistory:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(params: dict, config: ModelConfig, split: SplitPart, age_scaler) -> MetricsBundle:
-    """Predict on a labeled split and score all three tasks."""
-    if not split.labeled:
-        raise DataError("evaluate needs a labeled split")
-    preds = predict(params, config, split.x, age_scaler)
+def evaluate(preds: PredictionSet, split: SplitPart) -> MetricsBundle:
+    """Score predictions for the rows of a labeled split on all three tasks."""
     return compute_bundle(
         pred_emotion=preds.emotion,
         true_emotion=split.y_emotion,
@@ -242,11 +240,9 @@ def train_run(config: TrainConfig, data: SplitDataset):
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
-    widths = (config.model.input_dim, config.model.emotion_out, config.model.country_out)
-    expected = (data.dim, len(EMOTIONS), len(COUNTRIES))
-    if widths != expected:
-        raise ConfigError(f"model (input_dim, emotion_out, country_out) must be {expected} "
-                          f"to fit the data and labels, got {widths}")
+    if config.model.input_dim != data.dim:
+        raise ConfigError(f"model input_dim must be {data.dim} to fit the data, "
+                          f"got {config.model.input_dim}")
 
     t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))
@@ -256,7 +252,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
     scaler = data.age_scaler
     y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
 
-    initial_val = evaluate(params, config.model, data.val, scaler)
+    initial_val = evaluate(predict(params, config.model, data.val.x, scaler), data.val)
     records: list[EpochRecord] = []
     best_epoch = 0
     best_score = -math.inf
@@ -273,7 +269,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
             )
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
-        val = evaluate(params, config.model, data.val, scaler)
+        val = evaluate(predict(params, config.model, data.val.x, scaler), data.val)
         records.append(EpochRecord(
             epoch=epoch, train_loss=train_loss, val=val,
             wall_seconds=time.perf_counter() - t_epoch,

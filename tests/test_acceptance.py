@@ -27,7 +27,7 @@ from pmtl.layers import (
 )
 from pmtl.losses import LossConfig, combine, cross_entropy_loss, mse_loss, total_loss
 from pmtl.metrics import ccc, mae, multitask_score, uar
-from pmtl.model import ModelConfig, backward, forward, init_params
+from pmtl.model import ModelConfig, backward, forward, init_grads, init_params
 from pmtl.rng import RngStream
 from pmtl.sweep import SweepSpec, report_markdown, run_sweep, sidecar_csv
 from pmtl.train import TrainConfig, train_run
@@ -124,7 +124,7 @@ def multitask_fd_closure(config, x, y_emotion, y_country, y_age, loss_config):
             "emotion": g_e * w_e,
             "country_logits": g_c * w_c,
             "age_scaled": g_a * w_a,
-        })
+        }, init_grads(config))
         return breakdown.l_total, grads
 
     return f
@@ -402,12 +402,12 @@ def test_criterion_7_loss_weighting_contract():
     for key, g in (("emotion", g_e), ("country_logits", g_c), ("age_scaled", g_a)):
         d = {k: v.copy() for k, v in zero.items()}
         d[key] = g
-        unit.append(backward(params, caches, d))
+        unit.append(backward(params, caches, d, init_grads(config)))
     combined = backward(params, caches, {
         "emotion": g_e * weights[0],
         "country_logits": g_c * weights[1],
         "age_scaled": g_a * weights[2],
-    })
+    }, init_grads(config))
     for tensor in ("shared0.w", "shared0.b", "shared1.w"):
         expected = sum(w * u[tensor] for w, u in zip(weights, unit))
         err = np.abs(combined[tensor] - expected).max()

@@ -8,12 +8,13 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import pmtl.cli
+import pmtl.model
 from pmtl.checkpoint import load_checkpoint, save_checkpoint
 from pmtl.cli import main, score_files
 from pmtl.data import (
@@ -29,8 +30,8 @@ from pmtl.data import (
     save_predictions_csv,
     synth_tables,
 )
-from pmtl.model import ModelConfig, Params, param_shapes
-from pmtl.rng import derive_subseed
+from pmtl.model import ModelConfig, Params, init_params, param_shapes
+from pmtl.rng import RngStream, derive_subseed
 
 TRAIN_CONFIG = {
     "model": {"shared_dims": [12, 6], "age_head_dims": [6, 3],
@@ -455,6 +456,8 @@ def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
     {"axis": "feature_set", "values": ["a"], "feature_sets": {"a": {"train": "t.csv"}}},
     {"axis": "feature_set", "values": ["a"], "feature_sets": {"a": "t.csv"}},
     {"axis": "feature_set", "values": [["a"]], "feature_sets": {"a": {}}},
+    {"axis": "feature_set", "values": ["a"],
+     "feature_sets": {"a": {"train": "a\u0000.csv", "val": "v.csv"}}},
     {"axis": "seed", "values": [[1]]},
     {"axis": "batch_size", "values": [0]},
     {"axis": "batch_size", "values": ["x"]},
@@ -464,8 +467,8 @@ def test_sweep_invalid_workers_env(workspace, tmp_path, capsys, monkeypatch):
     {"axis": "seed", "values": [1], "runs_per_cell": 1.5},
     {"axis": "seed", "values": [1], "base": 5},
 ], ids=["feature-set-without-val", "feature-set-not-a-mapping",
-        "unhashable-feature-set", "unhashable-seed", "batch-size-0", "batch-size-x",
-        "fractional-seed", "bool-seed", "fractional-batch-size", "fractional-runs-per-cell",
+        "unhashable-feature-set", "nul-in-feature-set-path", "unhashable-seed",
+        "batch-size-0", "batch-size-x", "fractional-seed", "bool-seed", "fractional-batch-size", "fractional-runs-per-cell",
         "base-not-an-object"])
 def test_sweep_bad_spec_exits_1(spec, workspace, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
@@ -601,7 +604,7 @@ def test_output_width_other_than_labels_exits_1(workspace, tmp_path, capsys, key
     code, _, err = run(capsys, ["train", *data_args(workspace), "--config", str(bad),
                                 "--max-epochs", "1", "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "(input_dim, emotion_out, country_out) must be (16, 10, 4)" in err
+    assert "(emotion_out, country_out) must be (10, 4)" in err
     assert str(value) in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
@@ -899,6 +902,43 @@ def test_eval_checkpoint_missing_tensor_exits_2(workspace, tmp_path, capsys):
         "--labels", str(workspace / "data" / "val_labels.csv")])
     assert code == 2
     assert "shared1.w" in err
+
+
+@pytest.mark.parametrize("emotion_out,country_out", [(5, 4), (10, 6), (10, 3)])
+def test_eval_checkpoint_output_widths_exit_2(workspace, tmp_path, capsys,
+                                              emotion_out, country_out):
+    # tensors that match the header's output widths, which differ from the
+    # labels': only the config check can reject the file
+    ck = load_checkpoint(workspace / "run" / "checkpoint.pmck")
+    config = replace(ck.config)
+    object.__setattr__(config, "emotion_out", emotion_out)
+    object.__setattr__(config, "country_out", country_out)
+    bad = tmp_path / "bad.pmck"
+    save_checkpoint(bad, init_params(config, RngStream(0)), config, ck.age_scaler,
+                    ck.standardizer)
+    preds = tmp_path / "p.csv"
+    code, _, err = run(capsys, [
+        "eval", "--checkpoint", str(bad),
+        "--features", str(workspace / "data" / "val_features.csv"),
+        "--labels", str(workspace / "data" / "val_labels.csv"),
+        "--out-predictions", str(preds)])
+    assert code == 2
+    assert "(emotion_out, country_out) must be (10, 4)" in err
+    assert "Traceback" not in err
+    assert not preds.exists()
+
+
+def test_eval_runs_the_forward_pass_once(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    forward = pmtl.model.forward
+    monkeypatch.setattr(pmtl.model, "forward", lambda *args: calls.append(args) or forward(*args))
+    code, _, _ = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(workspace / "data" / "val_features.csv"),
+        "--labels", str(workspace / "data" / "val_labels.csv"),
+        "--out-predictions", str(tmp_path / "p.csv")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command,role", [

@@ -1,8 +1,8 @@
 """Property test: no input drives ``pmtl`` to a Python traceback.
 
 Hypothesis mutates train configs, sweep specs, ``score --components``
-triples and labels files, and drives ``pmtl.cli.main`` in process on a tiny
-synthetic dataset. Every example must end with a documented exit code (0
+triples, labels files and the model config in a checkpoint's header, and
+drives ``pmtl.cli.main`` in process on a tiny synthetic dataset. Every example must end with a documented exit code (0
 success, 1 config, 2 data, 3 numerics) and print no traceback. Training is
 capped at one epoch by ``--max-epochs 1`` or, in sweeps, by the base config.
 Model widths are drawn small: a huge width is a valid config whose network
@@ -10,6 +10,7 @@ would not fit in memory.
 """
 
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -156,3 +157,37 @@ def test_damaged_labels_file_never_tracebacks(workspace, tmp_path_factory, capsy
     else:
         argv = ["score", "--labels", str(workspace / "labels.csv"), "--predictions", str(path)]
     check(*run_cli(capsys, argv))
+
+
+@pytest.fixture(scope="module")
+def checkpoint(workspace):
+    out = workspace / "run"
+    (workspace / "base.json").write_text(json.dumps(BASE))
+    assert main(["train", *data_args(workspace), "--config", str(workspace / "base.json"),
+                 "--out", str(out)]) == 0
+    return (out / "checkpoint.pmck").read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_checkpoint_config_never_tracebacks(workspace, checkpoint, tmp_path_factory,
+                                                   capsys, data):
+    # the header is magic, u16 version, u32 length, then the JSON the length counts
+    length, = struct.unpack_from("<I", checkpoint, 6)
+    header = json.loads(checkpoint[10:10 + length])
+    header["config"] = data.draw(mutated(header["config"], {None: KEYS["model"]}),
+                                 label="config")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    root = tmp_path_factory.mktemp("eval")
+    path, preds = root / "checkpoint.pmck", root / "predictions.csv"
+    path.write_bytes(checkpoint[:6] + struct.pack("<I", len(blob)) + blob
+                     + checkpoint[10 + length:])
+    code, err = run_cli(capsys, ["eval", "--checkpoint", str(path),
+                                 "--features", str(workspace / "val_features.csv"),
+                                 "--labels", str(workspace / "labels.csv"),
+                                 "--out-predictions", str(preds)])
+    check(code, err)
+    if code == 0:
+        rows = preds.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == SYNTH["n_val"] + 1
+        assert all(len(row.split(",")) == 13 for row in rows), rows

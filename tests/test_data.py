@@ -480,13 +480,13 @@ def test_join_unlabeled_test_passes_through():
     # the part ``eval`` predicts on may lack labels: its ids pass through,
     # sorted, with their feature rows
     features = make_features(["t2", "t1"], 20.0)
-    for labels in (None, make_labels(["a", "t1"])):
-        part = build_part(features, labels, "eval", require_labels=False)
-        assert not part.labeled
-        assert part.ids == ("t1", "t2")
-        assert np.array_equal(part.x, features.features[::-1])
+    part = build_part(features, None, "eval")
+    assert not part.labeled
+    assert part.ids == ("t1", "t2")
+    assert np.array_equal(part.x, features.features[::-1])
+    # given labels, every id needs one
     with pytest.raises(DataError, match="t2"):
-        build_part(features, make_labels(["t1"]), "eval", require_labels=True)
+        build_part(features, make_labels(["a", "t1"]), "eval")
 
 
 def test_age_scaler_fit_on_train_only():

@@ -1,16 +1,13 @@
 """Layer primitives against loop oracles and finite differences.
 
-The primitives do not validate their operands on every call: shapes, the
-leaky slope and the layer-norm eps are checked once at the model boundary
-(ModelConfig, forward, backward and check_params). The validation tests
-below exercise those boundaries.
+The primitives do not validate their operands on every call: the leaky
+slope and the layer-norm eps are checked once, by ModelConfig. The
+validation tests below exercise that boundary.
 """
 
 import numpy as np
 import pytest
 
-from pmtl.data import AgeScaler
-from pmtl.errors import ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.layers import (
     layer_norm_backward,
@@ -22,8 +19,7 @@ from pmtl.layers import (
     sigmoid_backward,
     sigmoid_forward,
 )
-from pmtl.model import ModelConfig, backward, forward, init_params, predict
-from pmtl.rng import RngStream
+from pmtl.model import ModelConfig
 
 
 def matmul_oracle(a, b):
@@ -59,16 +55,6 @@ def test_linear_forward_matches_oracle(rng_np):
     y, _ = linear_forward(x, w, b)
     expected = matmul_oracle(x, w) + b
     assert np.allclose(y, expected, rtol=0, atol=1e-12)
-
-
-def test_linear_shape_errors(tiny_config):
-    # a mis-shaped weight or bias is rejected where parameters enter
-    params = init_params(tiny_config, RngStream(0))
-    x = np.zeros((2, tiny_config.input_dim))
-    for name, bad in (("shared0.w", np.zeros((4, 3))), ("shared1.b", np.zeros(7))):
-        with pytest.raises(ShapeError, match=name):
-            predict(dict(params, **{name: bad}), tiny_config, x,
-                    AgeScaler(mean=0.0, std=1.0))
 
 
 def test_linear_gradients_fd(rng_np):
@@ -200,16 +186,3 @@ def test_sigmoid_gradients_fd(rng_np):
         return float(np.sum(y * c)), {"x": sigmoid_backward(cache, c)}
 
     assert grad_check(f, {"x": rng_np.standard_normal((3, 4))}) < 1e-6
-
-
-def test_backward_shape_validation(tiny_config, rng_np):
-    # mis-shaped output gradients are rejected where they enter backward
-    params = init_params(tiny_config, RngStream(0))
-    _, caches = forward(params, tiny_config,
-                        rng_np.standard_normal((2, tiny_config.input_dim)))
-    good = {"emotion": np.zeros((2, 10)), "country_logits": np.zeros((2, 4)),
-            "age_scaled": np.zeros((2, 1))}
-    for key, shape in (("emotion", (2, 1)), ("country_logits", (9, 9)),
-                       ("age_scaled", (2,))):
-        with pytest.raises(ShapeError, match=key):
-            backward(params, caches, dict(good, **{key: np.zeros(shape)}))

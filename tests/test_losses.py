@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import ConfigError, NumericalError, ShapeError
+from pmtl.errors import ConfigError, NumericalError
 from pmtl.gradcheck import grad_check
 from pmtl.losses import (
     LossConfig,
@@ -64,11 +64,6 @@ def test_mse_gradient_fd(rng_np):
     assert grad_check(f, {"pred": rng_np.standard_normal((3, 4))}) < 1e-6
 
 
-def test_mse_shape_error():
-    with pytest.raises(ShapeError):
-        mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
 def test_cross_entropy_uniform_logits():
     loss, _ = cross_entropy_loss(np.zeros((6, 4)), np.array([0, 1, 2, 3, 0, 1]))
     assert loss == pytest.approx(math.log(4.0), abs=1e-12)
@@ -109,13 +104,6 @@ def test_cross_entropy_gradient_rows_sum_to_zero(rng_np):
     logits = rng_np.standard_normal((6, 4))
     _, grad = cross_entropy_loss(logits, np.array([0, 1, 2, 3, 0, 1]))
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
-
-
-def test_cross_entropy_bad_class_ids():
-    with pytest.raises(ValueError, match=r"\[4\]"):
-        cross_entropy_loss(np.zeros((2, 4)), np.array([0, 4]))
-    with pytest.raises(ValueError):
-        cross_entropy_loss(np.zeros((1, 4)), np.array([-1]))
 
 
 def test_weights_frozen_values():

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import DataError, MissingClassError, MomentOverflowError, ShapeError
+from pmtl.errors import DataError, MissingClassError, MomentOverflowError
 from pmtl.metrics import (
     MetricsBundle,
     ccc,
@@ -241,12 +241,3 @@ def test_bundle_dict_round_trip(rng_np):
                             np.array([0, 1, 2, 3] * 5),
                             np.arange(20.0), np.arange(20.0) + 2.0)
     assert MetricsBundle.from_dict(json.loads(json.dumps(asdict(bundle)))) == bundle
-
-
-def test_metric_shape_errors():
-    with pytest.raises(ShapeError):
-        ccc(np.zeros(3), np.zeros(4))
-    with pytest.raises(ShapeError):
-        uar(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
-    with pytest.raises(ShapeError):
-        mae(np.zeros(3), np.zeros(4))

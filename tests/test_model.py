@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import ShapeError
+from pmtl.errors import ConfigError, ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.losses import LossConfig, cross_entropy_loss, mse_loss
 from pmtl.model import (
@@ -58,7 +58,7 @@ def multitask_closure(config, x, y_emotion, y_country, y_age, loss_cfg=LossConfi
             "emotion": g_e * w_e,
             "country_logits": g_c * w_c,
             "age_scaled": g_a * w_a,
-        })
+        }, init_grads(config))
         return loss, grads
 
     return f
@@ -84,6 +84,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=re.escape(f"{key} must be ") + ".*"
                            + re.escape(f", got {value!r}")):
             ModelConfig(**{"input_dim": 4, **bad})
+    # the output widths are those of the labels
+    for widths in ((5, 4), (10, 6), (10, 3), (0, 4)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"(emotion_out, country_out) must be (10, 4) to fit the labels, got {widths}")):
+            ModelConfig(input_dim=4, emotion_out=widths[0], country_out=widths[1])
 
 
 def test_config_dict_round_trip(tiny_config):
@@ -168,12 +173,6 @@ def test_forward_shapes(tiny_config):
     assert outputs.age_scaled.shape == (7, 1)
 
 
-def test_forward_input_shape_error(tiny_config):
-    params = init_params(tiny_config, RngStream(0))
-    with pytest.raises(ShapeError):
-        forward(params, tiny_config, np.zeros((3, tiny_config.input_dim + 1)))
-
-
 def test_forward_rows_independent(tiny_config):
     params = init_params(tiny_config, RngStream(2))
     x, *_ = make_batch(tiny_config, 5)
@@ -256,7 +255,8 @@ def test_age_chain_gradients_absolute_fd():
     def f(p):
         outputs, caches = forward(p, config, x)
         loss, grad = mse_loss(outputs.age_scaled, y_age)
-        return loss, backward(p, caches, head_grads(outputs, age_scaled=grad))
+        return loss, backward(p, caches, head_grads(outputs, age_scaled=grad),
+                             init_grads(config))
 
     _, grads = f(params)
     eps = 1e-6
@@ -303,14 +303,17 @@ def test_head_gradients_are_independent(tiny_config):
     _, g_a = mse_loss(outputs.age_scaled, y_age)
     full = backward(params, caches, {
         "emotion": g_e, "country_logits": g_c, "age_scaled": g_a,
-    })
-    only_c = backward(params, caches, head_grads(outputs, country_logits=g_c))
+    }, init_grads(tiny_config))
+    only_c = backward(params, caches, head_grads(outputs, country_logits=g_c),
+                      init_grads(tiny_config))
     for name in params:
         if name.startswith("country"):
             assert np.allclose(full[name], only_c[name], atol=1e-15), name
     # trunk gradient is the sum of single-head contributions
-    only_e = backward(params, caches, head_grads(outputs, emotion=g_e))
-    only_a = backward(params, caches, head_grads(outputs, age_scaled=g_a))
+    only_e = backward(params, caches, head_grads(outputs, emotion=g_e),
+                      init_grads(tiny_config))
+    only_a = backward(params, caches, head_grads(outputs, age_scaled=g_a),
+                      init_grads(tiny_config))
     for name in params:
         if name.startswith("shared"):
             total = only_e[name] + only_c[name] + only_a[name]

@@ -309,8 +309,8 @@ def test_training_improves_over_untrained(train_dataset):
 def test_best_params_reproduce_best_val(train_dataset):
     config = small_train_config(max_epochs=4, patience=4)
     params, history = train_run(config, train_dataset)
-    bundle = evaluate(params, config.model, train_dataset.val,
-                      train_dataset.age_scaler)
+    bundle = evaluate(predict(params, config.model, train_dataset.val.x,
+                              train_dataset.age_scaler), train_dataset.val)
     assert bundle.score == history.best_val.score
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
 
@@ -373,8 +373,8 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
     split = train_dataset.val
-    bundle = evaluate(params, config, split, train_dataset.age_scaler)
     preds = predict(params, config, split.x, train_dataset.age_scaler)
+    bundle = evaluate(preds, split)
     direct = compute_bundle(
         pred_emotion=preds.emotion,
         true_emotion=split.y_emotion,
@@ -389,15 +389,7 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
 def test_evaluate_is_pure(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
-    a = evaluate(params, config, train_dataset.val, train_dataset.age_scaler)
-    b = evaluate(params, config, train_dataset.val, train_dataset.age_scaler)
+    preds = predict(params, config, train_dataset.val.x, train_dataset.age_scaler)
+    a = evaluate(preds, train_dataset.val)
+    b = evaluate(preds, train_dataset.val)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-
-def test_evaluate_requires_labels(train_dataset):
-    config = small_model()
-    params = init_params(config, RngStream(7))
-    unlabeled = dataclasses.replace(train_dataset.val, y_emotion=None,
-                                    y_age=None, y_country=None)
-    with pytest.raises(DataError):
-        evaluate(params, config, unlabeled, train_dataset.age_scaler)
