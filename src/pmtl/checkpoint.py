@@ -78,7 +78,7 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
             fh.write(np.ascontiguousarray(aux[name], dtype="<f8").tobytes())
 
 
-def _read_table(index, payload: bytes, offset: int, path) -> tuple[Params, int]:
+def _read_table(index, payload: memoryview, offset: int, path) -> tuple[Params, int]:
     """The tensors of one header table as one Params over a copy of their
     bytes, which start at ``offset`` in ``payload``; also the offset after
     them. Names must be unique and sorted, the layout of ``Params.flat``."""
@@ -106,14 +106,15 @@ def load_checkpoint(path) -> Checkpoint:
     if len(header_raw) != header_len:
         raise DataFormatError("truncated header", path)
     try:
-        return _from_header(json.loads(header_raw.decode("utf-8")), blob[10 + header_len:], path)
+        payload = memoryview(blob)[10 + header_len:]  # no copy: each table copies its slice
+        return _from_header(json.loads(header_raw.decode("utf-8")), payload, path)
     except ShapeError as exc:
         raise DataFormatError(f"tensors do not match the model config: {exc}", path) from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad header: {type(exc).__name__}: {exc}", path) from None
 
 
-def _from_header(header: dict, payload: bytes, path) -> Checkpoint:
+def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
     params, offset = _read_table(header["tensors"], payload, 0, path)
     aux, offset = _read_table(header["aux"], payload, offset, path)
     if offset != len(payload):

@@ -281,20 +281,27 @@ def _feature_paths(raw: dict, args):
 
 
 def _cell_data(spec: SweepSpec, paths, mode: str, labels):
-    """``value -> SplitDataset`` for ``run_sweep``. A cell's inputs are its
-    train and val paths, ``paths(value)``, and its mode: the value itself on
-    the standardization axis, ``mode`` on the others. They are loaded,
-    joined with ``labels`` and standardized. Only the last inputs' dataset
-    is held: repeated inputs get it back, new inputs drop it before loading."""
-    held = {}
+    """``value -> SplitDataset`` for ``run_sweep``. A cell's train and val
+    paths, ``paths(value)``, are loaded and joined with ``labels`` once; only
+    the last paths' data are held. Its mode is ``mode``, applied in place,
+    or on the standardization axis the value itself, applied to a fresh
+    copy once the previous cell's copy is dropped."""
+    raw, held = {}, {}
+    per_mode = spec.axis == "standardization"
 
     def cell_data(value):
-        inputs = (*paths(value), value if spec.axis == "standardization" else mode)
-        if inputs not in held:
+        nonlocal labels
+        pair, cell_mode = paths(value), value if per_mode else mode
+        if (pair, cell_mode) not in held:
             held.clear()
-            train, val, cell_mode = inputs
-            held[inputs] = standardize(_load_dataset(train, val, labels), cell_mode)
-        return held[inputs]
+            if pair not in raw:
+                raw.clear()
+                raw[pair] = _load_dataset(*pair, labels)
+                if per_mode:  # its one pair of inputs stays loaded: no further join
+                    labels = None
+            held[pair, cell_mode] = standardize(raw[pair] if per_mode else raw.pop(pair),
+                                                cell_mode, copy=per_mode)
+        return held[pair, cell_mode]
     return cell_data
 
 

@@ -23,7 +23,9 @@ array, and only its csv-module fallback holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
 A sweep holds one cell's features at a time: it loads a cell's files just
-before the cell runs, and drops them before it loads another cell's.
+before the cell runs, and drops them before it loads another cell's. A
+standardization sweep keeps the raw data and standardizes one copy per cell.
+Predicting holds activations for at most 255 rows (``model.predict``).
 """
 
 from __future__ import annotations
@@ -286,19 +288,23 @@ def _csv_records(reader, n_fields: int, path):
 CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'  # csv quoting; blanks to numpy that float() rejects
 
 
-def _loadtxt_features(fh, d: int) -> FeatureTable | None:
-    """The rest of ``fh`` in one pass of numpy's C reader into one growing
-    (n, d) array, each token parsed by ``PyOS_string_to_double`` as ``float``
-    does. None if the csv-module loop must read the file: a line with a
-    CSV_ONLY character, an empty first value (a blank line too) or a field
-    over the csv limit, a duplicate id, a token or row numpy rejects (also
-    ``1_0`` and non-ASCII digits, which ``float`` takes), invalid UTF-8 or a
-    non-finite value."""
-    ids, limit = [], csv.field_size_limit()
+def _loadtxt_rows(fh, d: int, tail: int = 0):
+    """The rest of ``fh`` in one pass of numpy's C reader: ``(ids, values,
+    tails)``, the ``d`` values after each id in one growing (n, d) array,
+    each parsed by ``PyOS_string_to_double`` as ``float`` does, and the last
+    ``tail`` fields of each line as strings. None if the csv-module loop
+    must read the file: a line with a CSV_ONLY character, an empty first
+    value (a blank line too) or a field over the csv limit, a duplicate id,
+    a token or row numpy rejects (also ``1_0`` and non-ASCII digits, which
+    ``float`` takes), invalid UTF-8 or a non-finite value."""
+    ids, tails, limit = [], [], csv.field_size_limit()
 
     def value_lines():
         for line in fh:  # split as the csv module splits, unlike str.splitlines
             sid, _, values = line.partition(",")
+            if tail:
+                values, *last = values.rstrip("\r\n").rsplit(",", tail)
+                tails.append(last)
             if (values[:1] in ("", "\r", "\n") or any(c in line for c in CSV_ONLY)
                     or len(line) > limit and max(map(len, line.split(","))) > limit):
                 raise ValueError("a line for the csv module")
@@ -308,15 +314,15 @@ def _loadtxt_features(fh, d: int) -> FeatureTable | None:
     try:
         lines = value_lines()
         first = next(lines, None)  # np.loadtxt warns on empty input
-        features = np.empty((0, d)) if first is None else np.loadtxt(
+        values = np.empty((0, d)) if first is None else np.loadtxt(
             itertools.chain((first,), lines), delimiter=",", dtype=np.float64,
             comments=None, quotechar=None, ndmin=2)
     except ValueError:  # UnicodeDecodeError included
         return None
-    if (len(set(ids)) < len(ids) or features.shape != (len(ids), d)
-            or not np.isfinite(features).all()):
+    if (len(set(ids)) < len(ids) or values.shape != (len(ids), d)
+            or not np.isfinite(values).all() or any(len(t) != tail for t in tails)):
         return None
-    return FeatureTable(ids=tuple(ids), features=features)
+    return ids, values, tails
 
 
 def _csv_dim(header: list, path) -> int:
@@ -330,12 +336,12 @@ def _csv_dim(header: list, path) -> int:
 
 
 def load_features_csv(path) -> FeatureTable:
-    """By ``_loadtxt_features``, else by the csv-module loop, which gives every error."""
+    """By ``_loadtxt_rows``, else by the csv-module loop, which gives every error."""
     with _open_csv(path) as (header, _, fh):
         d = _csv_dim(header, path)
-        table = _loadtxt_features(fh, d)
-    if table is not None:
-        return table
+        fast = _loadtxt_rows(fh, d)
+    if fast is not None:
+        return FeatureTable(ids=tuple(fast[0]), features=fast[1])
     ids: list[str] = []
     rows: list[np.ndarray] = []
     with _open_csv(path) as (_, reader, _):
@@ -438,23 +444,37 @@ def _load_label_rows(path, age_kind):
     """Parse a file in the labels layout; ``age_kind`` is ``int`` for labels
     and ``float`` for predictions. Emotion values must lie in [0, 1] in
     labels; predicted ages must be finite. Returns (ids, emotion (n, 10),
-    age (n,), country ids (n,))."""
-    ids, emotions, ages, countries = [], [], [], []
-    with _open_csv(path) as (header, reader, _):
+    age (n,), country ids (n,)). By ``_loadtxt_rows``, else by the csv-module
+    loop, which gives every error."""
+    n_values = len(EMOTIONS) + (age_kind is float)
+    with _open_csv(path) as (header, _, fh):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-        for line_no, row in _csv_records(reader, len(LABEL_HEADER), path):
-            emotions.append([_parse_float(t, path, line_no, c)
-                             for t, c in zip(row[1:11], EMOTIONS)])
-            try:
-                ages.append(age_kind(row[11]))
-            except ValueError:
-                kind = "an integer" if age_kind is int else "a number"
-                raise DataFormatError(f"age {row[11]!r} is not {kind}", path, line_no)
-            if row[12] not in COUNTRY_TO_ID:
-                raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path, line_no)
-            ids.append(row[0])
-            countries.append(COUNTRY_TO_ID[row[12]])
+        fast = _loadtxt_rows(fh, n_values, len(LABEL_HEADER) - 1 - n_values)
+    if fast is not None:
+        ids, values, tails = fast
+        emotions = values[:, :len(EMOTIONS)]
+        try:
+            ages = values[:, -1] if age_kind is float else [int(t[0]) for t in tails]
+            countries = [COUNTRY_TO_ID[t[-1]] for t in tails]
+        except (KeyError, ValueError):  # a token whose message the csv-module loop gives
+            fast = None
+    if fast is None:
+        ids, emotions, ages, countries = [], [], [], []
+        with _open_csv(path) as (_, reader, _):
+            for line_no, row in _csv_records(reader, len(LABEL_HEADER), path):
+                emotions.append([_parse_float(t, path, line_no, c)
+                                 for t, c in zip(row[1:11], EMOTIONS)])
+                try:
+                    ages.append(age_kind(row[11]))
+                except ValueError:
+                    kind = "an integer" if age_kind is int else "a number"
+                    raise DataFormatError(f"age {row[11]!r} is not {kind}", path, line_no)
+                if row[12] not in COUNTRY_TO_ID:
+                    raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path,
+                                          line_no)
+                ids.append(row[0])
+                countries.append(COUNTRY_TO_ID[row[12]])
     emotion = np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS))
     try:
         age = np.array(ages, dtype=np.int64 if age_kind is int else np.float64)
@@ -547,15 +567,16 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 
-def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
+def standardize(ds: SplitDataset, mode: str, copy: bool = False) -> SplitDataset:
     """Fit feature standardization on the train split and apply it to both
-    splits in place: ``ds`` is consumed, and the result shares its arrays."""
+    splits in place, so ``ds`` is consumed, or with ``copy`` into new arrays
+    (made once the fit's scratch is freed), leaving ``ds`` as it was."""
     if len(ds.train) == 0:
         raise DataError("cannot standardize: empty train split")
     std = Standardizer.fit(ds.train.x, mode)
-    for part in (ds.train, ds.val):
-        std.apply(part.x, out=part.x)
-    return replace(ds, standardizer=std)
+    train, val = (replace(part, x=std.apply(part.x, out=None if copy else part.x))
+                  for part in (ds.train, ds.val))
+    return replace(ds, train=train, val=val, standardizer=std)
 
 
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:

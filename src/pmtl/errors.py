@@ -66,14 +66,9 @@ class DataFormatError(DataError):
     """Parse failure in a data file; carries the offending line number."""
 
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc += f"{path}"
-        if line is not None:
-            loc += f":{line}"
+        loc = ("" if path is None else f"{path}") + ("" if line is None else f":{line}")
         super().__init__(f"{loc}: {message}" if loc else message)
-        self.path = path
-        self.line = line
+        self.path, self.line = path, line
 
 
 class IdMismatchError(DataError):
@@ -83,12 +78,8 @@ class IdMismatchError(DataError):
 class ShapeError(PmtlError, ValueError):
     """Operand shapes are incompatible; names both shapes."""
 
-    def __init__(self, op, shape_a, shape_b=None):
-        if shape_b is None:
-            msg = f"{op}: bad shape {tuple(shape_a)}"
-        else:
-            msg = f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}"
-        super().__init__(msg)
+    def __init__(self, op, shape_a, shape_b):
+        super().__init__(f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}")
 
 
 class NumericalError(PmtlError):

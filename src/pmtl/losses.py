@@ -35,11 +35,8 @@ class LossConfig:
 
     def weights(self) -> tuple[float, float, float]:
         """Multipliers on (emotion, country, age) losses inside the total."""
-        return (
-            1.0 / (2.0 * math.exp(self.alpha_emotion)),
-            1.0 / (2.0 * math.exp(self.alpha_country)),
-            1.0 / (2.0 * math.exp(self.alpha_age)),
-        )
+        return tuple(1.0 / (2.0 * math.exp(a))
+                     for a in (self.alpha_emotion, self.alpha_country, self.alpha_age))
 
     def constant_term(self) -> float:
         return (self.alpha_emotion + self.alpha_country + self.alpha_age) / 2.0

@@ -109,9 +109,8 @@ def multitask_score(mean_ccc_value: float, uar_value: float, inv_mae_value: floa
     return multitask_score_detail(mean_ccc_value, uar_value, inv_mae_value)[0]
 
 
-def multitask_score_detail(
-    mean_ccc_value: float, uar_value: float, inv_mae_value: float
-) -> tuple[float, bool]:
+def multitask_score_detail(mean_ccc_value: float, uar_value: float,
+                           inv_mae_value: float) -> tuple[float, bool]:
     components = (mean_ccc_value, uar_value, inv_mae_value)
     if any(math.isnan(v) for v in components):
         raise ValueError(f"multitask_score: NaN component in {components}")
@@ -145,14 +144,8 @@ class MetricsBundle:
                       "flags": tuple(d["flags"])})
 
 
-def compute_bundle(
-    pred_emotion: np.ndarray,
-    true_emotion: np.ndarray,
-    pred_country,
-    true_country,
-    pred_age_years,
-    true_age_years,
-) -> MetricsBundle:
+def compute_bundle(pred_emotion: np.ndarray, true_emotion: np.ndarray, pred_country,
+                   true_country, pred_age_years, true_age_years) -> MetricsBundle:
     """Score one prediction set against labels across all three tasks."""
     values, degenerate = ccc_columns(pred_emotion, true_emotion)
     c_hat = float(values.mean())
@@ -170,12 +163,5 @@ def compute_bundle(
     if nonpositive:
         flags.append("score_nonpositive_component")
 
-    return MetricsBundle(
-        ccc_per_emotion=tuple(values.tolist()),
-        mean_ccc=c_hat,
-        uar=u_hat,
-        mae_years=mae_years,
-        inv_mae=m_hat,
-        score=score,
-        flags=tuple(flags),
-    )
+    return MetricsBundle(ccc_per_emotion=tuple(values.tolist()), mean_ccc=c_hat, uar=u_hat,
+                         mae_years=mae_years, inv_mae=m_hat, score=score, flags=tuple(flags))

@@ -157,17 +157,11 @@ def _run_cell(spec: SweepSpec, value, cell_data) -> CellResult:
         for r in range(spec.runs_per_cell):
             run_config = replace(config, seed=derive_subseed(config.seed, r))
             _, history = train_run(run_config, dataset)
-            runs.append(RunOutcome(
-                seed=run_config.seed,
-                best_epoch=history.best_epoch,
-                bundle=history.best_val,
-            ))
+            runs.append(RunOutcome(seed=run_config.seed, best_epoch=history.best_epoch,
+                                   bundle=history.best_val))
     except PmtlError as exc:
-        return CellResult(
-            label=label, value=value, runs=tuple(runs),
-            error=f"{type(exc).__name__}: {exc}",
-            error_code=exc.exit_code,
-        )
+        return CellResult(label=label, value=value, runs=tuple(runs),
+                          error=f"{type(exc).__name__}: {exc}", error_code=exc.exit_code)
     return CellResult(label=label, value=value, runs=tuple(runs))
 
 

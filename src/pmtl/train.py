@@ -262,18 +262,18 @@ def train_run(config: TrainConfig, data: SplitDataset):
 
     for epoch in range(1, config.max_epochs + 1):
         t_epoch = time.perf_counter()
-        try:
-            train_loss = _epoch_pass(
-                params, config, data.train.x, data.train.y_emotion,
-                data.train.y_country, y_age_scaled, shuffle_rng, adam,
-            )
-        except NumericalError as exc:
+        try:  # a diverging run overflows somewhere before a check sees a non-finite value
+            with np.errstate(over="raise", invalid="raise"):
+                train_loss = _epoch_pass(
+                    params, config, data.train.x, data.train.y_emotion,
+                    data.train.y_country, y_age_scaled, shuffle_rng, adam,
+                )
+                preds = predict(params, config.model, data.val.x, scaler)
+        except (NumericalError, FloatingPointError) as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
-        val = evaluate(predict(params, config.model, data.val.x, scaler), data.val)
-        records.append(EpochRecord(
-            epoch=epoch, train_loss=train_loss, val=val,
-            wall_seconds=time.perf_counter() - t_epoch,
-        ))
+        val = evaluate(preds, data.val)
+        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val,
+                                   wall_seconds=time.perf_counter() - t_epoch))
         if val.score > best_score:  # strict: ties keep the earliest epoch
             best_score = val.score
             best_epoch = epoch
@@ -283,12 +283,6 @@ def train_run(config: TrainConfig, data: SplitDataset):
             stopped_early = epoch < config.max_epochs
             break
 
-    history = RunHistory(
-        initial_val=initial_val,
-        epochs=tuple(records),
-        best_epoch=best_epoch,
-        best_val=best_val,
-        stopped_early=stopped_early,
-        wall_seconds=time.perf_counter() - t_start,
-    )
-    return best_params, history
+    return best_params, RunHistory(
+        initial_val=initial_val, epochs=tuple(records), best_epoch=best_epoch, best_val=best_val,
+        stopped_early=stopped_early, wall_seconds=time.perf_counter() - t_start)

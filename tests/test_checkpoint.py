@@ -124,6 +124,15 @@ def test_payload_is_the_parameter_buffer(saved):
     assert blob[start:start + params.flat.nbytes] == params.flat.astype("<f8").tobytes()
 
 
+def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path, traced_peak):
+    config = ModelConfig(input_dim=1024)
+    std = Standardizer(mode="zscore", center=np.zeros(1024), scale=np.ones(1024))
+    path = tmp_path / "wide.pmck"
+    save_checkpoint(path, init_params(config, RngStream(2)), config, AgeScaler(30.0, 5.0), std)
+    _, peak = traced_peak(lambda: load_checkpoint(path))
+    assert peak <= 2.2 * path.stat().st_size
+
+
 def test_unsorted_tensor_index_rejected(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()

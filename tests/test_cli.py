@@ -818,7 +818,7 @@ def test_bad_base_standardize_in_sweep_exits_1(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("axis,values,loads", [
     ("seed", [1, 2, 3], 2),
     ("batch_size", [4, 8], 2),
-    ("standardization", ["none", "zscore", "minmax"], 6),
+    ("standardization", ["none", "zscore", "minmax"], 2),
 ])
 def test_sweep_loads_features_once_per_distinct_input(workspace, tmp_path, capsys,
                                                       monkeypatch, axis, values, loads):
@@ -939,6 +939,24 @@ def test_eval_runs_the_forward_pass_once(workspace, tmp_path, capsys, monkeypatc
         "--out-predictions", str(tmp_path / "p.csv")])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_eval_sends_each_row_through_forward_once(workspace, tmp_path, capsys, monkeypatch):
+    # 700 rows: blocks of 128 rows, the last one also taking the 60 leftover rows
+    features, _ = synth_tables(SynthSpec(n_train=2, n_val=700, dim=SYNTH_CONFIG["dim"], seed=6))
+    save_features_csv(features["val"], tmp_path / "rows.csv")
+    blocks = []
+    forward = pmtl.model.forward
+    monkeypatch.setattr(pmtl.model, "forward",
+                        lambda *args: blocks.append(args[2].copy()) or forward(*args))
+    code, _, err = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(tmp_path / "rows.csv"), "--out-predictions", str(tmp_path / "p.csv")])
+    assert code == 0, err
+    assert [len(x) for x in blocks] == [128, 128, 128, 128, 188]
+    standardizer = load_checkpoint(workspace / "run" / "checkpoint.pmck").standardizer
+    expected = standardizer.apply(load_features(tmp_path / "rows.csv").features)
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("command,role", [

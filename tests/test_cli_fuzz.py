@@ -1,8 +1,9 @@
 """Property test: no input drives ``pmtl`` to a Python traceback.
 
 Hypothesis mutates train configs, sweep specs, ``score --components``
-triples, labels files and the model config in a checkpoint's header, and
-drives ``pmtl.cli.main`` in process on a tiny synthetic dataset. Every example must end with a documented exit code (0
+triples, labels and predictions files and the model config in a
+checkpoint's header, and drives ``pmtl.cli.main`` in process on a tiny
+synthetic dataset. Every example must end with a documented exit code (0
 success, 1 config, 2 data, 3 numerics) and print no traceback. Training is
 capped at one epoch by ``--max-epochs 1`` or, in sweeps, by the base config.
 Model widths are drawn small: a huge width is a valid config whose network
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pmtl.cli import main
-from pmtl.data import COUNTRIES, load_labels_csv
+from pmtl.data import COUNTRIES, load_labels_csv, save_predictions_csv
 
 SYNTH = {"n_train": 24, "n_val": 16, "dim": 4, "rank": 2, "seed": 4}
 MODEL = {"shared_dims": [4], "age_head_dims": [3, 2], "emotion_hidden": 3, "country_hidden": 3}
@@ -136,11 +137,23 @@ def test_score_components_never_traceback(capsys, components):
     check(*run_cli(capsys, ["score", "--components", *components]))
 
 
+@pytest.fixture(scope="module")
+def predictions(workspace):
+    """A predictions file for every labeled id, with fractional ages."""
+    labels = load_labels_csv(workspace / "labels.csv")
+    path = workspace / "predictions.csv"
+    save_predictions_csv(labels.ids, labels.emotion * 0.9 + 0.05, labels.age + 0.25,
+                         labels.country, path)
+    return path
+
+
 @FUZZ
 @given(data=st.data(), command=st.sampled_from(["score-labels", "score-predictions", "train"]))
-def test_damaged_labels_file_never_tracebacks(workspace, tmp_path_factory, capsys, data,
-                                             command):
-    blob = bytearray((workspace / "labels.csv").read_bytes())
+def test_damaged_labels_file_never_tracebacks(workspace, predictions, tmp_path_factory, capsys,
+                                             data, command):
+    # score-predictions damages a predictions file, the others the labels file
+    source = predictions if command == "score-predictions" else workspace / "labels.csv"
+    blob = bytearray(source.read_bytes())
     if data.draw(st.booleans(), label="truncate"):
         del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
     else:

@@ -8,6 +8,7 @@ import struct
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from pmtl.data import (
     synth_dataset,
     synth_tables,
 )
+import pmtl.data
 from pmtl.errors import DataError, DataFormatError
 from pmtl.rng import RngStream
 
@@ -424,6 +426,82 @@ def test_predictions_round_trip(tmp_path, rng_np):
     assert np.array_equal(r_emotion, emotion)
     assert np.array_equal(r_age, age)  # fractional ages survive
     assert np.array_equal(r_country, country)
+
+
+LOADERS = {"labels": load_labels_csv, "predictions": load_predictions_csv}
+
+
+def _outcome(kind, path):
+    """What ``kind``'s loader gives for ``path``: its arrays' bytes, or the
+    message of the DataFormatError it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = LOADERS[kind](path)
+    except DataFormatError as exc:
+        return str(exc)
+    if kind == "labels":
+        result = (result.ids, result.emotion, result.age, result.country)
+    ids, *arrays = result
+    return ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _csv_loop_outcome(kind, path):
+    with mock.patch.object(pmtl.data, "_loadtxt_rows", lambda *args: None):
+        return _outcome(kind, path)
+
+
+@pytest.fixture(scope="module")
+def label_file_bytes(tmp_path_factory):
+    rng = np.random.default_rng(8)
+    table = LabelTable(ids=("a", "b2", "utf8-\u00efd", "d"),
+                       emotion=rng.uniform(0, 1, size=(4, 10)),
+                       age=np.array([20, 39, 25, 31]), country=np.array([0, 1, 2, 3]))
+    root = tmp_path_factory.mktemp("labels")
+    save_labels_csv(table, root / "labels.csv")
+    save_predictions_csv(table.ids, table.emotion * 0.9 + 0.05, table.age + 0.25,
+                         table.country, root / "predictions.csv")
+    return {kind: (root / f"{kind}.csv").read_bytes() for kind in LOADERS}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_labels_and_predictions_load_without_the_csv_loop(label_file_bytes, tmp_path, kind):
+    path = tmp_path / "f.csv"
+    path.write_bytes(label_file_bytes[kind])
+    with mock.patch.object(pmtl.data, "_csv_records", side_effect=AssertionError):
+        fast = _outcome(kind, path)
+    assert fast == _csv_loop_outcome(kind, path)
+
+
+@pytest.mark.parametrize("kind,row,fields", [
+    ("labels", "a,,30,USA", 4), ("predictions", "a,,USA", 3)])
+def test_label_row_without_values_fails_without_warning(tmp_path, kind, row, fields):
+    # the numpy pass sees an empty line for such a row, on which np.loadtxt warns
+    path = write(tmp_path / "short.csv", "id," + ",".join(EMOTIONS) + f",age,country\n{row}\n")
+    assert _outcome(kind, path).endswith(f"expected 13 fields, got {fields}")
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["", " 0.5", "0.5 ", "+0.5", "-0.0", "5e-1", "1_0", "0x1p3", "nan", "-inf",
+                     "1e400", "1e-400", "30", "30.0", " 30", "3_0", "\u0663\u0660", "1e1",
+                     "USA", "usa", "China ", '"0.5"', '"USA"', "0.5\r", "\x1c0.5", "\x0c0.5",
+                     "0.5,0.5", "a\n", "\u00a00.5"]),
+    st.text(alphabet="0123456789.eE+-_ ,\r\n\"\x00naifUSChin", max_size=5))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(sorted(LOADERS)))
+def test_label_fast_pass_agrees_with_the_csv_loop(label_file_bytes, tmp_path, data, kind):
+    lines = label_file_bytes[kind].decode("utf-8").split("\n")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        row = data.draw(st.integers(0, len(lines) - 1), label="row")
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = data.draw(TOKENS)
+        lines[row] = ",".join(fields)
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    assert _outcome(kind, path) == _csv_loop_outcome(kind, path)
 
 
 def make_features(ids, offset=0.0):

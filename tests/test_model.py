@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from pmtl.data import AgeScaler
 from pmtl.errors import ConfigError, ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.losses import LossConfig, cross_entropy_loss, mse_loss
@@ -370,3 +371,36 @@ def test_predict_shapes_and_descaling(tiny_config):
     assert np.allclose(preds.age_years, outputs.age_scaled[:, 0] * 5.0 + 30.0,
                        atol=1e-12)
     assert np.array_equal(preds.country, np.argmax(outputs.country_logits, axis=1))
+
+
+GOLDEN_MODEL = ModelConfig(input_dim=12, shared_dims=(10, 6), age_head_dims=(5, 3),
+                           emotion_hidden=5, country_hidden=5)
+
+
+@pytest.mark.parametrize("config", [ModelConfig(input_dim=16), ModelConfig(input_dim=1024),
+                                    GOLDEN_MODEL], ids=["w16", "w1024", "golden"])
+def test_predict_in_blocks_equals_one_forward_bit_for_bit(config):
+    # Each block has PREDICT_ROWS to 2 * PREDICT_ROWS - 1 rows, so no block
+    # falls to the few-row BLAS kernels that round differently.
+    params = init_params(config, RngStream(4))
+    x = np.random.default_rng(2).standard_normal((3000, config.input_dim))
+    scaler = AgeScaler(mean=29.5, std=4.25)
+    for n in (1, 127, 128, 129, 255, 256, 257, 383, 1000, 3000):
+        outputs, _ = forward(params, config, x[:n])
+        preds = predict(params, config, x[:n], scaler)
+        assert preds.emotion.tobytes() == outputs.emotion.tobytes(), n
+        assert preds.age_years.tobytes() == scaler.descale(outputs.age_scaled[:, 0]).tobytes(), n
+        assert np.array_equal(preds.country, np.argmax(outputs.country_logits, axis=1)), n
+
+
+def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_peak):
+    config = ModelConfig(input_dim=64)
+    params = init_params(config, RngStream(5))
+    scaler = AgeScaler(mean=30.0, std=5.0)
+    peaks = {}
+    for n in (1000, 16000):
+        x = np.random.default_rng(n).standard_normal((n, config.input_dim))
+        _, peaks[n] = traced_peak(lambda: predict(params, config, x, scaler))
+    # per row: emotion, country logits, standardized age, age in years, country id
+    outputs = 8 * (config.emotion_out + config.country_out + 3)
+    assert peaks[16000] - peaks[1000] <= 1.1 * 15000 * outputs
