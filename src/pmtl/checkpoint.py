@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AgeScaler, Standardizer, atomic_open, read_header
+from .data import AgeScaler, Standardizer, all_finite, atomic_open, read_header
 from .errors import DataFormatError, ShapeError
 from .model import ModelConfig, Params, check_params
 
@@ -121,8 +121,8 @@ def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
         raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)
     scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
                        std=float(header["age_scaler"]["std"]))
-    finite = (params.flat, aux.flat, (scaler.mean, scaler.std))
-    if not all(np.isfinite(values).all() for values in finite):
+    if not (all_finite(params.flat) and all_finite(aux.flat)
+            and math.isfinite(scaler.mean) and math.isfinite(scaler.std)):
         raise DataFormatError("non-finite values", path)
 
     config = ModelConfig(**header["config"])

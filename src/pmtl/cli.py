@@ -11,7 +11,6 @@ flags; no environment variable is read.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -92,6 +91,7 @@ def _write_text(text: str, path) -> None:
 
 
 def _sha256(path) -> str:
+    import hashlib  # OpenSSL's libcrypto: loaded by train's manifest only, after training
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

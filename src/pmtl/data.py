@@ -22,10 +22,11 @@ file into one float64 (n, d) array; the CSV loader streams into one growing
 array, and only its csv-module fallback holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
+Finiteness checks scan fixed blocks (``all_finite``), with no flag per value.
 A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
 standardization sweep keeps the raw data and standardizes one copy per cell.
-Predicting holds activations for at most 255 rows (``model.predict``).
+Predicting holds one block of at most 255 rows and no caches (``model.predict``).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class Standardizer:
 
     zscore: (x - mean) / std; minmax: maps the train range onto [-1, 1].
     Zero-spread features are centered but not scaled and recorded in
-    ``degenerate_columns``.
+    ``degenerate_columns``. A center or spread that overflows is a DataError.
     """
 
     mode: str
@@ -169,22 +170,35 @@ class Standardizer:
         d = train_x.shape[1]
         if mode == "none":
             return cls(mode, np.zeros(d), np.ones(d))
-        if mode == "zscore":
-            center = train_x.mean(axis=0)
-            # numpy sums a lone or a non-C-contiguous column pairwise
-            rowwise = d > 1 and train_x.flags.c_contiguous
-            spread = _column_std(train_x, center) if rowwise else train_x.std(axis=0)
-        else:  # minmax onto [-1, 1]
-            lo = train_x.min(axis=0)
-            hi = train_x.max(axis=0)
-            center = (lo + hi) / 2.0
-            spread = (hi - lo) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+            if mode == "zscore":
+                center = train_x.mean(axis=0)
+                # numpy sums a lone or a non-C-contiguous column pairwise
+                rowwise = d > 1 and train_x.flags.c_contiguous
+                spread = _column_std(train_x, center) if rowwise else train_x.std(axis=0)
+            else:  # minmax onto [-1, 1]
+                lo = train_x.min(axis=0)
+                hi = train_x.max(axis=0)
+                center = (lo + hi) / 2.0
+                spread = (hi - lo) / 2.0
+        bad = ~(np.isfinite(center) & np.isfinite(spread))
+        if bad.any():
+            raise DataError(f"feature f{int(np.argmax(bad))}: values overflow the {mode} fit")
         degenerate = spread == 0.0
         scale = np.where(degenerate, 1.0, spread)
         return cls(mode, center, scale, tuple(np.nonzero(degenerate)[0].tolist()))
 
 
 FIT_CHUNK = 1 << 15  # elements of scratch per block of the z-score fit (256 KiB)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a contiguous ``a``, through a scratch of
+    FIT_CHUNK flags rather than one flag per element."""
+    flat = a.reshape(-1)
+    scratch = np.empty(min(flat.size, FIT_CHUNK), dtype=bool)
+    blocks = (flat[i:i + FIT_CHUNK] for i in range(0, flat.size, FIT_CHUNK))
+    return all(np.isfinite(block, out=scratch[:block.size]).all() for block in blocks)
 
 
 def _column_std(x: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -320,7 +334,7 @@ def _loadtxt_rows(fh, d: int, tail: int = 0):
     except ValueError:  # UnicodeDecodeError included
         return None
     if (len(set(ids)) < len(ids) or values.shape != (len(ids), d)
-            or not np.isfinite(values).all() or any(len(t) != tail for t in tails)):
+            or not all_finite(values) or any(len(t) != tail for t in tails)):
         return None
     return ids, values, tails
 
@@ -415,7 +429,7 @@ def load_features_binary(path) -> FeatureTable:
         features = np.empty((n, d), dtype="<f8")
         if fh.readinto(features) != expected:
             raise DataFormatError("truncated payload", path)
-    if not np.isfinite(features).all():
+    if not all_finite(features):
         raise DataFormatError("non-finite feature values", path)
     return FeatureTable(ids=tuple(ids), features=features.astype(np.float64, copy=False))
 

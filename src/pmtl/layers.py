@@ -80,7 +80,9 @@ def layer_norm_forward(x, gamma, beta, eps=1e-5):
     var += eps
     inv_std = 1.0 / np.sqrt(var)
     xc *= inv_std
-    return gamma * xc + beta, LayerNormCache(xc, inv_std, gamma)
+    y = gamma * xc
+    y += beta
+    return y, LayerNormCache(xc, inv_std, gamma)
 
 
 def layer_norm_backward(cache: LayerNormCache, dy, dgamma=None, dbeta=None):

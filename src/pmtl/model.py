@@ -217,8 +217,8 @@ class ModelOutputs:
 HEAD_OUTPUTS = tuple(f.name for f in fields(ModelOutputs))
 
 
-def _chain_forward(params, chain, h, config):
-    """Run one chain; returns its output and one (name, linear cache,
+def _chain_forward(params, chain, h, config, keep):
+    """Run one chain; returns its output and, with ``keep``, one (name, linear cache,
     norm cache, activation cache) record per layer, None for no norm."""
     caches = []
     for name, _, _, has_norm in chain:
@@ -227,14 +227,16 @@ def _chain_forward(params, chain, h, config):
         if has_norm:
             h, ln = layer_norm_forward(h, params[f"{name}.gamma"], params[f"{name}.beta"],
                                        config.ln_eps)
+            ln = ln if keep else None  # frees the normalized rows before the activation
             h, act = leaky_relu_forward(h, config.leaky_slope)
-        caches.append((name, lin, ln, act))
+        if keep:
+            caches.append((name, lin, ln, act))
     return h, caches
 
 
-def forward(params: dict, config: ModelConfig, x: np.ndarray):
+def forward(params: dict, config: ModelConfig, x: np.ndarray, keep_caches: bool = True):
     """Run the network on a batch; returns (ModelOutputs, caches), where
-    ``caches`` is what ``backward`` needs.
+    ``caches`` is what ``backward`` needs, or None with ``keep_caches=False``.
 
     ``x`` is a float64 (n, input_dim) array. Rows are independent (layer
     norm acts per row), so splitting a batch into blocks of rows changes
@@ -242,15 +244,16 @@ def forward(params: dict, config: ModelConfig, x: np.ndarray):
     matrix-product kernels by shape (by the row count too).
     """
     trunk, *heads = layer_plan(config)
-    h, trunk_caches = _chain_forward(params, trunk, x, config)
+    h, trunk_caches = _chain_forward(params, trunk, x, config, keep_caches)
     ys, head_caches, sig_cache = [], [], None
     for key, chain in zip(HEAD_OUTPUTS, heads):
-        y, chain_caches = _chain_forward(params, chain, h, config)
+        y, chain_caches = _chain_forward(params, chain, h, config, keep_caches)
         if key == "emotion" and config.emotion_activation == "sigmoid":
             y, sig_cache = sigmoid_forward(y)
         ys.append(y)
         head_caches.append(chain_caches)
-    return ModelOutputs(*ys), (config, trunk_caches, head_caches, sig_cache)
+    caches = (config, trunk_caches, head_caches, sig_cache) if keep_caches else None
+    return ModelOutputs(*ys), caches
 
 
 # -- backward ---------------------------------------------------------------
@@ -309,10 +312,11 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     """Inference: emotion vector, age in years, and country class per row.
 
     ``forward`` runs on consecutive blocks of PREDICT_ROWS rows, the last
-    one also taking the leftover rows, so at most 2 * PREDICT_ROWS - 1 rows
-    of activations are held. No block is shorter unless n is: OpenBLAS
-    rounds products of a few rows with other kernels. The outputs then
-    equal one full ``forward``'s bit for bit up to about 3,100 rows.
+    one also taking the leftover rows. No block is shorter unless n is:
+    OpenBLAS rounds products of a few rows with other kernels. The outputs
+    then equal one full ``forward``'s bit for bit up to about 3,100 rows.
+    Besides its result arrays, predict holds one block's activations, for
+    at most 2 * PREDICT_ROWS - 1 rows, and no backward caches.
 
     ``age_scaler`` maps the standardized age output back to years via its
     ``descale`` method. Country is the argmax of the logits; numpy argmax
@@ -325,10 +329,11 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     blocks = max(1, n // PREDICT_ROWS)
     for i in range(blocks):
         rows = slice(i * PREDICT_ROWS, n if i == blocks - 1 else (i + 1) * PREDICT_ROWS)
-        outputs, _ = forward(params, config, x[rows])
+        outputs, _ = forward(params, config, x[rows], False)
         emotion[rows] = outputs.emotion
         logits[rows] = outputs.country_logits
         age_scaled[rows] = outputs.age_scaled[:, 0]
+        del outputs  # not alive while the next block's forward allocates
     country = np.argmax(logits, axis=1).astype(np.int64)
     return PredictionSet(emotion=emotion, age_years=age_scaler.descale(age_scaled),
                          country=country)

@@ -133,6 +133,16 @@ def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path, traced_peak):
     assert peak <= 2.2 * path.stat().st_size
 
 
+def test_load_checks_finiteness_in_fixed_scratch(tmp_path, traced_peak):
+    config = ModelConfig(input_dim=1024)
+    std = Standardizer(mode="zscore", center=np.zeros(1024), scale=np.ones(1024))
+    path = tmp_path / "wide.pmck"
+    save_checkpoint(path, init_params(config, RngStream(2)), config, AgeScaler(30.0, 5.0), std)
+    _, peak = traced_peak(lambda: load_checkpoint(path))
+    # the file and one copy of each table; a flag per parameter would add 1/8 of the file
+    assert peak <= 2.05 * path.stat().st_size
+
+
 def test_unsorted_tensor_index_rejected(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()

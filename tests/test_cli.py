@@ -152,6 +152,32 @@ def test_train_artifacts(workspace):
         assert len(entry["sha256"]) == 64
 
 
+@pytest.mark.parametrize("mode,code", [("zscore", 2), ("none", 3), ("minmax", 0)])
+def test_train_on_a_column_whose_spread_overflows(tmp_path, capsys, mode, code):
+    # 1e300 in three rows of f0: the z-score spread overflows to inf, which would
+    # scale the column to zeros; unscaled values overflow in training; the minmax
+    # range stays finite. pytest raises any RuntimeWarning, so stderr holds only
+    # the error line.
+    features, labels = synth_tables(SynthSpec(n_train=40, n_val=12, dim=6, rank=2))
+    x = features["train"].features.copy()
+    x[:3, 0] = 1e300
+    save_features_csv(FeatureTable(features["train"].ids, x), tmp_path / "train.csv")
+    save_features_csv(features["val"], tmp_path / "val.csv")
+    save_labels_csv(labels, tmp_path / "labels.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TRAIN_CONFIG, standardize=mode)))
+    got, _, err = run(capsys, [
+        "train", "--train-features", str(tmp_path / "train.csv"),
+        "--val-features", str(tmp_path / "val.csv"), "--labels", str(tmp_path / "labels.csv"),
+        "--config", str(config), "--out", str(tmp_path / "run")])
+    assert got == code, err
+    assert err == {
+        "zscore": "pmtl: error: feature f0: values overflow the zscore fit\n",
+        "none": "pmtl: error: epoch 1: overflow encountered in multiply\n",
+        "minmax": "",
+    }[mode]
+
+
 def test_train_deterministic_artifacts(workspace, capsys):
     args = ["train", *data_args(workspace),
             "--config", str(workspace / "train_config.json")]
@@ -262,6 +288,28 @@ def test_eval_does_not_import_numpy_ma(workspace):
     assert result.returncode == 0, result.stderr
     if result.stdout.startswith("preloaded"):
         pytest.skip("this numpy imports numpy.ma with numpy itself (numpy < 2)")
+
+
+def test_only_train_loads_openssl(workspace, tmp_path):
+    # a fresh process: hashlib loads OpenSSL's libcrypto, several MB resident,
+    # and only train's manifest takes a digest
+    data = workspace / "data"
+    preds = str(tmp_path / "preds.csv")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"axis": "seed", "values": [1], "runs_per_cell": 1,
+                                "base": dict(TRAIN_CONFIG, max_epochs=1, patience=1)}))
+    commands = [
+        ["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+         "--features", str(data / "val_features.csv"),
+         "--labels", str(data / "val_labels.csv"), "--out-predictions", preds],
+        ["score", "--predictions", preds, "--labels", str(data / "val_labels.csv")],
+        ["sweep", *data_args(workspace), "--spec", str(spec), "--out", str(tmp_path / "sweep")],
+    ]
+    script = ("import sys\nimport pmtl.cli\n"
+              f"for argv in {commands!r}:\n    assert pmtl.cli.main(argv) == 0, argv\n"
+              "assert '_hashlib' not in sys.modules, 'OpenSSL loaded'\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_eval_predictions_then_score(workspace, capsys, tmp_path):

@@ -24,6 +24,7 @@ from pmtl.data import (
     LabelTable,
     Standardizer,
     SynthSpec,
+    all_finite,
     batches,
     build_part,
     feature_dim,
@@ -184,6 +185,27 @@ def test_binary_load_holds_one_copy(tmp_path, rng_np, traced_peak):
     back, peak = traced_peak(lambda: load_features(path))
     assert back.features.tobytes() == table.features.tobytes()
     assert peak <= 1.25 * back.features.nbytes
+
+
+def test_binary_load_checks_finiteness_in_fixed_scratch(tmp_path, rng_np, traced_peak):
+    table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(400)),
+                         features=rng_np.standard_normal((400, 512)))
+    path = tmp_path / "t.bin"
+    save_features_binary(table, path)
+    _, peak = traced_peak(lambda: load_features(path))
+    # the array, the ids and FIT_CHUNK flags; a flag per value would be 1/8 more
+    assert peak <= 1.06 * table.features.nbytes
+
+
+@pytest.mark.parametrize("n", [0, 1, FIT_CHUNK - 1, FIT_CHUNK, 2 * FIT_CHUNK + 3])
+def test_all_finite_scans_every_block(n):
+    x = np.ones(n)
+    assert all_finite(x) and all_finite(x.reshape(1, n))
+    for i in sorted({0, n // 2, n - 1}) if n else ():
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[i] = bad
+            assert not all_finite(y), (i, bad)
 
 
 def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak):
@@ -668,6 +690,16 @@ def test_zscore_fit_bit_equal_to_numpy(shape):
         assert std.center.tobytes() == array.mean(axis=0).tobytes()
         spread = array.std(axis=0)
         assert std.scale.tobytes() == np.where(spread == 0.0, 1.0, spread).tobytes()
+
+
+@pytest.mark.parametrize("mode,value", [("zscore", 1e300), ("minmax", 1e308)])
+def test_fit_that_overflows_names_the_column(rng_np, mode, value):
+    # the column's spread overflows to inf: raised rather than scaled to zeros
+    x = rng_np.standard_normal((20, 5))
+    x[:3, 2] = value
+    x[3, 2] = -value
+    with pytest.raises(DataError, match=f"^feature f2: values overflow the {mode} fit$"):
+        Standardizer.fit(x, mode)
 
 
 def test_zscore_fit_scratch_is_fixed(rng_np, traced_peak):

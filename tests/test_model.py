@@ -7,11 +7,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import pmtl.model
 from pmtl.data import AgeScaler
 from pmtl.errors import ConfigError, ShapeError
 from pmtl.gradcheck import grad_check
 from pmtl.losses import LossConfig, cross_entropy_loss, mse_loss
 from pmtl.model import (
+    PREDICT_ROWS,
     ModelConfig,
     Params,
     backward,
@@ -404,3 +406,36 @@ def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_pe
     # per row: emotion, country logits, standardized age, age in years, country id
     outputs = 8 * (config.emotion_out + config.country_out + 3)
     assert peaks[16000] - peaks[1000] <= 1.1 * 15000 * outputs
+
+
+def test_predict_keeps_the_traced_forward_path(monkeypatch):
+    # perfbench's traced runs wrap these names in pmtl.model and need a call of each
+    names = ("forward", "linear_forward", "layer_norm_forward", "leaky_relu_forward",
+             "sigmoid_forward")
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pmtl.model, name, counting(name, getattr(pmtl.model, name)))
+    config = ModelConfig(input_dim=16)
+    x = np.random.default_rng(3).standard_normal((300, config.input_dim))
+    predict(init_params(config, RngStream(6)), config, x, AgeScaler(mean=30.0, std=5.0))
+    assert set(calls) == set(names)
+    assert calls.count("forward") == 300 // PREDICT_ROWS
+
+
+def test_predict_holds_one_block_and_no_backward_caches(traced_peak):
+    config = ModelConfig(input_dim=64)
+    params = init_params(config, RngStream(5))
+    x = np.random.default_rng(7).standard_normal((1000, config.input_dim))
+    _, peak = traced_peak(lambda: predict(params, config, x, AgeScaler(mean=30.0, std=5.0)))
+    # the outputs, then at most four arrays as large as the widest layer of the
+    # largest block: no backward caches, and no earlier block still held
+    outputs = 8 * len(x) * (config.emotion_out + config.country_out + 3)
+    block = 8 * (2 * PREDICT_ROWS - 1) * max(config.shared_dims)
+    assert peak <= outputs + 4 * block
