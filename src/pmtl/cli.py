@@ -192,12 +192,15 @@ def cmd_eval(args) -> int:
     if features.dim != ck.config.input_dim:
         raise DataError(f"{args.features} has {features.dim} features per row, "
                         f"the checkpoint expects {ck.config.input_dim}")
-    if ck.standardizer is not None:
-        ck.standardizer.apply(features.features, out=features.features)
     labels = load_labels_csv(args.labels) if args.labels else None
     part = build_part(features, labels, "eval")
-
-    preds = predict(ck.params, ck.config, part.x, ck.age_scaler)
+    try:  # a value near float_info.max overflows here, not in the loader's checks
+        with np.errstate(over="raise", invalid="raise"):
+            if ck.standardizer is not None:
+                ck.standardizer.apply(part.x, out=part.x)
+            preds = predict(ck.params, ck.config, part.x, ck.age_scaler)
+    except (DataError, FloatingPointError) as exc:
+        raise DataError(f"{args.features}: {exc}") from None
     if args.out_predictions:
         save_predictions_csv(part.ids, preds.emotion, preds.age_years,
                              preds.country, args.out_predictions)

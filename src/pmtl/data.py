@@ -27,6 +27,11 @@ A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
 standardization sweep keeps the raw data and standardizes one copy per cell.
 Predicting holds one block of at most 255 rows and no caches (``model.predict``).
+Training holds no copy of a batch: ``train_run`` reorders the train rows in
+place into each epoch's shuffled order (``permute_rows``, one row of scratch),
+so a batch is a slice of them, and puts them back in their order before it
+returns or raises. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to 2047
+weight rows, so OpenBLAS packs one block of xᵀ at a time, not the batch.
 """
 
 from __future__ import annotations
@@ -159,9 +164,18 @@ class Standardizer:
     degenerate_columns: tuple[int, ...] = ()
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(x - center) / scale, into ``out`` (which may be ``x``) if given."""
-        out = np.subtract(x, self.center, out=out)
-        out /= self.scale
+        """(x - center) / scale, into ``out`` (which may be ``x``) if given. On
+        a split the fit did not see this can overflow: DataError names the
+        first column that did."""
+        out = np.empty_like(x) if out is None else out
+        try:
+            with np.errstate(over="raise"):
+                np.subtract(x, self.center, out=out)
+                out /= self.scale
+        except FloatingPointError:  # raised once the whole operation has run
+            column = int(np.argmax(np.isinf(out).any(axis=0)))
+            raise DataError(f"feature f{column}: values overflow the {self.mode} "
+                            "standardization") from None
         return out
 
     @classmethod
@@ -598,6 +612,24 @@ def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:
     short. A batch size larger than n yields a single full batch."""
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+
+
+def permute_rows(a: np.ndarray, p: np.ndarray) -> None:
+    """Reorder the rows of ``a`` in place into ``a[p]``, for ``p`` an integer
+    array that permutes ``range(len(a))``, through one row of scratch: each
+    cycle of ``p`` is walked once and its rows move one place along it."""
+    p = p.tolist()
+    row = np.empty(a.shape[1:], a.dtype)
+    for start in range(len(p)):
+        if p[start] == start:  # a fixed point, or a cycle already moved
+            continue
+        row[...] = a[start]
+        i = start
+        while (j := p[i]) != start:
+            a[i] = a[j]
+            p[i], i = i, j
+        a[i] = row
+        p[i] = i
 
 
 # -- synthetic data ---------------------------------------------------------

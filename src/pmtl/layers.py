@@ -40,15 +40,26 @@ def linear_forward(x, w, b):
     return y, LinearCache(x, w)
 
 
+DW_ROWS = 1024  # rows of dw per product in linear_backward
+
+
 def linear_backward(cache: LinearCache, dy, dw=None, db=None, input_grad=True):
     """Gradients of linear_forward: dx = dy wᵀ, dw = xᵀ dy, db = Σ_rows dy.
 
     ``dw`` and ``db``, when given, receive the parameter gradients in
     place. With ``input_grad=False`` the input gradient is not computed
     and ``dx`` is None (the first layer of a network has no use for it).
+    ``dw`` is formed in blocks of DW_ROWS rows, the last one also taking
+    the leftover rows, so OpenBLAS packs one block of xᵀ at a time, not a
+    copy of the whole batch. Each element is still one sum over the batch:
+    the bits equal one product's (a block of a few rows would not).
     """
     x, w = cache
-    dw = np.matmul(x.T, dy, out=dw)
+    dw = np.empty_like(w) if dw is None else dw
+    blocks = max(1, w.shape[0] // DW_ROWS)
+    for i in range(blocks):
+        rows = slice(i * DW_ROWS, w.shape[0] if i == blocks - 1 else (i + 1) * DW_ROWS)
+        np.matmul(x[:, rows].T, dy, out=dw[rows])
     db = np.add.reduce(dy, axis=0, out=db)
     return (dy @ w.T if input_grad else None), dw, db
 

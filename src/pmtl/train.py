@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import SplitDataset, SplitPart, batches
+from .data import SplitDataset, SplitPart, all_finite, batches, permute_rows
 from .errors import ConfigError, DataError, NumericalError, check_fields
 from .losses import LossBreakdown, LossConfig, combine, cross_entropy_loss, mse_loss
 from .metrics import MetricsBundle, compute_bundle
@@ -106,7 +106,7 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
     non-finite gradient raises NumericalError naming its tensor and leaves
     params and state untouched. The update runs over the flat buffers in
     cache-sized chunks."""
-    if not np.isfinite(grads.flat).all():
+    if not all_finite(grads.flat):
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
         raise NumericalError(f"non-finite gradient for tensor {bad!r}")
     state.step += 1
@@ -198,18 +198,22 @@ def evaluate(preds: PredictionSet, split: SplitPart) -> MetricsBundle:
 # -- training ---------------------------------------------------------------
 
 
-def _epoch_pass(params, config: TrainConfig, x, y_emotion, y_country, y_age_scaled,
+def _epoch_pass(params, config: TrainConfig, x, rows, y_emotion, y_country, y_age_scaled,
                 shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
-    """One epoch of minibatch updates; returns per-sample mean losses."""
+    """One epoch of minibatch updates; returns per-sample mean losses.
+
+    Row ``i`` of ``x`` is train row ``rows[i]``. Both are reordered in place
+    into the epoch's shuffled order, so each batch is a slice of ``x``."""
     n = x.shape[0]
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
     grads = init_grads(config.model)
-    x_buf = np.empty((min(config.batch_size, n), x.shape[1]))
-    for batch in batches(n, config.batch_size, shuffle_rng):
-        # batches yields only indices in [0, n): "clip" never clips, it lets take fill out
-        x_batch = np.take(x, batch, axis=0, out=x_buf[:batch.size], mode="clip")
-        outputs, caches = forward(params, config.model, x_batch)
+    parts = batches(n, config.batch_size, shuffle_rng)
+    order = np.concatenate(parts) if n else rows
+    permute_rows(x, np.argsort(rows)[order])
+    rows[...] = order
+    for start, batch in zip(range(0, n, config.batch_size), parts):
+        outputs, caches = forward(params, config.model, x[start:start + batch.size])
         l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch])
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch])
         l_a, g_a = mse_loss(outputs.age_scaled, y_age_scaled[batch])
@@ -233,16 +237,21 @@ def _epoch_pass(params, config: TrainConfig, x, y_emotion, y_country, y_age_scal
 def train_run(config: TrainConfig, data: SplitDataset):
     """Full training loop; returns ``(best_params, history)``.
 
-    ``data`` is used as given (standardize first if desired). Randomness:
-    sub-seed 0 of ``config.seed`` initializes parameters, sub-seed 1
-    drives every epoch's shuffle; identical (config, data) reproduce the
-    history bit for bit, timing fields aside.
+    ``data`` is used as given (standardize first if desired). The rows of
+    ``data.train.x``, which must be writeable, are reordered in place into
+    each epoch's shuffled order while the run lasts, and put back in their
+    order before it returns or raises. Randomness: sub-seed 0 of
+    ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
+    shuffle; identical (config, data) reproduce the history bit for bit,
+    timing fields aside.
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
     if config.model.input_dim != data.dim:
         raise ConfigError(f"model input_dim must be {data.dim} to fit the data, "
                           f"got {config.model.input_dim}")
+    if not data.train.x.flags.writeable:
+        raise DataError("train features must be writeable: training reorders their rows")
 
     t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))
@@ -252,36 +261,42 @@ def train_run(config: TrainConfig, data: SplitDataset):
     scaler = data.age_scaler
     y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
 
-    initial_val = evaluate(predict(params, config.model, data.val.x, scaler), data.val)
     records: list[EpochRecord] = []
     best_epoch = 0
     best_score = -math.inf
-    best_val = initial_val
     best_params = params_copy(params)
     stopped_early = False
 
-    for epoch in range(1, config.max_epochs + 1):
-        t_epoch = time.perf_counter()
-        try:  # a diverging run overflows somewhere before a check sees a non-finite value
-            with np.errstate(over="raise", invalid="raise"):
-                train_loss = _epoch_pass(
-                    params, config, data.train.x, data.train.y_emotion,
-                    data.train.y_country, y_age_scaled, shuffle_rng, adam,
-                )
-                preds = predict(params, config.model, data.val.x, scaler)
-        except (NumericalError, FloatingPointError) as exc:
-            raise NumericalError(f"epoch {epoch}: {exc}") from exc
-        val = evaluate(preds, data.val)
-        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val,
-                                   wall_seconds=time.perf_counter() - t_epoch))
-        if val.score > best_score:  # strict: ties keep the earliest epoch
-            best_score = val.score
-            best_epoch = epoch
-            best_val = val
-            np.copyto(best_params.flat, params.flat)
-        if epoch - best_epoch >= config.patience:
-            stopped_early = epoch < config.max_epochs
-            break
+    rows = np.arange(len(data.train))
+    try:
+        for epoch in range(config.max_epochs + 1):  # epoch 0 scores the untrained model
+            t_epoch = time.perf_counter()
+            try:  # a diverging run overflows somewhere before a check sees a non-finite value
+                with np.errstate(over="raise", invalid="raise"):
+                    if epoch:
+                        train_loss = _epoch_pass(
+                            params, config, data.train.x, rows, data.train.y_emotion,
+                            data.train.y_country, y_age_scaled, shuffle_rng, adam,
+                        )
+                    preds = predict(params, config.model, data.val.x, scaler)
+            except (NumericalError, FloatingPointError) as exc:
+                raise NumericalError(f"epoch {epoch}: {exc}") from exc
+            val = evaluate(preds, data.val)
+            if not epoch:
+                initial_val = best_val = val
+                continue
+            records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val,
+                                       wall_seconds=time.perf_counter() - t_epoch))
+            if val.score > best_score:  # strict: ties keep the earliest epoch
+                best_score = val.score
+                best_epoch = epoch
+                best_val = val
+                np.copyto(best_params.flat, params.flat)
+            if epoch - best_epoch >= config.patience:
+                stopped_early = epoch < config.max_epochs
+                break
+    finally:
+        permute_rows(data.train.x, np.argsort(rows))
 
     return best_params, RunHistory(
         initial_val=initial_val, epochs=tuple(records), best_epoch=best_epoch, best_val=best_val,

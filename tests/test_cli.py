@@ -178,6 +178,51 @@ def test_train_on_a_column_whose_spread_overflows(tmp_path, capsys, mode, code):
     }[mode]
 
 
+def _files_with_a_huge_value(tmp_path, train_scale):
+    """train.csv with column f2 multiplied by ``train_scale``, val.csv,
+    labels.csv, and huge.csv: the val rows with 1.7e308 in f2 of one row."""
+    features, labels = synth_tables(SynthSpec(n_train=40, n_val=12, dim=6, rank=2))
+    x = features["train"].features.copy()
+    x[:, 2] *= train_scale
+    save_features_csv(FeatureTable(features["train"].ids, x), tmp_path / "train.csv")
+    save_features_csv(features["val"], tmp_path / "val.csv")
+    x = features["val"].features.copy()
+    x[4, 2] = 1.7e308
+    save_features_csv(FeatureTable(features["val"].ids, x), tmp_path / "huge.csv")
+    save_labels_csv(labels, tmp_path / "labels.csv")
+    return [str(tmp_path / name) for name in ("train.csv", "val.csv", "labels.csv", "huge.csv")]
+
+
+def test_train_when_standardizing_val_overflows(tmp_path, capsys):
+    # f2's train spread is about 1e-3, so 1.7e308 in a val row overflows its
+    # z-score; pytest raises any RuntimeWarning, so stderr holds only the error
+    train, _, labels, huge = _files_with_a_huge_value(tmp_path, 1e-3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TRAIN_CONFIG))
+    got, _, err = run(capsys, ["train", "--train-features", train, "--val-features", huge,
+                               "--labels", labels, "--config", str(config),
+                               "--out", str(tmp_path / "run")])
+    assert (got, err) == (2, "pmtl: error: feature f2: values overflow the zscore "
+                             "standardization\n")
+
+
+@pytest.mark.parametrize("mode,train_scale,fault", [
+    ("zscore", 1e-3, "feature f2: values overflow the zscore standardization"),
+    ("minmax", 1.0, "overflow encountered in "),  # standardized, then overflows in predict
+])
+def test_eval_on_a_value_that_overflows_exits_2(tmp_path, capsys, mode, train_scale, fault):
+    train, val, labels, huge = _files_with_a_huge_value(tmp_path, train_scale)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TRAIN_CONFIG, standardize=mode)))
+    assert main(["train", "--train-features", train, "--val-features", val, "--labels", labels,
+                 "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    got, out, err = run(capsys, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.pmck"),
+                                 "--features", huge, "--labels", labels])
+    assert (got, out) == (2, "")
+    assert err.startswith(f"pmtl: error: {huge}: {fault}") and err.count("\n") == 1, err
+
+
 def test_train_deterministic_artifacts(workspace, capsys):
     args = ["train", *data_args(workspace),
             "--config", str(workspace / "train_config.json")]

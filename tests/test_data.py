@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pmtl.data import (
@@ -34,6 +34,7 @@ from pmtl.data import (
     load_features_csv,
     load_labels_csv,
     load_predictions_csv,
+    permute_rows,
     save_features_binary,
     save_features_csv,
     save_labels_csv,
@@ -702,6 +703,19 @@ def test_fit_that_overflows_names_the_column(rng_np, mode, value):
         Standardizer.fit(x, mode)
 
 
+@pytest.mark.parametrize("out", ["new", "in-place"])
+def test_apply_that_overflows_names_the_column(rng_np, out):
+    # a split the fit did not see: -1.7e308 against a center of 1e307
+    train = rng_np.standard_normal((10, 4))
+    train[:, 1] = 1e307
+    std = Standardizer.fit(train, "minmax")
+    x = rng_np.standard_normal((6, 4))
+    x[4, 1] = -1.7e308
+    with pytest.raises(DataError,
+                       match="^feature f1: values overflow the minmax standardization$"):
+        std.apply(x, out=None if out == "new" else x)
+
+
 def test_zscore_fit_scratch_is_fixed(rng_np, traced_peak):
     x = rng_np.standard_normal((4000, 300))
     _, peak = traced_peak(lambda: Standardizer.fit(x, "zscore"))
@@ -731,6 +745,18 @@ def test_batches_deterministic_and_epochs_differ():
     assert not np.array_equal(epoch1, epoch2)
     # every sample exactly once per epoch
     assert sorted(epoch2.tolist()) == list(range(20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 50).flatmap(lambda n: st.permutations(range(n))))
+@example(list(range(50)))  # identity: nothing moves
+@example(list(range(1, 50)) + [0])  # one cycle through every row
+def test_permute_rows_equals_fancy_indexing(p):
+    p = np.array(p, dtype=np.int64)
+    a = np.arange(3.0 * len(p)).reshape(-1, 3)
+    expected = a[p]
+    permute_rows(a, p)
+    assert a.tobytes() == expected.tobytes()
 
 
 def test_synth_deterministic():

@@ -5,11 +5,16 @@ slope and the layer-norm eps are checked once, by ModelConfig. The
 validation tests below exercise that boundary.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from pmtl.gradcheck import grad_check
 from pmtl.layers import (
+    LinearCache,
     layer_norm_backward,
     layer_norm_forward,
     leaky_relu_backward,
@@ -69,6 +74,41 @@ def test_linear_gradients_fd(rng_np):
     params = {"x": x0, "w": rng_np.standard_normal((4, 2)),
               "b": rng_np.standard_normal(2)}
     assert grad_check(f, params) < 1e-6
+
+
+def blocked_dw_mismatches():
+    """The (d_in, rows) shapes at which ``linear_backward``'s blocked dw
+    differs in any bit from one ``np.matmul(x.T, dy)``. x is a slice of a
+    larger array at a row offset, as a batch of the train rows is."""
+    rng = np.random.default_rng(3)
+    bad = []
+    for d_in in (1, 7, 64, 1023, 1024, 1025, 2048, 2049, 6373):
+        for rows in (1, 7, 8, 255, 256, 257):
+            x = rng.standard_normal((rows + 3, d_in))[3:]
+            dy = rng.standard_normal((rows, 128))
+            _, dw, _ = linear_backward(LinearCache(x, np.empty((d_in, 128))), dy,
+                                       input_grad=False)
+            if dw.tobytes() != np.matmul(x.T, dy).tobytes():
+                bad.append((d_in, rows))
+    return bad
+
+
+def test_blocked_dw_equals_one_product_bit_for_bit():
+    # at OpenBLAS's default thread count: two threads on a 2-core machine
+    assert blocked_dw_mismatches() == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_dw_equals_one_product_at_a_fixed_thread_count(threads):
+    # OpenBLAS reads its thread count once, at load: a fresh process
+    script = ("import sys\n"
+              f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+              "from test_layers import blocked_dw_mismatches\n"
+              "print(blocked_dw_mismatches())\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_layer_norm_known_row():

@@ -1,14 +1,16 @@
 """Optimizer behavior, the epoch loop, and run reproducibility."""
 
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import pmtl.train
 from pmtl.cli import parse_train_config
-from pmtl.data import SynthSpec, standardize, synth_dataset
+from pmtl.data import FIT_CHUNK, SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError, DataError, NumericalError
 from pmtl.losses import LossConfig
 from pmtl.metrics import compute_bundle
@@ -17,6 +19,7 @@ from pmtl.rng import RngStream
 from pmtl.train import (
     ADAM_CHUNK,
     TrainConfig,
+    _epoch_pass,
     adam_step,
     clip_grads,
     evaluate,
@@ -192,20 +195,32 @@ def test_adam_update_stays_within_ulps_of_textbook_form(scale):
         assert ulps.max() <= 14, (step, ulps.max())
 
 
-def test_adam_step_allocates_only_its_chunk_buffers(traced_peak):
-    # two chunk-sized scratch buffers and the pre-scan's boolean array: less
-    # than one float64 copy of the parameters, so per-tensor temporaries fail
-    model = ModelConfig(input_dim=1024)
+def _adam_step_peak(traced_peak, width):
+    """Parameter count and traced peak bytes of one ``adam_step`` at ``width``."""
+    model = ModelConfig(input_dim=width)
     params, grads = init_params(model, RngStream(0)), init_grads(model)
     grads.flat[...] = np.random.default_rng(1).standard_normal(grads.flat.size)
     state = init_adam(params)
     config = small_train_config(model=model)
     adam_step(params, grads, state, config)  # warm-up, so lazy set-up is not counted
     _, peak = traced_peak(lambda: adam_step(params, grads, state, config))
-    size = params.flat.size
+    return params.flat.size, peak
+
+
+def test_adam_step_allocates_only_its_chunk_buffers(traced_peak):
+    # two chunk-sized scratch buffers and the pre-scan's boolean array: less
+    # than one float64 copy of the parameters, so per-tensor temporaries fail
+    size, peak = _adam_step_peak(traced_peak, 1024)
     bound = 2 * 8 * ADAM_CHUNK + size + 16384
     assert bound < 8 * size
     assert peak <= bound
+
+
+def test_adam_finiteness_scan_holds_no_flag_per_parameter(traced_peak):
+    # the scan runs before the chunk buffers exist; at width 6373 a flag per
+    # parameter (0.8 MB) would outgrow them, the scan's fixed scratch does not
+    size, peak = _adam_step_peak(traced_peak, 6373)
+    assert peak <= 2 * 8 * ADAM_CHUNK + FIT_CHUNK + 16384 < size
 
 
 def test_grad_global_norm_oracle():
@@ -316,8 +331,9 @@ def test_best_params_reproduce_best_val(train_dataset):
 
 
 def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
-    # params, best params, gradients, two Adam moments and one gathered
-    # batch; the data exists before the run, so it is not counted
+    # params, best params, gradients, two Adam moments and one batch of
+    # slack (a batch is a slice of the train rows, not a copy); the data
+    # exists before the run, so it is not counted
     dim = 4096
     ds = standardize(synth_dataset(SynthSpec(n_train=256, n_val=32, dim=dim, rank=4, seed=7)),
                      "zscore")
@@ -328,6 +344,71 @@ def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
     assert history.best_epoch > 1  # at least one improving epoch after the first
     param_bytes = 8 * sum(math.prod(shape) for _, shape in param_shapes(config.model))
     assert peak <= 1.1 * (5 * param_bytes + config.batch_size * dim * 8)
+
+
+def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
+    # each batch is a slice of the reordered train rows: the pass allocates
+    # the gradient buffer and one step's activations, less than one
+    # (batch, width) array on top of the gradients
+    dim, batch = 2048, 256
+    ds = synth_dataset(SynthSpec(n_train=2 * batch, n_val=8, dim=dim, rank=4, seed=7))
+    config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=batch)
+    params = init_params(config.model, RngStream(0))
+    adam = init_adam(params)
+    y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
+    rows = np.arange(len(ds.train))
+    original = ds.train.x.copy()
+
+    def one_epoch():
+        return _epoch_pass(params, config, ds.train.x, rows, ds.train.y_emotion,
+                           ds.train.y_country, y_age_scaled, RngStream(1), adam)
+    one_epoch()  # warm-up, so that one-time lazy imports are not counted
+    _, peak = traced_peak(one_epoch)
+    assert peak < params.flat.nbytes + batch * dim * 8
+    assert ds.train.x.tobytes() == original[rows].tobytes()  # row i is train row rows[i]
+
+
+@pytest.mark.parametrize("how", ["all-epochs", "early-stop", "raises-in-epoch-2"])
+def test_train_run_puts_the_train_rows_back(monkeypatch, how):
+    # the rows are reordered in place while the run lasts; the caller's order
+    # comes back however the run ends
+    ds = standardize(synth_dataset(SynthSpec(n_train=60, n_val=20, dim=24, rank=4, seed=8)),
+                     "zscore")
+    before = ds.train.x.tobytes()
+    config = small_train_config(max_epochs=4, patience=0 if how == "early-stop" else 4)
+    calls, seen = itertools.count(), []
+
+    def watched_predict(*args):
+        seen.append(ds.train.x.tobytes() != before)
+        if how == "raises-in-epoch-2" and next(calls) == 2:  # initial, epoch 1, epoch 2
+            raise FloatingPointError("overflow encountered in multiply")
+        return predict(*args)
+    monkeypatch.setattr(pmtl.train, "predict", watched_predict)
+    if how == "raises-in-epoch-2":
+        with pytest.raises(NumericalError, match="^epoch 2: overflow"):
+            train_run(config, ds)
+    else:
+        _, history = train_run(config, ds)
+        assert history.stopped_early == (how == "early-stop")
+    assert seen[1:] and all(seen[1:])  # in an epoch's shuffled order while it ran
+    assert ds.train.x.tobytes() == before
+
+
+def test_train_run_rejects_read_only_train_rows(monkeypatch, train_dataset):
+    x = train_dataset.train.x.copy()
+    x.flags.writeable = False
+    ds = dataclasses.replace(train_dataset, train=dataclasses.replace(train_dataset.train, x=x))
+    monkeypatch.setattr(pmtl.train, "init_params", None)  # no work before the check
+    with pytest.raises(DataError, match="writeable"):
+        train_run(small_train_config(), ds)
+
+
+def test_overflow_in_the_untrained_validation_reports_epoch_0(train_dataset):
+    val_x = train_dataset.val.x.copy()
+    val_x[0, 0] = 1.7e308
+    ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val, x=val_x))
+    with pytest.raises(NumericalError, match="^epoch 0: overflow encountered in "):
+        train_run(small_train_config(), ds)
 
 
 def test_clip_norm_changes_trajectory(train_dataset):
