@@ -18,11 +18,14 @@ by id, so results never depend on file row order.
 
 Memory contract: each feature matrix is held once, from load to training.
 The binary loader checks the payload size against the header, then reads the
-file into one float64 (n, d) array; the CSV loader streams into one growing
-array, and only its csv-module fallback holds rows plus a stacked copy.
+file into one float64 (n, d) array; the CSV loader counts the rows, then fills
+one (n, d) array a block of BLOCK_VALUES values at a time, with scratch of
+about 80 bytes per value of a block, and only its csv-module fallback holds
+rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
-Finiteness checks scan fixed blocks (``all_finite``), with no flag per value.
+Finiteness checks (``all_finite``) take one sum of squares and, only if it
+overflows, scan fixed blocks, with no flag per value.
 A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
 standardization sweep keeps the raw data and standardizes one copy per cell.
@@ -47,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .decimals import parse_decimals
 from .errors import ConfigError, DataError, DataFormatError, ShapeError, check_fields
 from .rng import RngStream
 
@@ -207,9 +211,13 @@ FIT_CHUNK = 1 << 15  # elements of scratch per block of the z-score fit (256 KiB
 
 
 def all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()`` for a contiguous ``a``, through a scratch of
-    FIT_CHUNK flags rather than one flag per element."""
+    """``np.isfinite(a).all()`` for a contiguous ``a``, with no flag per
+    element: a finite sum of squares, which cannot cancel, answers True; if
+    it overflows, a scratch of FIT_CHUNK flags scans the blocks."""
     flat = a.reshape(-1)
+    with np.errstate(all="ignore"):  # the sum may overflow, and callers may raise on that
+        if math.isfinite(np.dot(flat, flat)):
+            return True
     scratch = np.empty(min(flat.size, FIT_CHUNK), dtype=bool)
     blocks = (flat[i:i + FIT_CHUNK] for i in range(0, flat.size, FIT_CHUNK))
     return all(np.isfinite(block, out=scratch[:block.size]).all() for block in blocks)
@@ -281,7 +289,7 @@ def _parse_float(token: str, path, line_no, col):
 
 @contextlib.contextmanager
 def _open_csv(path):
-    """Yield ``(header, reader, fh)`` for the UTF-8 CSV file at ``path``. An
+    """Yield ``(header, reader)`` for the UTF-8 CSV file at ``path``. An
     empty file, bytes that are not UTF-8, or a record the csv module rejects
     (a field over its size limit) raise DataFormatError."""
     try:
@@ -290,7 +298,7 @@ def _open_csv(path):
             header = next(reader, None)
             if header is None:
                 raise DataFormatError("empty file", path, 1)
-            yield header, reader, fh
+            yield header, reader
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not valid UTF-8: {exc}", path) from None
     except csv.Error as exc:
@@ -313,42 +321,47 @@ def _csv_records(reader, n_fields: int, path):
         yield line_no, row
 
 
-CSV_ONLY = '"\x00\x1c\x1d\x1e\x1f'  # csv quoting; blanks to numpy that float() rejects
+CSV_ONLY = '"\r'  # csv quoting, and a line end where the csv module splits a record
+BLOCK_VALUES = 1 << 12  # values per block of the CSV pass
 
 
-def _loadtxt_rows(fh, d: int, tail: int = 0):
-    """The rest of ``fh`` in one pass of numpy's C reader: ``(ids, values,
-    tails)``, the ``d`` values after each id in one growing (n, d) array,
-    each parsed by ``PyOS_string_to_double`` as ``float`` does, and the last
-    ``tail`` fields of each line as strings. None if the csv-module loop
-    must read the file: a line with a CSV_ONLY character, an empty first
-    value (a blank line too) or a field over the csv limit, a duplicate id,
-    a token or row numpy rejects (also ``1_0`` and non-ASCII digits, which
-    ``float`` takes), invalid UTF-8 or a non-finite value."""
+def _decimal_rows(path, d: int, tail: int = 0):
+    """``(ids, values, tails)`` of the rows of the CSV file at ``path``: the
+    ``d`` values after each id in one (n, d) array, filled by
+    ``parse_decimals`` a block of lines at a time, and the last ``tail``
+    fields of each line. None where the csv-module loop must read the file:
+    a CSV_ONLY character, a line of other fields or with one over the csv
+    limit, a duplicate id, invalid UTF-8, or a value that is not finite or
+    that ``parse_decimals`` rejects."""
     ids, tails, limit = [], [], csv.field_size_limit()
-
-    def value_lines():
-        for line in fh:  # split as the csv module splits, unlike str.splitlines
-            sid, _, values = line.partition(",")
-            if tail:
-                values, *last = values.rstrip("\r\n").rsplit(",", tail)
-                tails.append(last)
-            if (values[:1] in ("", "\r", "\n") or any(c in line for c in CSV_ONLY)
-                    or len(line) > limit and max(map(len, line.split(","))) > limit):
-                raise ValueError("a line for the csv module")
-            ids.append(sid)
-            yield values
-
     try:
-        lines = value_lines()
-        first = next(lines, None)  # np.loadtxt warns on empty input
-        values = np.empty((0, d)) if first is None else np.loadtxt(
-            itertools.chain((first,), lines), delimiter=",", dtype=np.float64,
-            comments=None, quotechar=None, ndmin=2)
+        # a line of a wide table outgrows the default 8 KiB buffer, and readline slows
+        with open(path, "rb", buffering=1 << 16) as fh:
+            if b"\r" in fh.readline().rstrip(b"\r\n"):  # the header ends at a lone CR
+                return None
+            start, n, end = fh.tell(), 0, b"\n"
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                n, end = n + chunk.count(b"\n"), chunk[-1:]
+            values = np.empty((n + (end != b"\n"), d))
+            fh.seek(start)
+            k = max(1, BLOCK_VALUES // max(d, 1))
+            for row in range(0, len(values), k):
+                block = []
+                for line in itertools.islice(fh, k):
+                    sid, _, rest = line.rstrip(b"\r\n").partition(b",")
+                    vals, *last = rest.rsplit(b",", tail)
+                    if (not vals or len(last) != tail
+                            or len(line) > limit and max(map(len, line.split(b","))) > limit):
+                        return None
+                    ids.append(sid.decode("utf-8"))
+                    if tail:
+                        tails.append([t.decode("utf-8") for t in last])
+                    block.append(vals)
+                parse_decimals(block, values[row:row + k].reshape(-1))
     except ValueError:  # UnicodeDecodeError included
         return None
-    if (len(set(ids)) < len(ids) or values.shape != (len(ids), d)
-            or not all_finite(values) or any(len(t) != tail for t in tails)):
+    fields = "".join(ids) + "".join(itertools.chain.from_iterable(tails))
+    if len(set(ids)) < len(ids) or any(c in fields for c in CSV_ONLY) or not all_finite(values):
         return None
     return ids, values, tails
 
@@ -364,15 +377,15 @@ def _csv_dim(header: list, path) -> int:
 
 
 def load_features_csv(path) -> FeatureTable:
-    """By ``_loadtxt_rows``, else by the csv-module loop, which gives every error."""
-    with _open_csv(path) as (header, _, fh):
+    """By ``_decimal_rows``, else by the csv-module loop, which gives every error."""
+    with _open_csv(path) as (header, _):
         d = _csv_dim(header, path)
-        fast = _loadtxt_rows(fh, d)
+    fast = _decimal_rows(path, d)
     if fast is not None:
         return FeatureTable(ids=tuple(fast[0]), features=fast[1])
     ids: list[str] = []
     rows: list[np.ndarray] = []
-    with _open_csv(path) as (_, reader, _):
+    with _open_csv(path) as (_, reader):
         for line_no, row in _csv_records(reader, d + 1, path):
             ids.append(row[0])
             rows.append(np.array([_parse_float(t, path, line_no, c)
@@ -464,7 +477,7 @@ def feature_dim(path) -> int:
         head = fh.read(14)
     if head[:4] == FEATURE_MAGIC:
         return read_header(head, FEATURE_MAGIC, FEATURE_HEADER, FEATURE_VERSION, path)[1]
-    with _open_csv(path) as (header, _, _):
+    with _open_csv(path) as (header, _):
         return _csv_dim(header, path)
 
 
@@ -472,13 +485,13 @@ def _load_label_rows(path, age_kind):
     """Parse a file in the labels layout; ``age_kind`` is ``int`` for labels
     and ``float`` for predictions. Emotion values must lie in [0, 1] in
     labels; predicted ages must be finite. Returns (ids, emotion (n, 10),
-    age (n,), country ids (n,)). By ``_loadtxt_rows``, else by the csv-module
+    age (n,), country ids (n,)). By ``_decimal_rows``, else by the csv-module
     loop, which gives every error."""
     n_values = len(EMOTIONS) + (age_kind is float)
-    with _open_csv(path) as (header, _, fh):
+    with _open_csv(path) as (header, _):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-        fast = _loadtxt_rows(fh, n_values, len(LABEL_HEADER) - 1 - n_values)
+    fast = _decimal_rows(path, n_values, len(LABEL_HEADER) - 1 - n_values)
     if fast is not None:
         ids, values, tails = fast
         emotions = values[:, :len(EMOTIONS)]
@@ -489,7 +502,7 @@ def _load_label_rows(path, age_kind):
             fast = None
     if fast is None:
         ids, emotions, ages, countries = [], [], [], []
-        with _open_csv(path) as (_, reader, _):
+        with _open_csv(path) as (_, reader):
             for line_no, row in _csv_records(reader, len(LABEL_HEADER), path):
                 emotions.append([_parse_float(t, path, line_no, c)
                                  for t, c in zip(row[1:11], EMOTIONS)])

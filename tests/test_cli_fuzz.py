@@ -1,10 +1,11 @@
 """Property test: no input drives ``pmtl`` to a Python traceback.
 
 Hypothesis mutates train configs, sweep specs, ``score --components``
-triples, labels and predictions files and the model config in a
-checkpoint's header, and drives ``pmtl.cli.main`` in process on a tiny
-synthetic dataset. Every example must end with a documented exit code (0
-success, 1 config, 2 data, 3 numerics) and print no traceback. Training is
+triples, labels and predictions files, the numbers in features, labels and
+predictions files, and the model config in a checkpoint's header, and drives
+``pmtl.cli.main`` in process on a tiny synthetic dataset. Every example must
+end with a documented exit code (0 success, 1 config, 2 data, 3 numerics)
+and print no traceback and no warning. Training is
 capped at one epoch by ``--max-epochs 1`` or, in sweeps, by the base config.
 Model widths are drawn small: a huge width is a valid config whose network
 would not fit in memory.
@@ -12,6 +13,7 @@ would not fit in memory.
 
 import json
 import struct
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +89,7 @@ def run_cli(capsys, argv):
 def check(code, err):
     assert code in EXIT_CODES, err
     assert "Traceback" not in err, err
+    assert "Warning" not in err, err
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +172,59 @@ def test_damaged_labels_file_never_tracebacks(workspace, predictions, tmp_path_f
         argv = ["score", "--labels", str(path), "--predictions", str(workspace / "labels.csv")]
     else:
         argv = ["score", "--labels", str(workspace / "labels.csv"), "--predictions", str(path)]
+    check(*run_cli(capsys, argv))
+
+
+def _digits(draw_digits, point, sign):
+    return sign + (draw_digits if point < 0 else draw_digits[:point] + "." + draw_digits[point:])
+
+
+EXTREME = st.one_of(
+    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+                     sys.float_info.min, -sys.float_info.min, 1.7976931348623155e308]).map(repr),
+    st.floats(-sys.float_info.min, sys.float_info.min).map(repr),  # subnormals and zeros
+    st.floats(1e300, sys.float_info.max).flatmap(lambda v: st.sampled_from([repr(v), repr(-v)])),
+    st.builds(_digits, st.text("0123456789", min_size=18, max_size=25), st.integers(-1, 25),
+              st.sampled_from(["", "-"])),
+)
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(
+    ["train-features", "eval-features", "train-labels", "score-labels", "score-predictions"]))
+def test_extreme_numbers_never_traceback(workspace, predictions, checkpoint, tmp_path_factory,
+                                         capsys, data, command):
+    # replace up to three numbers of one file with extreme values; the numbers
+    # are fields 1..d of a features row, 1..11 of a labels or predictions row
+    kind = command.split("-")[1]
+    source = {"features": workspace / "val_features.csv", "labels": workspace / "labels.csv",
+              "predictions": predictions}[kind]
+    lines = source.read_text(encoding="utf-8").split("\n")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        row = data.draw(st.integers(1, len(lines) - 2), label="row")
+        fields = lines[row].split(",")
+        last = len(fields) - 1 if kind == "features" else 11
+        fields[data.draw(st.integers(1, last), label="field")] = data.draw(EXTREME, label="value")
+        lines[row] = ",".join(fields)
+    root = tmp_path_factory.mktemp("extreme")
+    path = root / source.name
+    path.write_text("\n".join(lines), encoding="utf-8")
+    labels = workspace / "labels.csv"
+    if command == "train-features":
+        argv = ["train", "--train-features", str(workspace / "train_features.csv"),
+                "--val-features", str(path), "--labels", str(labels), "--max-epochs", "1",
+                "--out", str(root / "out")]
+    elif command == "eval-features":
+        (root / "checkpoint.pmck").write_bytes(checkpoint)
+        argv = ["eval", "--checkpoint", str(root / "checkpoint.pmck"), "--features", str(path),
+                "--out-predictions", str(root / "predictions.csv")]
+    elif command == "train-labels":
+        argv = ["train", *data_args(workspace, labels=path), "--max-epochs", "1",
+                "--out", str(root / "out")]
+    elif command == "score-labels":
+        argv = ["score", "--labels", str(path), "--predictions", str(labels)]
+    else:
+        argv = ["score", "--labels", str(labels), "--predictions", str(path)]
     check(*run_cli(capsys, argv))
 
 

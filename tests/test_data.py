@@ -1,8 +1,10 @@
 """Loaders, alignment, standardization, batching, synthetic data."""
 
 import csv
+import decimal
 import io
 import math
+import platform
 import re
 import struct
 import tracemalloc
@@ -44,6 +46,7 @@ from pmtl.data import (
     synth_tables,
 )
 import pmtl.data
+import pmtl.decimals
 from pmtl.errors import DataError, DataFormatError
 from pmtl.rng import RngStream
 
@@ -209,6 +212,19 @@ def test_all_finite_scans_every_block(n):
             assert not all_finite(y), (i, bad)
 
 
+@pytest.mark.parametrize("n", [1, 2, FIT_CHUNK + 5])
+def test_all_finite_on_values_whose_squares_overflow(n):
+    # the sum of squares is inf, so the blocks are scanned; no warning, no error
+    x = np.full(n, 1e200)
+    with np.errstate(over="raise", invalid="raise"):
+        assert all_finite(x) and all_finite(-x)
+        for i in sorted({0, n // 2, n - 1}):
+            for bad in (np.nan, np.inf, -np.inf):
+                y = x.copy()
+                y[i] = bad
+                assert not all_finite(y), (i, bad)
+
+
 def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak):
     table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(200)),
                          features=rng_np.standard_normal((200, 256)))
@@ -293,6 +309,65 @@ def test_csv_values_bit_equal_to_per_token_float(tmp_path):
     assert load_features_csv(path).features.tobytes() == expected.tobytes()
 
 
+def _near_halfway_tokens(count, seed):
+    """Decimals of 17 to 19 digits just below and above values halfway
+    between two float64: the long double nearest such a decimal is often
+    the halfway value itself, which rounds to float64 by ties-to-even."""
+    rng = np.random.default_rng(seed)
+    exact, tokens = decimal.Context(prec=100), []
+    mantissas, shifts = rng.integers(2**52, 2**53, count), rng.integers(1, 60, count)
+    for m, k in zip(mantissas.tolist(), shifts.tolist()):
+        midpoint = exact.divide(2 * m + 1, 2 ** k)  # (m + 1/2) * 2**(1 - k)
+        for digits in (17, 18, 19):
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                near = decimal.Context(prec=digits, rounding=rounding).plus(midpoint)
+                tokens.append(format(near, "f"))
+    return tokens
+
+
+def test_csv_near_halfway_values_bit_equal_to_per_token_float(tmp_path):
+    tokens = _near_halfway_tokens(500, 5) + [
+        "0." + "0" * 27 + "1", "-0." + "0" * 30 + "25", "1" + "0" * 19 + ".5",
+        "0.000000000000000000000000001", "9223372036854775807", "-9223372036854775808"]
+    tokens += ["0"] * (-len(tokens) % 10)
+    rows = [tokens[i:i + 10] for i in range(0, len(tokens), 10)]
+    path = tmp_path / "tokens.csv"
+    path.write_text("id," + ",".join(f"f{j}" for j in range(10)) + "\n" + "".join(
+        f"r{i}," + ",".join(row) + "\n" for i, row in enumerate(rows)), encoding="utf-8")
+    expected = np.array([[float(t) for t in row] for row in rows])
+    for exact in (True, False) if pmtl.decimals.EXACT_SCALE else (False,):
+        with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
+            assert load_features_csv(path).features.tobytes() == expected.tobytes(), exact
+
+
+@pytest.mark.parametrize("token", ["1.2.3", ".-5", "5.-", "1-2", "--5", "-", ".", "-.", "+-5",
+                                   "1e5e5", "1.5e", "e5", "-e"])
+def test_csv_malformed_decimals_go_to_the_csv_loop(tmp_path, token):
+    path = write(tmp_path / "bad.csv", f"id,f0,f1\na,1.0,2.0\nb,1.0,{token}\n")
+    for exact in (True, False) if pmtl.decimals.EXACT_SCALE else (False,):
+        with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
+            with pytest.raises(DataFormatError, match="column 'f1': cannot parse") as info:
+                load_features_csv(path)
+        assert info.value.line == 3
+
+
+@pytest.mark.parametrize("token", ["\r1e5", "1e5\r", "1\re5", " 1e5", '"1e5"', "1e5\x00"])
+def test_csv_exponent_values_with_other_bytes_agree_with_the_csv_loop(tmp_path, token):
+    # float parses these values, so the pass must see the other byte first
+    path = write(tmp_path / "odd.csv", f"id,f0,f1\na,1.0,2.0\nb,{token},3.0\n")
+    for exact in (True, False) if pmtl.decimals.EXACT_SCALE else (False,):
+        with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
+            assert _outcome("features", path) == _csv_loop_outcome("features", path), exact
+
+
+def test_csv_rows_of_another_width_go_to_the_csv_loop(tmp_path):
+    # three values in one row and one in the next still make two per row on average
+    path = write(tmp_path / "uneven.csv", "id,f0,f1\na,1.5,2.5,3.5\nb,4.5\n")
+    with pytest.raises(DataFormatError, match="expected 3 fields, got 4") as info:
+        load_features_csv(path)
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("token", [t for t in ADVERSARIAL_TOKENS
                                    if _reference_float(t) is None])
 def test_csv_rejects_what_per_token_float_rejects(tmp_path, token):
@@ -312,17 +387,19 @@ def _reference_table(text):
             np.array([[_reference_float(t) for t in row[1:]] for row in rows]))
 
 
-@pytest.mark.parametrize("text", [
-    'id,f0,f1\na,"1.5",-2.0\nb,"3e-5","0.1"\n',
-    "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\n",
-    "id,f0,f1\r\na,1.5,-2.0\r\nb,3e-5,0.1\r\n",
-    "id,f0,f1\ra,1.5,-2.0\rb,3e-5,0.1",
-    "id,f0,f1\n\na,1.5,-2.0\n\r\n\rb,3e-5,0.1\n\n",
-    "id,f0\na,1.5\nb,-0.0\nc,5e-324\n",
-    "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\nc,2.5,1_0\n",
-    "id,f0,f1\n\u00efd,1.5,-2.0\n\u4e2d\u6587,3e-5,0.1\n\U0001f600,2.5,1.0\n",
-], ids=["quoted", "lf", "crlf", "cr", "blank-lines", "one-column", "late-underscore",
-        "non-ascii-ids"])
+REFERENCE_TEXTS = {
+    "quoted": 'id,f0,f1\na,"1.5",-2.0\nb,"3e-5","0.1"\n',
+    "lf": "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\n",
+    "crlf": "id,f0,f1\r\na,1.5,-2.0\r\nb,3e-5,0.1\r\n",
+    "cr": "id,f0,f1\ra,1.5,-2.0\rb,3e-5,0.1",
+    "blank-lines": "id,f0,f1\n\na,1.5,-2.0\n\r\n\rb,3e-5,0.1\n\n",
+    "one-column": "id,f0\na,1.5\nb,-0.0\nc,5e-324\n",
+    "late-underscore": "id,f0,f1\na,1.5,-2.0\nb,3e-5,0.1\nc,2.5,1_0\n",
+    "non-ascii-ids": "id,f0,f1\n\u00efd,1.5,-2.0\n\u4e2d\u6587,3e-5,0.1\n\U0001f600,2.5,1.0\n",
+}
+
+
+@pytest.mark.parametrize("text", REFERENCE_TEXTS.values(), ids=REFERENCE_TEXTS.keys())
 def test_csv_load_matches_per_token_reference(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -343,6 +420,29 @@ def test_csv_load_without_values_warns_nothing(tmp_path, text, ids, shape):
         table = load_features_csv(path)
     assert table.ids == ids
     assert table.features.shape == shape
+
+
+def test_csv_tests_pass_with_every_value_through_float(tmp_path):
+    # the branch taken where long double arithmetic has no 64-bit significand
+    with mock.patch.object(pmtl.decimals, "EXACT_SCALE", False):
+        test_csv_values_bit_equal_to_per_token_float(tmp_path)
+        for text in REFERENCE_TEXTS.values():
+            test_csv_load_matches_per_token_reference(tmp_path, text)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="x87 long double only")
+def test_long_double_branch_is_taken_on_x86_64():
+    assert pmtl.decimals.EXACT_SCALE
+
+
+def test_csv_load_holds_the_array_and_one_block(tmp_path, rng_np, traced_peak):
+    table = FeatureTable(ids=tuple(f"s{i:04d}" for i in range(1000)),
+                         features=rng_np.standard_normal((1000, 1024)))
+    path = tmp_path / "t.csv"
+    save_features_csv(table, path)
+    back, peak = traced_peak(lambda: load_features(path))
+    assert back.features.tobytes() == table.features.tobytes()
+    assert peak <= 1.1 * back.features.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -460,17 +560,19 @@ def _outcome(kind, path):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = LOADERS[kind](path)
+            result = {**LOADERS, "features": load_features_csv}[kind](path)
     except DataFormatError as exc:
         return str(exc)
     if kind == "labels":
         result = (result.ids, result.emotion, result.age, result.country)
+    elif kind == "features":
+        result = (result.ids, result.features)
     ids, *arrays = result
     return ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def _csv_loop_outcome(kind, path):
-    with mock.patch.object(pmtl.data, "_loadtxt_rows", lambda *args: None):
+    with mock.patch.object(pmtl.data, "_decimal_rows", lambda *args: None):
         return _outcome(kind, path)
 
 
@@ -499,7 +601,7 @@ def test_labels_and_predictions_load_without_the_csv_loop(label_file_bytes, tmp_
 @pytest.mark.parametrize("kind,row,fields", [
     ("labels", "a,,30,USA", 4), ("predictions", "a,,USA", 3)])
 def test_label_row_without_values_fails_without_warning(tmp_path, kind, row, fields):
-    # the numpy pass sees an empty line for such a row, on which np.loadtxt warns
+    # the fast pass finds no values before the label fields; the csv-module loop reports it
     path = write(tmp_path / "short.csv", "id," + ",".join(EMOTIONS) + f",age,country\n{row}\n")
     assert _outcome(kind, path).endswith(f"expected 13 fields, got {fields}")
 
@@ -525,6 +627,52 @@ def test_label_fast_pass_agrees_with_the_csv_loop(label_file_bytes, tmp_path, da
     path = tmp_path / "fuzzed.csv"
     path.write_bytes("\n".join(lines).encode("utf-8"))
     assert _outcome(kind, path) == _csv_loop_outcome(kind, path)
+
+
+def _midpoint(m, k):
+    """The decimal digits of (2m + 1) / 2**k, which lies halfway between two
+    float64 for 2**52 <= m < 2**53."""
+    if k <= 0:
+        return str((2 * m + 1) << -k)
+    digits = str((2 * m + 1) * 5 ** k).rjust(k + 1, "0")
+    return digits[:-k] + "." + digits[-k:]
+
+
+FEATURE_TOKENS = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(["%r", "%.17g", "%.25g", "%e"])).map(lambda p: p[1] % p[0]),
+    st.tuples(st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=30),
+              st.integers(-1, 30)).map(
+        lambda p: p[0] + (p[1] if p[2] < 0 else p[1][:p[2]] + "." + p[1][p[2]:])),
+    st.builds(_midpoint, st.integers(2**52, 2**53 - 1), st.integers(-11, 30)),
+    st.sampled_from(["9007199254740993", "-4503599627370496.5", "-0.0", "-0", "0.0", ".5",
+                     "5.", "+.5", "-.5", "\r", "0.5\r", "1\r2", "", "-", ".", "-.", "1.2.3",
+                     "1-2", "1e400", "1e-400", "1_0", " 0.5", "nan", "-inf", '"0.5"', "\x00",
+                     "9" * 19, "-" + "9" * 19, "9223372036854775808", "-9223372036854775808"]),
+    st.text(alphabet="0123456789.eE+-, \r\n\"", max_size=6))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["long-double", "float-only"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_feature_fast_pass_agrees_with_the_csv_loop(feature_file_bytes, tmp_path, data, exact):
+    if exact and not pmtl.decimals.EXACT_SCALE:
+        pytest.skip("long double arithmetic here has no 64-bit significand")
+    lines = feature_file_bytes["csv"].decode("utf-8").split("\n")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        row = data.draw(st.integers(0, len(lines) - 1), label="row")
+        fields = lines[row].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = data.draw(
+            FEATURE_TOKENS, label="token")
+        lines[row] = ",".join(fields)
+    text = "\n".join(lines)
+    if data.draw(st.booleans(), label="cut the final newline"):
+        text = text.rstrip("\n")
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
+        assert _outcome("features", path) == _csv_loop_outcome("features", path)
 
 
 def make_features(ids, offset=0.0):
