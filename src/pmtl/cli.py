@@ -22,7 +22,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     STANDARDIZE_MODES,
     SynthSpec,
-    atomic_open,
     build_part,
     check_mode,
     feature_dim,
@@ -36,6 +35,8 @@ from .data import (
     save_predictions_csv,
     standardize,
     synth_tables,
+    write_json,
+    write_text,
 )
 from .errors import ConfigError, DataError, IdMismatchError, PmtlError
 from .losses import LossConfig
@@ -79,15 +80,6 @@ def _read_json(path, kind: str) -> dict:
     except ValueError as exc:  # also bytes that are not UTF-8 and over-long integers
         raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}")
     return _object(raw, f"{kind} file {path}")
-
-
-def _write_json(obj, path) -> None:
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
-
-
-def _write_text(text: str, path) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _sha256(path) -> str:
@@ -160,8 +152,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.pmck", params, config.model,
                     ds.age_scaler, ds.standardizer)
-    _write_json({"run": history.canonical_dict(),
-                 "wall_seconds": history.wall_seconds}, out / "history.json")
+    write_json({"run": history.canonical_dict(),
+                "wall_seconds": history.wall_seconds}, out / "history.json")
     manifest = {
         "train_config": asdict(config),
         "standardize": mode,
@@ -173,7 +165,7 @@ def cmd_train(args) -> int:
         "stopped_early": history.stopped_early,
         "epochs_run": len(history.epochs),
     }
-    _write_json(manifest, out / "manifest.json")
+    write_json(manifest, out / "manifest.json")
     print(json.dumps({
         "best_epoch": history.best_epoch,
         "best_val_score": history.best_val.score,
@@ -207,7 +199,7 @@ def cmd_eval(args) -> int:
     if labels is not None:
         bundle = evaluate(preds, part)
         if args.out_metrics:
-            _write_json(asdict(bundle), args.out_metrics)
+            write_json(asdict(bundle), args.out_metrics)
         print(json.dumps(asdict(bundle), sort_keys=True))
     else:
         print(json.dumps({"predictions": args.out_predictions, "n": len(part)},
@@ -253,7 +245,7 @@ def cmd_score(args) -> int:
         raise ConfigError("score needs --predictions and --labels (or --components)")
     bundle = score_files(args.predictions, args.labels)
     if args.out_metrics:
-        _write_json(asdict(bundle), args.out_metrics)
+        write_json(asdict(bundle), args.out_metrics)
     print(json.dumps(asdict(bundle), sort_keys=True))
     return 0
 
@@ -330,8 +322,8 @@ def cmd_sweep(args) -> int:
     save_results(table, out / "results.json")
     name, render = REPORTS[args.format]
     report_path = out / name
-    _write_text(render(table), report_path)
-    _write_text(sidecar_csv(table), out / "full.csv")
+    write_text(render(table), report_path)
+    write_text(sidecar_csv(table), out / "full.csv")
 
     print(json.dumps({
         "cells": len(table.cells),
@@ -368,7 +360,7 @@ def cmd_synth(args) -> int:
     labels_path = out / "labels.csv"
     save_labels_csv(labels, labels_path)
     written["labels"] = str(labels_path)
-    _write_json(asdict(spec), out / "synth.json")
+    write_json(asdict(spec), out / "synth.json")
     print(json.dumps({"written": written, "n": {s: len(t) for s, t in features.items()}},
                      sort_keys=True))
     return 0
@@ -378,7 +370,7 @@ def cmd_report(args) -> int:
     table = load_results(args.results)
     text = REPORTS[args.format][1](table)
     if args.out:
-        _write_text(text, args.out)
+        write_text(text, args.out)
         print(json.dumps({"report": str(args.out)}, sort_keys=True))
     else:
         sys.stdout.write(text)
@@ -455,12 +447,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PmtlError as exc:
+    except (PmtlError, OSError) as exc:  # an OSError is a data error
         print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

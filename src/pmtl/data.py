@@ -10,18 +10,19 @@ labels CSV        header ``id,Amusement,...,Triumph,age,country`` with the
                   ten emotion columns in the canonical order below; emotion
                   values in [0, 1], age an integer, country one of the four
                   exact tokens in COUNTRIES.
-predictions CSV   same columns as labels, but age may be fractional and
-                  emotion values are not range-checked.
+predictions CSV   same columns as labels, but age is a float value read with
+                  the emotions, which are not range-checked.
 
 Sample ids are unique; the canonical ordering everywhere is lexicographic
-by id, so results never depend on file row order.
+by id, so results never depend on file row order. ``_read_rows`` reads all
+three CSV layouts; the age and country fields of labels are checked once, after.
 
 Memory contract: each feature matrix is held once, from load to training.
 The binary loader checks the payload size against the header, then reads the
 file into one float64 (n, d) array; the CSV loader counts the rows, then fills
 one (n, d) array a block of BLOCK_VALUES values at a time, with scratch of
-about 80 bytes per value of a block, and only its csv-module fallback holds
-rows plus a stacked copy.
+about 80 bytes per value of a block. Only the csv-module loop it falls back
+on, which reports value errors by line, holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
 Finiteness checks (``all_finite``) take one sum of squares and, only if it
@@ -42,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import json
 import math
 import os
 import struct
@@ -97,6 +99,18 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_text(text: str, path) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_json(obj, path) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- tables -----------------------------------------------------------------
@@ -366,36 +380,41 @@ def _decimal_rows(path, d: int, tail: int = 0):
     return ids, values, tails
 
 
-def _csv_dim(header: list, path) -> int:
-    """The width d of a features CSV header, which must be ``id,f0..f{d-1}``."""
-    if not header or header[0] != "id":
-        raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
-    d = len(header) - 1
-    if header != ["id"] + [f"f{j}" for j in range(d)]:
-        raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
-    return d
+def _csv_dim(path) -> int:
+    """The width d of a features CSV, whose header must be ``id,f0..f{d-1}``."""
+    with _open_csv(path) as (header, _):
+        if not header or header[0] != "id":
+            raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
+        d = len(header) - 1
+        if header != ["id"] + [f"f{j}" for j in range(d)]:
+            raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
+        return d
+
+
+def _read_rows(path, n_values: int, tail: int = 0):
+    """``(ids, values, tails)`` of the CSV at ``path``, from ``_decimal_rows``
+    or, where it refuses the file, the csv-module loop, which gives every error:
+    ``_parse_float`` on each of the ``n_values`` values, tail fields as strings."""
+    fast = _decimal_rows(path, n_values, tail)
+    if fast is not None:
+        return fast
+    ids, rows, tails = [], [], []
+    with _open_csv(path) as (header, reader):
+        for line_no, row in _csv_records(reader, 1 + n_values + tail, path):
+            ids.append(row[0])
+            rows.append(np.array([_parse_float(t, path, line_no, c)
+                                  for t, c in zip(row[1:], header[1:1 + n_values])]))
+            tails.append(row[1 + n_values:])
+    return ids, np.array(rows, dtype=np.float64).reshape(len(ids), n_values), tails
 
 
 def load_features_csv(path) -> FeatureTable:
-    """By ``_decimal_rows``, else by the csv-module loop, which gives every error."""
-    with _open_csv(path) as (header, _):
-        d = _csv_dim(header, path)
-    fast = _decimal_rows(path, d)
-    if fast is not None:
-        return FeatureTable(ids=tuple(fast[0]), features=fast[1])
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    with _open_csv(path) as (_, reader):
-        for line_no, row in _csv_records(reader, d + 1, path):
-            ids.append(row[0])
-            rows.append(np.array([_parse_float(t, path, line_no, c)
-                                  for t, c in zip(row[1:], header[1:])]))
-    features = np.array(rows, dtype=np.float64).reshape(len(ids), d)
+    ids, features, _ = _read_rows(path, _csv_dim(path))
     return FeatureTable(ids=tuple(ids), features=features)
 
 
 def save_features_csv(table: FeatureTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f{j}" for j in range(table.dim)])
         for sid, row in zip(table.ids, table.features):
@@ -404,7 +423,7 @@ def save_features_csv(table: FeatureTable, path) -> None:
 
 def save_features_binary(table: FeatureTable, path) -> None:
     n, d = table.features.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack(FEATURE_HEADER, FEATURE_VERSION, n, d))
         for sid in table.ids:
@@ -477,57 +496,40 @@ def feature_dim(path) -> int:
         head = fh.read(14)
     if head[:4] == FEATURE_MAGIC:
         return read_header(head, FEATURE_MAGIC, FEATURE_HEADER, FEATURE_VERSION, path)[1]
-    with _open_csv(path) as (header, _):
-        return _csv_dim(header, path)
+    return _csv_dim(path)
 
 
 def _load_label_rows(path, age_kind):
-    """Parse a file in the labels layout; ``age_kind`` is ``int`` for labels
-    and ``float`` for predictions. Emotion values must lie in [0, 1] in
-    labels; predicted ages must be finite. Returns (ids, emotion (n, 10),
-    age (n,), country ids (n,)). By ``_decimal_rows``, else by the csv-module
-    loop, which gives every error."""
+    """(ids, emotion (n, 10), age (n,), country ids (n,)) of a file in the
+    labels layout: for labels ``age_kind`` is ``int`` and the emotions lie
+    in [0, 1]; for predictions it is ``float``, a value like the emotions.
+    An age, country or emotion range error names the first bad row by id."""
     n_values = len(EMOTIONS) + (age_kind is float)
     with _open_csv(path) as (header, _):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-    fast = _decimal_rows(path, n_values, len(LABEL_HEADER) - 1 - n_values)
-    if fast is not None:
-        ids, values, tails = fast
-        emotions = values[:, :len(EMOTIONS)]
-        try:
-            ages = values[:, -1] if age_kind is float else [int(t[0]) for t in tails]
-            countries = [COUNTRY_TO_ID[t[-1]] for t in tails]
-        except (KeyError, ValueError):  # a token whose message the csv-module loop gives
-            fast = None
-    if fast is None:
-        ids, emotions, ages, countries = [], [], [], []
-        with _open_csv(path) as (_, reader):
-            for line_no, row in _csv_records(reader, len(LABEL_HEADER), path):
-                emotions.append([_parse_float(t, path, line_no, c)
-                                 for t, c in zip(row[1:11], EMOTIONS)])
-                try:
-                    ages.append(age_kind(row[11]))
-                except ValueError:
-                    kind = "an integer" if age_kind is int else "a number"
-                    raise DataFormatError(f"age {row[11]!r} is not {kind}", path, line_no)
-                if row[12] not in COUNTRY_TO_ID:
-                    raise DataFormatError(f"country {row[12]!r} not in {COUNTRIES}", path,
-                                          line_no)
-                ids.append(row[0])
-                countries.append(COUNTRY_TO_ID[row[12]])
-    emotion = np.array(emotions, dtype=np.float64).reshape(len(ids), len(EMOTIONS))
+    ids, values, tails = _read_rows(path, n_values, len(LABEL_HEADER) - 1 - n_values)
+    try:
+        ages = [int(t[0]) for t in tails] if age_kind is int else values[:, -1]
+        countries = [COUNTRY_TO_ID[t[-1]] for t in tails]
+    except (KeyError, ValueError):  # walk the rows to name the first bad one
+        for sid, t in zip(ids, tails):
+            try:
+                if age_kind is int:
+                    int(t[0])
+            except ValueError:
+                raise DataFormatError(f"id {sid!r}: age {t[0]!r} is not an integer", path)
+            if t[-1] not in COUNTRY_TO_ID:
+                raise DataFormatError(f"id {sid!r}: country {t[-1]!r} not in {COUNTRIES}", path)
+        raise
     try:
         age = np.array(ages, dtype=np.int64 if age_kind is int else np.float64)
     except OverflowError:
         raise DataFormatError("age out of range", path) from None
-    # checked per file rather than per row; the unique id locates the row
-    if age_kind is int:
-        bad, what = ((emotion < 0.0) | (emotion > 1.0)).any(axis=1), "emotion outside [0, 1]"
-    else:
-        bad, what = ~np.isfinite(age), "non-finite age"
-    if bad.any():
-        raise DataFormatError(f"id {ids[int(np.argmax(bad))]!r}: {what}", path)
+    emotion = values[:, :len(EMOTIONS)].copy()
+    bad = ((emotion < 0.0) | (emotion > 1.0)).any(axis=1)
+    if age_kind is int and bad.any():
+        raise DataFormatError(f"id {ids[int(np.argmax(bad))]!r}: emotion outside [0, 1]", path)
     return tuple(ids), emotion, age, np.array(countries, dtype=np.int64)
 
 
@@ -536,15 +538,13 @@ def load_labels_csv(path) -> LabelTable:
 
 
 def load_predictions_csv(path):
-    """Predictions file: same columns as labels but fractional age allowed.
-
-    Returns (ids, emotion (n,10), age_years (n,), country_ids (n,)).
-    """
+    """(ids, emotion (n, 10), age_years (n,), country_ids (n,)) of a file in
+    the labels layout whose ages may be fractional."""
     return _load_label_rows(path, float)
 
 
 def _save_label_rows(path, ids, emotion, age_texts, country_ids) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_HEADER)
         for sid, emo, age, country in zip(ids, emotion, age_texts, country_ids):
@@ -598,6 +598,8 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     dims = {name: tbl.dim for name, tbl in features.items()}
     if len(set(dims.values())) != 1:
         raise DataError(f"feature dimensionality differs across splits: {dims}")
+    if not len(features["train"]):
+        raise DataError("empty train split")
     counts = Counter(sid for tbl in features.values() for sid in tbl.ids)
     dup = sorted(sid for sid, c in counts.items() if c > 1)
     if dup:
@@ -612,8 +614,6 @@ def standardize(ds: SplitDataset, mode: str, copy: bool = False) -> SplitDataset
     """Fit feature standardization on the train split and apply it to both
     splits in place, so ``ds`` is consumed, or with ``copy`` into new arrays
     (made once the fit's scratch is freed), leaving ``ds`` as it was."""
-    if len(ds.train) == 0:
-        raise DataError("cannot standardize: empty train split")
     std = Standardizer.fit(ds.train.x, mode)
     train, val = (replace(part, x=std.apply(part.x, out=None if copy else part.x))
                   for part in (ds.train, ds.val))

@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import atomic_open, check_mode
+from .data import check_mode, write_json
 from .errors import ConfigError, DataFormatError, PmtlError, check_fields
 from .metrics import MetricsBundle
 from .rng import derive_subseed
@@ -244,9 +244,7 @@ def sidecar_csv(table: ReportTable) -> str:
 
 
 def save_results(table: ReportTable, path) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(table), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(asdict(table), path)
 
 
 def _table_from_dict(d: dict) -> ReportTable:

@@ -243,7 +243,8 @@ def train_run(config: TrainConfig, data: SplitDataset):
     order before it returns or raises. Randomness: sub-seed 0 of
     ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
     shuffle; identical (config, data) reproduce the history bit for bit,
-    timing fields aside.
+    timing fields aside. A floating-point fault raises NumericalError naming
+    its epoch; at epoch 0, with fresh parameters, it is in the data: DataError.
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
@@ -280,7 +281,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
                         )
                     preds = predict(params, config.model, data.val.x, scaler)
             except (NumericalError, FloatingPointError) as exc:
-                raise NumericalError(f"epoch {epoch}: {exc}") from exc
+                raise (NumericalError if epoch else DataError)(f"epoch {epoch}: {exc}") from exc
             val = evaluate(preds, data.val)
             if not epoch:
                 initial_val = best_val = val

@@ -156,7 +156,7 @@ def test_train_artifacts(workspace):
 def test_train_on_a_column_whose_spread_overflows(tmp_path, capsys, mode, code):
     # 1e300 in three rows of f0: the z-score spread overflows to inf, which would
     # scale the column to zeros; unscaled values overflow in training; the minmax
-    # range stays finite. pytest raises any RuntimeWarning, so stderr holds only
+    # range stays finite. pytest raises any warning, so stderr holds only
     # the error line.
     features, labels = synth_tables(SynthSpec(n_train=40, n_val=12, dim=6, rank=2))
     x = features["train"].features.copy()
@@ -195,7 +195,7 @@ def _files_with_a_huge_value(tmp_path, train_scale):
 
 def test_train_when_standardizing_val_overflows(tmp_path, capsys):
     # f2's train spread is about 1e-3, so 1.7e308 in a val row overflows its
-    # z-score; pytest raises any RuntimeWarning, so stderr holds only the error
+    # z-score; pytest raises any warning, so stderr holds only the error
     train, _, labels, huge = _files_with_a_huge_value(tmp_path, 1e-3)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TRAIN_CONFIG))
@@ -221,6 +221,33 @@ def test_eval_on_a_value_that_overflows_exits_2(tmp_path, capsys, mode, train_sc
                                  "--features", huge, "--labels", labels])
     assert (got, out) == (2, "")
     assert err.startswith(f"pmtl: error: {huge}: {fault}") and err.count("\n") == 1, err
+
+
+def test_train_on_val_features_that_overflow_the_untrained_model_exits_2(tmp_path, capsys):
+    # minmax over f2's train range leaves 1.7e308 huge, and it overflows the first
+    # validation pass; the parameters are fresh from init there, so the data is at fault
+    train, _, labels, huge = _files_with_a_huge_value(tmp_path, 1.0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TRAIN_CONFIG, standardize="minmax")))
+    got, out, err = run(capsys, ["train", "--train-features", train, "--val-features", huge,
+                                 "--labels", labels, "--config", str(config),
+                                 "--out", str(tmp_path / "run")])
+    assert (got, out) == (2, "")
+    assert err.startswith("pmtl: error: epoch 0: overflow encountered in ")
+    assert err.count("\n") == 1, err
+
+
+def test_train_on_an_empty_train_split_exits_2_with_one_line(workspace, tmp_path):
+    # a fresh process, whose default warning filters would print any RuntimeWarning
+    data = workspace / "data"
+    empty = tmp_path / "empty.csv"
+    empty.write_text((data / "train_features.csv").read_text().splitlines(keepends=True)[0])
+    result = subprocess.run(
+        [sys.executable, "-m", "pmtl", "train", "--train-features", str(empty),
+         "--val-features", str(data / "val_features.csv"), "--labels", str(data / "labels.csv"),
+         "--out", str(tmp_path / "run")], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "pmtl: error: empty train split\n"
 
 
 def test_train_deterministic_artifacts(workspace, capsys):

@@ -3,6 +3,7 @@
 import csv
 import decimal
 import io
+import itertools
 import math
 import platform
 import re
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pmtl.data import (
+    COUNTRIES,
     EMOTIONS,
     FEATURE_MAGIC,
     FIT_CHUNK,
@@ -479,6 +481,65 @@ def test_corrupted_feature_file_loads_or_raises_data_format_error(
     assert np.isfinite(table.features).all()
 
 
+def _write_fails_partway(monkeypatch, table):
+    """Make each writer below raise once it has written part of its file:
+    the CSV writers at their 50th value, the binary one at its last id."""
+    calls = itertools.count()
+
+    def fmt_float(x):
+        if next(calls) == 50:
+            raise OSError("no space left on device")
+        return repr(float(x))
+    monkeypatch.setattr(pmtl.data, "fmt_float", fmt_float)
+    return replace(table, ids=table.ids[:-1] + ("x" * 0x10000,))
+
+
+WRITERS = {
+    "features-csv": lambda features, labels, path: save_features_csv(features, path),
+    "features-binary": lambda features, labels, path: save_features_binary(features, path),
+    "labels": lambda features, labels, path: save_labels_csv(labels, path),
+    "predictions": lambda features, labels, path: save_predictions_csv(
+        labels.ids, labels.emotion, labels.age, labels.country, path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_failed_data_write_leaves_old_file(tmp_path, monkeypatch, writer):
+    features, labels = synth_tables(SynthSpec(n_train=20, n_val=2, dim=4, rank=2))
+    path = tmp_path / "out"
+    writer(features["train"], labels, path)
+    before = path.read_bytes()
+    with pytest.raises((OSError, DataError)):
+        writer(_write_fails_partway(monkeypatch, features["train"]), labels, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+LOADERS = {"labels": load_labels_csv, "predictions": load_predictions_csv}
+
+
+def _outcome(kind, path):
+    """What ``kind``'s loader gives for ``path``: its arrays' bytes, or the
+    message of the DataFormatError it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = {**LOADERS, "features": load_features_csv}[kind](path)
+    except DataFormatError as exc:
+        return str(exc)
+    if kind == "labels":
+        result = (result.ids, result.emotion, result.age, result.country)
+    elif kind == "features":
+        result = (result.ids, result.features)
+    ids, *arrays = result
+    return ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _csv_loop_outcome(kind, path):
+    with mock.patch.object(pmtl.data, "_decimal_rows", lambda *args: None):
+        return _outcome(kind, path)
+
+
 def test_load_labels(label_csv):
     labels = load_labels_csv(label_csv)
     assert labels.ids == ("a", "b")
@@ -503,17 +564,48 @@ def test_labels_round_trip(tmp_path, rng_np):
     assert np.array_equal(back.country, table.country)
 
 
-@pytest.mark.parametrize("age,country,fragment", [
-    ("25.5", "USA", "not an integer"),
-    ("25", "usa", "country"),
-    ("25", "Brazil", "country"),
+@pytest.mark.parametrize("age,country,message", [
+    pytest.param("25.5", "USA", "age '25.5' is not an integer", id="25.5-USA-not an integer"),
+    pytest.param("25", "usa", f"country 'usa' not in {COUNTRIES}", id="25-usa-country"),
+    pytest.param("25", "Brazil", f"country 'Brazil' not in {COUNTRIES}", id="25-Brazil-country"),
 ])
-def test_labels_field_validation(tmp_path, age, country, fragment):
+def test_labels_field_validation(tmp_path, age, country, message):
+    # checked once after the read, so both paths name the row by its id
     header = "id," + ",".join(EMOTIONS) + ",age,country\n"
     emo = ",".join(["0.5"] * 10)
-    path = write(tmp_path / "bad.csv", header + f"a,{emo},{age},{country}\n")
-    with pytest.raises(DataFormatError, match=fragment):
-        load_labels_csv(path)
+    path = write(tmp_path / "bad.csv", header + f"z,{emo},30,USA\na,{emo},{age},{country}\n")
+    assert _outcome("labels", path) == _csv_loop_outcome("labels", path) == (
+        f"{path}: id 'a': {message}")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_label_value_errors_come_before_age_and_country_errors(tmp_path, kind):
+    header = "id," + ",".join(EMOTIONS) + ",age,country\n"
+    emo = ",".join(["0.5"] * 10)
+    path = write(tmp_path / "bad.csv",
+                 header + f"a,{emo},25.5,Brazil\nb,{emo[:-3]}abc,30,USA\n")
+    expected = f"{path}:3: column 'Triumph': cannot parse 'abc' as float"
+    assert _outcome(kind, path) == _csv_loop_outcome(kind, path) == expected
+
+
+def test_labels_age_out_of_range(tmp_path):
+    header = "id," + ",".join(EMOTIONS) + ",age,country\n"
+    emo = ",".join(["0.5"] * 10)
+    path = write(tmp_path / "bad.csv", header + f"a,{emo},{2**63},USA\n")
+    assert _outcome("labels", path) == _csv_loop_outcome("labels", path) == (
+        f"{path}: age out of range")
+
+
+@pytest.mark.parametrize("token,message", [
+    ("abc", "column 'age': cannot parse 'abc' as float"),
+    ("inf", "column 'age': non-finite value 'inf'"),
+])
+def test_predicted_age_is_parsed_with_the_emotions(tmp_path, token, message):
+    header = "id," + ",".join(EMOTIONS) + ",age,country\n"
+    emo = ",".join(["0.5"] * 10)
+    path = write(tmp_path / "bad.csv", header + f"a,{emo},25.5,USA\nb,{emo},{token},China\n")
+    assert _outcome("predictions", path) == _csv_loop_outcome("predictions", path) == (
+        f"{path}:3: {message}")
 
 
 @pytest.mark.parametrize("token,fragment", [
@@ -551,31 +643,6 @@ def test_predictions_round_trip(tmp_path, rng_np):
     assert np.array_equal(r_country, country)
 
 
-LOADERS = {"labels": load_labels_csv, "predictions": load_predictions_csv}
-
-
-def _outcome(kind, path):
-    """What ``kind``'s loader gives for ``path``: its arrays' bytes, or the
-    message of the DataFormatError it raises."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = {**LOADERS, "features": load_features_csv}[kind](path)
-    except DataFormatError as exc:
-        return str(exc)
-    if kind == "labels":
-        result = (result.ids, result.emotion, result.age, result.country)
-    elif kind == "features":
-        result = (result.ids, result.features)
-    ids, *arrays = result
-    return ids, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-
-
-def _csv_loop_outcome(kind, path):
-    with mock.patch.object(pmtl.data, "_decimal_rows", lambda *args: None):
-        return _outcome(kind, path)
-
-
 @pytest.fixture(scope="module")
 def label_file_bytes(tmp_path_factory):
     rng = np.random.default_rng(8)
@@ -596,6 +663,20 @@ def test_labels_and_predictions_load_without_the_csv_loop(label_file_bytes, tmp_
     with mock.patch.object(pmtl.data, "_csv_records", side_effect=AssertionError):
         fast = _outcome(kind, path)
     assert fast == _csv_loop_outcome(kind, path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_quoted_label_files_load_like_plain_ones(label_file_bytes, tmp_path, kind):
+    # QUOTE_ALL sends the file to the csv-module loop, where an id may hold a comma
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(label_file_bytes[kind])
+    rows = list(csv.reader(io.StringIO(label_file_bytes[kind].decode("utf-8"), newline="")))
+    rows[2][0] = "b,2"
+    quoted = tmp_path / "quoted.csv"
+    with open(quoted, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    ids, arrays = _outcome(kind, plain)
+    assert _outcome(kind, quoted) == (ids[:1] + ("b,2",) + ids[2:], arrays)
 
 
 @pytest.mark.parametrize("kind,row,fields", [
