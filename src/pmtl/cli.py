@@ -211,17 +211,18 @@ def score_files(predictions_path, labels_path):
     """Score a predictions CSV against a labels CSV, joined by id."""
     ids_p, emotion_p, age_p, country_p = load_predictions_csv(predictions_path)
     labels = load_labels_csv(labels_path)
-    set_p, set_l = set(ids_p), set(labels.ids)
-    if set_p != set_l:
-        only_p = sorted(set_p - set_l)
-        only_l = sorted(set_l - set_p)
+    index = labels.index()
+    set_p = set(ids_p)
+    if set_p != index.keys():
+        only_p = sorted(set_p - index.keys())
+        only_l = sorted(index.keys() - set_p)
         raise IdMismatchError(
             f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
             f"{len(only_l)} only in labels {only_l[:5]}"
         )
-    # equal sets of unique ids: sorting both sides aligns them row by row
+    # equal sets of unique ids: predictions in id order, each with its label row
     rows_p = np.argsort(np.array(ids_p, dtype=object))
-    rows_l = np.argsort(np.array(labels.ids, dtype=object))
+    rows_l = np.array([index[ids_p[i]] for i in rows_p], dtype=np.int64)
     return compute_bundle(
         pred_emotion=emotion_p[rows_p],
         true_emotion=labels.emotion[rows_l],

@@ -25,8 +25,8 @@ about 80 bytes per value of a block. Only the csv-module loop it falls back
 on, which reports value errors by line, holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
-Finiteness checks (``all_finite``) take one sum of squares and, only if it
-overflows, scan fixed blocks, with no flag per value.
+Finiteness checks (``all_finite``) take one sum and, only if it overflows,
+scan fixed blocks, with no flag per value.
 A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
 standardization sweep keeps the raw data and standardizes one copy per cell.
@@ -226,11 +226,11 @@ FIT_CHUNK = 1 << 15  # elements of scratch per block of the z-score fit (256 KiB
 
 def all_finite(a: np.ndarray) -> bool:
     """``np.isfinite(a).all()`` for a contiguous ``a``, with no flag per
-    element: a finite sum of squares, which cannot cancel, answers True; if
-    it overflows, a scratch of FIT_CHUNK flags scans the blocks."""
+    element: a finite sum answers True (numpy's sum, not a dot that OpenBLAS
+    threads); if it overflows, a scratch of FIT_CHUNK flags scans the blocks."""
     flat = a.reshape(-1)
     with np.errstate(all="ignore"):  # the sum may overflow, and callers may raise on that
-        if math.isfinite(np.dot(flat, flat)):
+        if math.isfinite(np.add.reduce(flat)):
             return True
     scratch = np.empty(min(flat.size, FIT_CHUNK), dtype=bool)
     blocks = (flat[i:i + FIT_CHUNK] for i in range(0, flat.size, FIT_CHUNK))

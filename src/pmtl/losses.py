@@ -50,35 +50,41 @@ class LossBreakdown:
     l_total: float
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray):
+def mse_loss(pred: np.ndarray, target: np.ndarray, out=None):
     """Mean over all entries of squared error.
 
     ``pred`` and ``target`` are float64 arrays of the same shape. Returns
-    ``(loss, dpred)`` with ``dpred = 2 (pred - target) / pred.size``.
+    ``(loss, dpred)`` with ``dpred = 2 (pred - target) / pred.size``, written
+    into ``out`` when given. The mean is one sum divided by the count, as in
+    ``np.mean``.
     """
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, (2.0 / diff.size) * diff
+    diff = np.subtract(pred, target, out=out)
+    loss = float(np.add.reduce(diff * diff, axis=None)) / diff.size
+    diff *= 2.0 / diff.size
+    return loss, diff
 
 
-def cross_entropy_loss(logits: np.ndarray, classes: np.ndarray):
+def cross_entropy_loss(logits: np.ndarray, classes: np.ndarray, out=None):
     """Mean negative log-softmax of the true class, max-subtracted for
     stability.
 
     ``logits`` is a float64 (n, k) array and ``classes`` an (n,) integer
     array of ids in [0, k). Returns ``(loss, dlogits)`` with
-    ``dlogits = (softmax - onehot) / n``.
+    ``dlogits = (softmax - onehot) / n``, written into ``out`` when given:
+    the shifted logits, then their exponentials, are scaled in place.
     """
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
     rows = np.arange(n)
-    loss = float(-log_probs[rows, classes].mean())
-    dlogits = softmax.copy()
-    dlogits[rows, classes] -= 1.0
-    return loss, dlogits / n
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=out)
+    picked = shifted[rows, classes]
+    exp = np.exp(shifted, out=shifted)
+    total = np.add.reduce(exp, axis=1, keepdims=True)
+    picked -= np.log(total[:, 0])
+    loss = -float(np.add.reduce(picked)) / n
+    exp /= total
+    exp[rows, classes] -= 1.0
+    exp /= n
+    return loss, exp
 
 
 def total_loss(l_emotion: float, l_country: float, l_age: float, cfg: LossConfig) -> float:

@@ -10,9 +10,12 @@ The age head has two hidden blocks (32 then 16 units) under the default
 
 ``layer_plan`` describes this once, as one chain of layers for the trunk
 and one per head. Parameter names and shapes, the initialization draw
-order (so a seed fully determines the network), the gradient order and
-the forward and backward passes all walk it; only the emotion sigmoid and
-the skipped input gradient of the first trunk layer depend on the chain.
+order (so a seed fully determines the network) and the gradient order
+walk it. A ``StepPlan`` is built from it once per row count: it owns every
+activation, normalized-row, scale and gradient array of a pass, and
+``forward`` and ``backward`` write into them; there are no per-call cache
+records. The caller owns the parameters, the gradient buffer
+(``init_grads``) and the input rows.
 
 Parameters live in a ``Params`` dict of named float64 tensors that are
 views into one contiguous buffer, ``Params.flat``. The buffer holds the
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
@@ -203,7 +208,7 @@ def params_copy(params: Params) -> Params:
     return Params({name: v.shape for name, v in params.items()}, params.flat.copy())
 
 
-# -- forward ----------------------------------------------------------------
+# -- step plan --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -216,82 +221,167 @@ class ModelOutputs:
 # Each head chain's output, in layer-plan order; also backward's d_outputs keys.
 HEAD_OUTPUTS = tuple(f.name for f in fields(ModelOutputs))
 
-
-def _chain_forward(params, chain, h, config, keep):
-    """Run one chain; returns its output and, with ``keep``, one (name, linear cache,
-    norm cache, activation cache) record per layer, None for no norm."""
-    caches = []
-    for name, _, _, has_norm in chain:
-        h, lin = linear_forward(h, params[f"{name}.w"], params[f"{name}.b"])
-        ln = act = None
-        if has_norm:
-            h, ln = layer_norm_forward(h, params[f"{name}.gamma"], params[f"{name}.beta"],
-                                       config.ln_eps)
-            ln = ln if keep else None  # frees the normalized rows before the activation
-            h, act = leaky_relu_forward(h, config.leaky_slope)
-        if keep:
-            caches.append((name, lin, ln, act))
-    return h, caches
+_NORM = ("w", "b", "gamma", "beta")  # a hidden layer's tensors, in the order layers use them
 
 
-def forward(params: dict, config: ModelConfig, x: np.ndarray, keep_caches: bool = True):
-    """Run the network on a batch; returns (ModelOutputs, caches), where
-    ``caches`` is what ``backward`` needs, or None with ``keep_caches=False``.
+class _Layer(SimpleNamespace):
+    get = params = grads = x = dx = key = act = g = s = None  # see StepPlan
+
+
+class StepPlan:
+    """Every buffer that ``forward`` and ``backward`` write, for ``rows``
+    rows of one ModelConfig: built once, run on every batch of that size.
+
+    ``layers`` follows ``layer_plan`` in forward order, the trunk and then
+    one head after the other. If the heads' first hidden layers share a
+    width, they are one stacked layer: each step gathers their tensors into
+    its (3, d, w) and (3, 1, w) ``params``, one call of each layer function
+    serves all three, and its ``grads`` are scattered back. Other layers
+    ``get`` their tensors from the parameter or gradient dict. A layer
+    reads ``x`` (None: the model input) and sends its input gradient to
+    ``dx`` (None: nowhere). A hidden layer holds the linear output ``z``
+    (then, in place, its normalized rows), each row's 1/√(var+eps) ``inv``,
+    the layer-norm output ``y`` and the activation ``h``; ``g`` receives
+    the gradient of ``h``, and ``s`` holds that of ``y``, then of ``z``. An
+    output layer's ``z`` is the output ``key``; under the emotion sigmoid
+    ``act`` holds the squashed output and ``s`` the gradient before it. The
+    heads' gradients of the trunk output land in ``head_dx`` and are summed
+    in head order into the top trunk layer's ``g``.
+
+    An inference plan (``backward=False``) has no gradient buffer; its
+    hidden layers take ``z`` and ``y`` from two of three arenas as large as
+    the widest layer, never from the one that holds their input, and ``h``
+    is ``z``. As the heads run one after the other, every output is read
+    before its arena is written again. A plan built ``within`` another of
+    the same config and kind with at least as many rows takes its buffers
+    from that plan's memory; the two must not run at once.
+
+    ``forward`` keeps a reference to its input for ``backward``. Its outputs
+    are views of the plan, overwritten by its next call.
+    """
+
+    def __init__(self, config: ModelConfig, rows: int, backward: bool = True,
+                 within: StepPlan | None = None):
+        self.config, self.rows, self.x, self.buffers = config, rows, None, []
+        pool = None if within is None else iter(within.buffers)
+
+        def new(shape):
+            size = math.prod(shape)
+            buf = np.empty(shape) if pool is None else next(pool)[:size].reshape(shape)
+            self.buffers.append(buf.reshape(-1))
+            return buf
+
+        self.layers, self.gather, self.scatter, outputs = [], [], [], []
+        trunk, *heads = layer_plan(config)
+        entry = [chain[0] for chain in heads]
+        stacked = len({d_out for _, _, d_out, _ in entry}) == 1
+        widest = max(*(d_out for chain in (trunk, *heads) for _, _, d_out, _ in chain),
+                     3 * entry[0][2] if stacked else 0)
+        arenas = None if backward else new((3, rows * widest))
+
+        def hidden(get, d_out, feed, stack=(), **fixed):
+            """Add a hidden layer; returns the feed of the next: (h, g, arena)."""
+            x, dx, below = feed
+            shape, free = (*stack, rows, d_out), [a for a in range(3) if a != below]
+            z, y = (new(shape) if backward else arenas[a, :math.prod(shape)].reshape(shape)
+                    for a in free[:2])
+            layer = _Layer(get=get, x=x, dx=dx, z=z, y=y, h=new(shape) if backward else z,
+                           inv=new((*shape[:-1], 1)), **fixed)
+            if backward:
+                layer.g, layer.s = new(shape), new(shape)
+            self.layers.append(layer)
+            return layer.h, layer.g, free[0]
+
+        feed = (None, None, -1)
+        for name, _, d_out, _ in trunk:
+            feed = hidden(_getter(name, _NORM), d_out, feed)
+        self.trunk_top, (h_top, _, top) = self.layers[-1], feed
+        self.head_dx = new((3, rows, trunk[-1][2])) if backward else None
+        feeds = [(h_top, dx, top) for dx in ([None] * 3 if self.head_dx is None else self.head_dx)]
+        if stacked:
+            (_, d, w, _), names = entry[0], [name for name, _, _, _ in entry]
+            params = (new((3, d, w)), *(new((3, 1, w)) for _ in _NORM[1:]))
+            grads = ((new((3, d, w)), *(new((3, w)) for _ in _NORM[1:]))
+                     if backward else ())
+            for i, name in enumerate(names):
+                self.gather += [(f"{name}.{t}", p[i]) for t, p in zip(_NORM, params)]
+                self.scatter += [(f"{name}.{t}", g[i]) for t, g in zip(_NORM, grads)]
+            h, g, arena = hidden(None, w, (h_top, self.head_dx, top), (3,), params=params,
+                                 grads=grads)
+            feeds = [(h[i], None if g is None else g[i], arena) for i in range(3)]
+        for key, chain, feed in zip(HEAD_OUTPUTS, heads, feeds):
+            for name, _, d_out, has_norm in chain[1:] if stacked else chain:
+                if has_norm:
+                    feed = hidden(_getter(name, _NORM), d_out, feed)
+                    continue
+                layer = _Layer(get=_getter(name, _NORM[:2]), x=feed[0], dx=feed[1], key=key,
+                               z=new((rows, d_out)))
+                if key == "emotion" and config.emotion_activation == "sigmoid":
+                    layer.act, layer.s = new(layer.z.shape), new(layer.z.shape)
+                self.layers.append(layer)
+                outputs.append(layer.z if layer.act is None else layer.act)
+        self.outputs = ModelOutputs(*outputs)
+        self.d_outputs = ({key: new(v.shape) for key, v in zip(HEAD_OUTPUTS, outputs)}
+                          if backward else None)
+
+
+def _getter(name, tensors):
+    return operator.itemgetter(*(f"{name}.{t}" for t in tensors))
+
+
+def forward(params: dict, plan: StepPlan, x: np.ndarray) -> ModelOutputs:
+    """Run the network on a batch of ``plan.rows`` rows, into the plan's
+    buffers; returns the plan's outputs.
 
     ``x`` is a float64 (n, input_dim) array. Rows are independent (layer
     norm acts per row), so splitting a batch into blocks of rows changes
     no result beyond rounding; not always bit for bit, since BLAS picks its
     matrix-product kernels by shape (by the row count too).
     """
-    trunk, *heads = layer_plan(config)
-    h, trunk_caches = _chain_forward(params, trunk, x, config, keep_caches)
-    ys, head_caches, sig_cache = [], [], None
-    for key, chain in zip(HEAD_OUTPUTS, heads):
-        y, chain_caches = _chain_forward(params, chain, h, config, keep_caches)
-        if key == "emotion" and config.emotion_activation == "sigmoid":
-            y, sig_cache = sigmoid_forward(y)
-        ys.append(y)
-        head_caches.append(chain_caches)
-    caches = (config, trunk_caches, head_caches, sig_cache) if keep_caches else None
-    return ModelOutputs(*ys), caches
+    plan.x = x
+    for name, dst in plan.gather:
+        dst[...] = params[name]
+    eps, slope = plan.config.ln_eps, plan.config.leaky_slope
+    for layer in plan.layers:
+        p = layer.params or layer.get(params)
+        linear_forward(x if layer.x is None else layer.x, p[0], p[1], out=layer.z)
+        if layer.key is None:
+            layer_norm_forward(layer.z, p[2], p[3], eps, out=layer.y, xhat=layer.z,
+                               inv_std=layer.inv)
+            leaky_relu_forward(layer.y, slope, out=layer.h)
+        elif layer.act is not None:
+            sigmoid_forward(layer.z, out=layer.act)
+    return plan.outputs
 
 
-# -- backward ---------------------------------------------------------------
-
-
-def _chain_backward(grads, caches, dy, input_grad=True):
-    """Walk one chain's caches from the top, writing every parameter
-    gradient into ``grads``; returns the gradient of the chain's input,
-    or None with ``input_grad=False``."""
-    for i in reversed(range(len(caches))):
-        name, lin, ln, act = caches[i]
-        if ln is not None:
-            dy = leaky_relu_backward(act, dy)
-            dy, _, _ = layer_norm_backward(ln, dy, grads[f"{name}.gamma"],
-                                           grads[f"{name}.beta"])
-        dy, _, _ = linear_backward(lin, dy, grads[f"{name}.w"], grads[f"{name}.b"],
-                                   input_grad or i > 0)
-    return dy
-
-
-def backward(params: dict, caches, d_outputs: dict, grads: Params) -> Params:
+def backward(params: dict, plan: StepPlan, d_outputs: dict, grads: Params) -> Params:
     """Gradients for every parameter given output-side gradients.
 
     ``d_outputs`` maps each name in HEAD_OUTPUTS to an array shaped like
-    that output. Each head is walked from its output layer down, then the
-    trunk from the top with the sum of the heads' input gradients. Every
-    gradient is written into ``grads`` (from ``init_grads``), which is
-    returned; the weights come from ``caches`` (from ``forward``).
+    that output (``plan.d_outputs`` holds such buffers). The layers of
+    ``plan``'s last ``forward`` are walked in reverse: each head from its
+    output layer down, then the trunk from the top with the sum of the
+    heads' input gradients. Every gradient is written into ``grads`` (from
+    ``init_grads``), which is returned.
     """
-    config, trunk_caches, head_caches, sig_cache = caches
-    n = trunk_caches[0][1].x.shape[0]
-    d_shared = np.zeros((n, config.shared_dims[-1]))
-    for key, chain_caches in zip(HEAD_OUTPUTS, head_caches):
-        dy = d_outputs[key]
-        if key == "emotion" and sig_cache is not None:
-            dy = sigmoid_backward(sig_cache, dy)
-        d_shared += _chain_backward(grads, chain_caches, dy)
-    _chain_backward(grads, trunk_caches, d_shared, input_grad=False)
+    slope = plan.config.leaky_slope
+    for layer in reversed(plan.layers):
+        p = layer.params or layer.get(params)
+        dp = layer.grads or layer.get(grads)
+        if layer.key is None:
+            if layer is plan.trunk_top:
+                np.add.reduce(plan.head_dx, axis=0, out=layer.g, initial=0.0)
+            dy = leaky_relu_backward(layer.y, layer.g, slope, out=layer.s)
+            layer_norm_backward(dy, layer.z, layer.inv, p[2], dp[2], dp[3], out=dy,
+                                scratch=layer.g)
+        else:
+            dy = d_outputs[layer.key]
+            if layer.act is not None:
+                dy = sigmoid_backward(layer.act, dy, out=layer.s)
+        linear_backward(plan.x if layer.x is None else layer.x, p[0], dy, dp[0], dp[1],
+                        layer.dx, layer.dx is not None)
+    for name, src in plan.scatter:
+        grads[name][...] = src
     return grads
 
 
@@ -315,8 +405,8 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     one also taking the leftover rows. No block is shorter unless n is:
     OpenBLAS rounds products of a few rows with other kernels. The outputs
     then equal one full ``forward``'s bit for bit up to about 3,100 rows.
-    Besides its result arrays, predict holds one block's activations, for
-    at most 2 * PREDICT_ROWS - 1 rows, and no backward caches.
+    Besides its result arrays, predict holds one inference StepPlan, for at
+    most 2 * PREDICT_ROWS - 1 rows and without gradient buffers.
 
     ``age_scaler`` maps the standardized age output back to years via its
     ``descale`` method. Country is the argmax of the logits; numpy argmax
@@ -327,13 +417,16 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
     logits = np.empty((n, config.country_out))
     age_scaled = np.empty(n)
     blocks = max(1, n // PREDICT_ROWS)
+    plan = None
     for i in range(blocks):
-        rows = slice(i * PREDICT_ROWS, n if i == blocks - 1 else (i + 1) * PREDICT_ROWS)
-        outputs, _ = forward(params, config, x[rows], False)
-        emotion[rows] = outputs.emotion
-        logits[rows] = outputs.country_logits
-        age_scaled[rows] = outputs.age_scaled[:, 0]
-        del outputs  # not alive while the next block's forward allocates
+        start, stop = i * PREDICT_ROWS, n if i == blocks - 1 else (i + 1) * PREDICT_ROWS
+        if plan is None or plan.rows != stop - start:
+            plan = None  # the last block's plan is made after the others' is freed
+            plan = StepPlan(config, stop - start, backward=False)
+        outputs = forward(params, plan, x[start:stop])
+        emotion[start:stop] = outputs.emotion
+        logits[start:stop] = outputs.country_logits
+        age_scaled[start:stop] = outputs.age_scaled[:, 0]
     country = np.argmax(logits, axis=1).astype(np.int64)
     return PredictionSet(emotion=emotion, age_years=age_scaler.descale(age_scaled),
                          country=country)

@@ -32,6 +32,7 @@ from .model import (
     ModelConfig,
     Params,
     PredictionSet,
+    StepPlan,
     backward,
     forward,
     init_grads,
@@ -198,31 +199,44 @@ def evaluate(preds: PredictionSet, split: SplitPart) -> MetricsBundle:
 # -- training ---------------------------------------------------------------
 
 
-def _epoch_pass(params, config: TrainConfig, x, rows, y_emotion, y_country, y_age_scaled,
-                shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
+def step_plans(model: ModelConfig, n: int, batch_size: int) -> dict[int, StepPlan]:
+    """A StepPlan for each batch size that an epoch over ``n`` rows takes:
+    ``batch_size``, and the short last batch, if there is one, within it."""
+    full = StepPlan(model, min(batch_size, n))
+    plans = {full.rows: full}
+    if n > batch_size and n % batch_size:
+        plans[n % batch_size] = StepPlan(model, n % batch_size, within=full)
+    return plans
+
+
+def _epoch_pass(params, config: TrainConfig, plans, grads, x, rows, y_emotion, y_country,
+                y_age_scaled, shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
     """One epoch of minibatch updates; returns per-sample mean losses.
 
     Row ``i`` of ``x`` is train row ``rows[i]``. Both are reordered in place
-    into the epoch's shuffled order, so each batch is a slice of ``x``."""
+    into the epoch's shuffled order, so each batch is a slice of ``x``. Each
+    step runs in the buffers of ``plans`` (from ``step_plans``) and writes
+    its gradients into ``grads``."""
     n = x.shape[0]
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
-    grads = init_grads(config.model)
     parts = batches(n, config.batch_size, shuffle_rng)
     order = np.concatenate(parts) if n else rows
     permute_rows(x, np.argsort(rows)[order])
     rows[...] = order
     for start, batch in zip(range(0, n, config.batch_size), parts):
-        outputs, caches = forward(params, config.model, x[start:start + batch.size])
-        l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch])
-        l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch])
-        l_a, g_a = mse_loss(outputs.age_scaled, y_age_scaled[batch])
+        plan = plans[batch.size]
+        d = plan.d_outputs
+        outputs = forward(params, plan, x[start:start + batch.size])
+        l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch], d["emotion"])
+        l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch],
+                                      d["country_logits"])
+        l_a, g_a = mse_loss(outputs.age_scaled, y_age_scaled[batch], d["age_scaled"])
         combine(l_e, l_c, l_a, config.loss)  # raises on non-finite components
-        backward(params, caches, {
-            "emotion": g_e * w_e,
-            "country_logits": g_c * w_c,
-            "age_scaled": g_a * w_a,
-        }, grads)
+        g_e *= w_e
+        g_c *= w_c
+        g_a *= w_a
+        backward(params, plan, d, grads)
         if config.clip_norm is not None:
             clip_grads(grads, config.clip_norm)
         adam_step(params, grads, adam, config)
@@ -230,7 +244,6 @@ def _epoch_pass(params, config: TrainConfig, x, rows, y_emotion, y_country, y_ag
         sum_e += l_e * frac
         sum_c += l_c * frac
         sum_a += l_a * frac
-        del outputs, caches  # not alive while the next forward allocates
     return combine(sum_e, sum_c, sum_a, config.loss)
 
 
@@ -259,6 +272,8 @@ def train_run(config: TrainConfig, data: SplitDataset):
     shuffle_rng = RngStream(derive_subseed(config.seed, 1))
     params = init_params(config.model, init_rng)
     adam = init_adam(params)
+    plans = step_plans(config.model, len(data.train), config.batch_size)
+    grads = init_grads(config.model)
     scaler = data.age_scaler
     y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
 
@@ -276,7 +291,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
                 with np.errstate(over="raise", invalid="raise"):
                     if epoch:
                         train_loss = _epoch_pass(
-                            params, config, data.train.x, rows, data.train.y_emotion,
+                            params, config, plans, grads, data.train.x, rows, data.train.y_emotion,
                             data.train.y_country, y_age_scaled, shuffle_rng, adam,
                         )
                     preds = predict(params, config.model, data.val.x, scaler)

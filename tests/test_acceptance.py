@@ -27,7 +27,7 @@ from pmtl.layers import (
 )
 from pmtl.losses import LossConfig, combine, cross_entropy_loss, mse_loss, total_loss
 from pmtl.metrics import ccc, mae, multitask_score, uar
-from pmtl.model import ModelConfig, backward, forward, init_grads, init_params
+from pmtl.model import ModelConfig, StepPlan, backward, forward, init_grads, init_params
 from pmtl.rng import RngStream
 from pmtl.sweep import SweepSpec, report_markdown, run_sweep, sidecar_csv
 from pmtl.train import TrainConfig, train_run
@@ -115,12 +115,13 @@ def multitask_fd_closure(config, x, y_emotion, y_country, y_age, loss_config):
     w_e, w_c, w_a = loss_config.weights()
 
     def f(params):
-        outputs, caches = forward(params, config, x)
+        plan = StepPlan(config, len(x))
+        outputs = forward(params, plan, x)
         l_e, g_e = mse_loss(outputs.emotion, y_emotion)
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country)
         l_a, g_a = mse_loss(outputs.age_scaled, y_age)
         breakdown = combine(l_e, l_c, l_a, loss_config)
-        grads = backward(params, caches, {
+        grads = backward(params, plan, {
             "emotion": g_e * w_e,
             "country_logits": g_c * w_c,
             "age_scaled": g_a * w_a,
@@ -170,22 +171,22 @@ def test_criterion_2_gradient_correctness():
             failures.append(f"{label}: max rel err {worst:.2e} >= 1e-5")
 
     def f_linear(params):
-        y, cache = linear_forward(xs, params["w"], params["b"])
-        dx, dw, db = linear_backward(cache, c)
+        y = linear_forward(xs, params["w"], params["b"])
+        dx, dw, db = linear_backward(xs, params["w"], c)
         return float((y * c).sum()), {"w": dw, "b": db}
 
     def f_ln(params):
-        y, cache = layer_norm_forward(xs, params["gamma"], params["beta"])
-        dx, dg, db = layer_norm_backward(cache, c4)
+        y, xhat, inv_std = layer_norm_forward(xs, params["gamma"], params["beta"])
+        dx, dg, db = layer_norm_backward(c4, xhat, inv_std, params["gamma"])
         return float((y * c4).sum()), {"gamma": dg, "beta": db}
 
     def f_leaky(params):
-        y, cache = leaky_relu_forward(params["x"], 0.01)
-        return float((y * c4).sum()), {"x": leaky_relu_backward(cache, c4)}
+        y = leaky_relu_forward(params["x"], 0.01)
+        return float((y * c4).sum()), {"x": leaky_relu_backward(params["x"], c4, 0.01)}
 
     def f_sigmoid(params):
-        y, cache = sigmoid_forward(params["x"])
-        return float((y * c4).sum()), {"x": sigmoid_backward(cache, c4)}
+        y = sigmoid_forward(params["x"])
+        return float((y * c4).sum()), {"x": sigmoid_backward(y, c4)}
 
     check("linear", f_linear, {"w": w, "b": b})
     check("layer_norm", f_ln, {"gamma": gamma, "beta": beta})
@@ -390,7 +391,8 @@ def test_criterion_7_loss_weighting_contract():
     params = init_params(config, RngStream(5))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((8, 6))
-    outputs, caches = forward(params, config, x)
+    plan = StepPlan(config, len(x))
+    outputs = forward(params, plan, x)
     _, g_e = mse_loss(outputs.emotion, rng.uniform(0.1, 0.9, size=(8, 10)))
     _, g_c = cross_entropy_loss(outputs.country_logits,
                                 np.array([0, 1, 2, 3, 0, 1, 2, 3]))
@@ -402,8 +404,8 @@ def test_criterion_7_loss_weighting_contract():
     for key, g in (("emotion", g_e), ("country_logits", g_c), ("age_scaled", g_a)):
         d = {k: v.copy() for k, v in zero.items()}
         d[key] = g
-        unit.append(backward(params, caches, d, init_grads(config)))
-    combined = backward(params, caches, {
+        unit.append(backward(params, plan, d, init_grads(config)))
+    combined = backward(params, plan, {
         "emotion": g_e * weights[0],
         "country_logits": g_c * weights[1],
         "age_scaled": g_a * weights[2],

@@ -216,15 +216,17 @@ def test_all_finite_scans_every_block(n):
 
 @pytest.mark.parametrize("n", [1, 2, FIT_CHUNK + 5])
 def test_all_finite_on_values_whose_squares_overflow(n):
-    # the sum of squares is inf, so the blocks are scanned; no warning, no error
-    x = np.full(n, 1e200)
-    with np.errstate(over="raise", invalid="raise"):
-        assert all_finite(x) and all_finite(-x)
-        for i in sorted({0, n // 2, n - 1}):
-            for bad in (np.nan, np.inf, -np.inf):
-                y = x.copy()
-                y[i] = bad
-                assert not all_finite(y), (i, bad)
+    # at 1e308 the sum itself is inf from n = 2 on, so the blocks are
+    # scanned; no warning, no error
+    for value in (1e200, 1e308):
+        x = np.full(n, value)
+        with np.errstate(over="raise", invalid="raise"):
+            assert all_finite(x) and all_finite(-x)
+            for i in sorted({0, n // 2, n - 1}):
+                for bad in (np.nan, np.inf, -np.inf):
+                    y = x.copy()
+                    y[i] = bad
+                    assert not all_finite(y), (i, value, bad)
 
 
 def test_csv_load_holds_rows_and_one_stacked_copy(tmp_path, rng_np, traced_peak):

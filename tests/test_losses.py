@@ -106,6 +106,47 @@ def test_cross_entropy_gradient_rows_sum_to_zero(rng_np):
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
+def _mse_by_the_textbook(pred, target):
+    diff = pred - target
+    return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+
+
+def _cross_entropy_by_the_textbook(logits, classes):
+    # two sums of exp, and the softmax copied, as the losses first computed it
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    softmax = exp / exp.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    dlogits = softmax.copy()
+    dlogits[rows, classes] -= 1.0
+    return float(-log_probs[rows, classes].mean()), dlogits / n
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 256])
+def test_losses_keep_the_textbook_bits(n):
+    # the one-pass forms, with their in-place scaling and out buffers, give
+    # the bytes of the plain formulas: on random logits, on tied ones and on
+    # logits at +-700, where exp would overflow without the max shift
+    rng = np.random.default_rng(n)
+    classes = rng.integers(0, 4, size=n)
+    ties = np.repeat(rng.standard_normal((n, 1)), 4, axis=1)
+    ties[:, 2] += 1.0
+    extreme = rng.choice([-700.0, 700.0, 0.0, 1e-3], size=(n, 4))
+    for logits in (rng.standard_normal((n, 4)) * 5.0, ties, extreme):
+        expected = _cross_entropy_by_the_textbook(logits, classes)
+        for out in (None, np.empty((n, 4))):
+            loss, grad = cross_entropy_loss(logits, classes, out=out)
+            assert (loss, grad.tobytes()) == (expected[0], expected[1].tobytes())
+    for shape in ((n, 10), (n, 1)):
+        pred, target = rng.standard_normal(shape) * 3.0, rng.uniform(0, 1, size=shape)
+        expected = _mse_by_the_textbook(pred, target)
+        for out in (None, np.empty(shape)):
+            loss, grad = mse_loss(pred, target, out=out)
+            assert (loss, grad.tobytes()) == (expected[0], expected[1].tobytes())
+
+
 def test_weights_frozen_values():
     w_e, w_c, w_a = LossConfig().weights()
     assert w_e == pytest.approx(W_EMOTION, abs=1e-15)

@@ -10,12 +10,25 @@ import pytest
 import pmtl.model
 from pmtl.data import AgeScaler
 from pmtl.errors import ConfigError, ShapeError
+import pmtl.train
 from pmtl.gradcheck import grad_check
+from pmtl.layers import (
+    layer_norm_backward,
+    layer_norm_forward,
+    leaky_relu_backward,
+    leaky_relu_forward,
+    linear_backward,
+    linear_forward,
+    sigmoid_backward,
+    sigmoid_forward,
+)
 from pmtl.losses import LossConfig, cross_entropy_loss, mse_loss
 from pmtl.model import (
+    HEAD_OUTPUTS,
     PREDICT_ROWS,
     ModelConfig,
     Params,
+    StepPlan,
     backward,
     check_params,
     forward,
@@ -38,6 +51,12 @@ def make_batch(config, n, seed=0):
     return x, y_emotion, y_country, y_age
 
 
+def run_forward(params, config, x):
+    """``forward`` on a plan of its own for x's rows; returns (outputs, plan)."""
+    plan = StepPlan(config, len(x))
+    return forward(params, plan, x), plan
+
+
 def head_grads(outputs, **given):
     """Output gradients for backward: those given, zeros for the other heads."""
     d_outputs = {"emotion": np.zeros_like(outputs.emotion),
@@ -52,12 +71,12 @@ def multitask_closure(config, x, y_emotion, y_country, y_age, loss_cfg=LossConfi
     w_e, w_c, w_a = loss_cfg.weights()
 
     def f(params):
-        outputs, caches = forward(params, config, x)
+        outputs, plan = run_forward(params, config, x)
         l_e, g_e = mse_loss(outputs.emotion, y_emotion)
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country)
         l_a, g_a = mse_loss(outputs.age_scaled, y_age)
         loss = l_e * w_e + l_c * w_c + l_a * w_a + loss_cfg.constant_term()
-        grads = backward(params, caches, {
+        grads = backward(params, plan, {
             "emotion": g_e * w_e,
             "country_logits": g_c * w_c,
             "age_scaled": g_a * w_a,
@@ -170,7 +189,7 @@ def test_init_bounds_and_determinism(tiny_config):
 def test_forward_shapes(tiny_config):
     params = init_params(tiny_config, RngStream(0))
     x = np.zeros((7, tiny_config.input_dim))
-    outputs, _ = forward(params, tiny_config, x)
+    outputs, _ = run_forward(params, tiny_config, x)
     assert outputs.emotion.shape == (7, 10)
     assert outputs.country_logits.shape == (7, 4)
     assert outputs.age_scaled.shape == (7, 1)
@@ -179,9 +198,9 @@ def test_forward_shapes(tiny_config):
 def test_forward_rows_independent(tiny_config):
     params = init_params(tiny_config, RngStream(2))
     x, *_ = make_batch(tiny_config, 5)
-    batched, _ = forward(params, tiny_config, x)
+    batched, _ = run_forward(params, tiny_config, x)
     for i in range(5):
-        single, _ = forward(params, tiny_config, x[i:i + 1])
+        single, _ = run_forward(params, tiny_config, x[i:i + 1])
         assert np.allclose(single.emotion, batched.emotion[i:i + 1], atol=1e-12)
         assert np.allclose(single.country_logits, batched.country_logits[i:i + 1],
                            atol=1e-12)
@@ -192,28 +211,26 @@ def test_forward_permutation_equivariant(tiny_config):
     params = init_params(tiny_config, RngStream(2))
     x, *_ = make_batch(tiny_config, 6)
     perm = np.array([3, 0, 5, 1, 4, 2])
-    direct, _ = forward(params, tiny_config, x[perm])
-    base, _ = forward(params, tiny_config, x)
+    direct, _ = run_forward(params, tiny_config, x[perm])
+    base, _ = run_forward(params, tiny_config, x)
     assert np.allclose(direct.emotion, base.emotion[perm], atol=1e-12)
 
 
 def test_emotion_sigmoid_range(tiny_config):
     params = init_params(tiny_config, RngStream(1))
     x, *_ = make_batch(tiny_config, 20)
-    outputs, _ = forward(params, tiny_config, x)
+    outputs, _ = run_forward(params, tiny_config, x)
     assert np.all((outputs.emotion > 0.0) & (outputs.emotion < 1.0))
 
 
 def test_linear_emotion_variant_skips_sigmoid(tiny_config):
-    from pmtl.layers import sigmoid_forward
-
     linear_cfg = ModelConfig(**{**asdict(tiny_config),
                                 "emotion_activation": "linear"})
     params = init_params(tiny_config, RngStream(3))
     x, *_ = make_batch(tiny_config, 8)
-    sig_out, _ = forward(params, tiny_config, x)
-    lin_out, _ = forward(params, linear_cfg, x)
-    squashed, _ = sigmoid_forward(lin_out.emotion)
+    sig_out, _ = run_forward(params, tiny_config, x)
+    lin_out, _ = run_forward(params, linear_cfg, x)
+    squashed = sigmoid_forward(lin_out.emotion)
     assert np.allclose(squashed, sig_out.emotion, atol=1e-12)
 
 
@@ -256,9 +273,9 @@ def test_age_chain_gradients_absolute_fd():
     x, _, _, y_age = make_batch(config, 4, seed=1)
 
     def f(p):
-        outputs, caches = forward(p, config, x)
+        outputs, plan = run_forward(p, config, x)
         loss, grad = mse_loss(outputs.age_scaled, y_age)
-        return loss, backward(p, caches, head_grads(outputs, age_scaled=grad),
+        return loss, backward(p, plan, head_grads(outputs, age_scaled=grad),
                              init_grads(config))
 
     _, grads = f(params)
@@ -280,13 +297,13 @@ def test_age_chain_gradients_absolute_fd():
 def test_backward_zero_fill_for_missing_heads(tiny_config):
     params = init_params(tiny_config, RngStream(6))
     x, y_emotion, y_country, y_age = make_batch(tiny_config, 5)
-    outputs, caches = forward(params, tiny_config, x)
+    outputs, plan = run_forward(params, tiny_config, x)
     _, g_e = mse_loss(outputs.emotion, y_emotion)
     # heads given zero output gradients get zero parameter gradients, also
     # in a reused gradient buffer that holds stale values
     grads = init_grads(tiny_config)
     grads.flat.fill(7.0)
-    backward(params, caches, head_grads(outputs, emotion=g_e), grads)
+    backward(params, plan, head_grads(outputs, emotion=g_e), grads)
     assert set(grads) == set(params)
     for name, g in grads.items():
         if name.startswith(("country", "age")):
@@ -300,27 +317,146 @@ def test_head_gradients_are_independent(tiny_config):
     # gradients; only the trunk sums contributions
     params = init_params(tiny_config, RngStream(7))
     x, y_emotion, y_country, y_age = make_batch(tiny_config, 5)
-    outputs, caches = forward(params, tiny_config, x)
+    outputs, plan = run_forward(params, tiny_config, x)
     _, g_e = mse_loss(outputs.emotion, y_emotion)
     _, g_c = cross_entropy_loss(outputs.country_logits, y_country)
     _, g_a = mse_loss(outputs.age_scaled, y_age)
-    full = backward(params, caches, {
+    full = backward(params, plan, {
         "emotion": g_e, "country_logits": g_c, "age_scaled": g_a,
     }, init_grads(tiny_config))
-    only_c = backward(params, caches, head_grads(outputs, country_logits=g_c),
+    only_c = backward(params, plan, head_grads(outputs, country_logits=g_c),
                       init_grads(tiny_config))
     for name in params:
         if name.startswith("country"):
             assert np.allclose(full[name], only_c[name], atol=1e-15), name
     # trunk gradient is the sum of single-head contributions
-    only_e = backward(params, caches, head_grads(outputs, emotion=g_e),
+    only_e = backward(params, plan, head_grads(outputs, emotion=g_e),
                       init_grads(tiny_config))
-    only_a = backward(params, caches, head_grads(outputs, age_scaled=g_a),
+    only_a = backward(params, plan, head_grads(outputs, age_scaled=g_a),
                       init_grads(tiny_config))
     for name in params:
         if name.startswith("shared"):
             total = only_e[name] + only_c[name] + only_a[name]
             assert np.allclose(full[name], total, atol=1e-12), name
+
+
+def reference_pass(params, config, x, d_outputs):
+    """Outputs and gradients of the network walked one layer at a time
+    through the public layer functions, each head on its own chain and no
+    buffer reused: the StepPlan without its stacking, gathering or arenas."""
+    trunk, *heads = layer_plan(config)
+    eps, slope = config.ln_eps, config.leaky_slope
+    grads = {}
+
+    def chain_forward(chain, h):
+        saved = []
+        for name, _, _, has_norm in chain:
+            z, norm = linear_forward(h, params[f"{name}.w"], params[f"{name}.b"]), None
+            if has_norm:
+                norm = layer_norm_forward(z, params[f"{name}.gamma"], params[f"{name}.beta"], eps)
+                z = leaky_relu_forward(norm[0], slope)
+            saved.append((name, h, norm))
+            h = z
+        return h, saved
+
+    def chain_backward(saved, dy, input_grad=True):
+        for i in reversed(range(len(saved))):
+            name, h, norm = saved[i]
+            if norm is not None:
+                y, xhat, inv_std = norm
+                dy = leaky_relu_backward(y, dy, slope)
+                dy, grads[f"{name}.gamma"], grads[f"{name}.beta"] = layer_norm_backward(
+                    dy, xhat, inv_std, params[f"{name}.gamma"])
+            dy, grads[f"{name}.w"], grads[f"{name}.b"] = linear_backward(
+                h, params[f"{name}.w"], dy, input_grad=input_grad or i > 0)
+        return dy
+
+    h, trunk_saved = chain_forward(trunk, x)
+    outputs, d_shared = [], np.zeros_like(h)
+    for key, chain in zip(HEAD_OUTPUTS, heads):
+        y, saved = chain_forward(chain, h)
+        dy = d_outputs[key]
+        if key == "emotion" and config.emotion_activation == "sigmoid":
+            y = sigmoid_forward(y)
+            dy = sigmoid_backward(y, dy)
+        outputs.append(y)
+        d_shared += chain_backward(saved, dy)
+    chain_backward(trunk_saved, d_shared, input_grad=False)
+    return outputs, grads
+
+
+def assert_plan_equals_reference(config, n):
+    params = init_params(config, RngStream(n))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, config.input_dim))
+    d_outputs = {"emotion": rng.standard_normal((n, config.emotion_out)),
+                 "country_logits": rng.standard_normal((n, config.country_out)),
+                 "age_scaled": rng.standard_normal((n, 1))}
+    plan = StepPlan(config, n)
+    outputs = forward(params, plan, x)
+    grads = backward(params, plan, d_outputs, init_grads(config))
+    inference = forward(params, StepPlan(config, n, backward=False), x)
+    want_outputs, want_grads = reference_pass(params, config, x, d_outputs)
+    for key, want in zip(HEAD_OUTPUTS, want_outputs):
+        assert getattr(outputs, key).tobytes() == want.tobytes(), (key, n)
+        assert getattr(inference, key).tobytes() == want.tobytes(), (key, n)
+    assert set(grads) == set(want_grads)
+    for name, want in want_grads.items():
+        assert grads[name].tobytes() == want.tobytes(), (name, n)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "linear"])
+@pytest.mark.parametrize("variant", ["two-layer-age", "one-hidden-all"])
+@pytest.mark.parametrize("heads", [(5, 5, 5), (7, 4, 3), None], ids=["5-5-5", "7-4-3", "default"])
+@pytest.mark.parametrize("dim", [12, 64])
+def test_step_plan_equals_the_layer_walk_bit_for_bit(dim, heads, variant, activation):
+    # equal head widths run as one stacked layer, unequal ones each on its own;
+    # the row counts cover one row, a few, predict's blocks and a batch of 256
+    config = ModelConfig(input_dim=dim, head_variant=variant, emotion_activation=activation)
+    if heads is not None:
+        e, c, a = heads
+        config = ModelConfig(input_dim=dim, shared_dims=(10, 6), emotion_hidden=e,
+                             country_hidden=c, head_variant=variant,
+                             age_head_dims=(a, 3) if variant == "two-layer-age" else (a,),
+                             emotion_activation=activation)
+    for n in (1, 7, 8, 128, 200, 255, 256):
+        assert_plan_equals_reference(config, n)
+
+
+def test_step_plan_equals_the_layer_walk_at_the_widest_input():
+    assert_plan_equals_reference(ModelConfig(input_dim=6373), 256)
+
+
+@pytest.mark.parametrize("with_backward", [True, False])
+def test_two_plans_do_not_alias_each_others_outputs(tiny_config, with_backward):
+    params = init_params(tiny_config, RngStream(3))
+    x, *_ = make_batch(tiny_config, 8)
+    first, second = (StepPlan(tiny_config, 8, with_backward) for _ in range(2))
+    outputs = forward(params, first, x)
+    kept = [getattr(outputs, key).copy() for key in HEAD_OUTPUTS]
+    other = forward(params, second, x[::-1].copy())
+    for key, want in zip(HEAD_OUTPUTS, kept):
+        assert getattr(outputs, key).tobytes() == want.tobytes(), key
+        assert getattr(other, key).tobytes() == want[::-1].tobytes(), key
+
+
+def test_a_plan_within_another_shares_its_memory_and_keeps_the_bits(tiny_config):
+    # the short last batch of an epoch runs in the memory of the full batch's plan
+    params = init_params(tiny_config, RngStream(4))
+    x, y_emotion, _, y_age = make_batch(tiny_config, 5)
+    full = StepPlan(tiny_config, 8)
+    inner, alone = StepPlan(tiny_config, 5, within=full), StepPlan(tiny_config, 5)
+    assert len(inner.buffers) == len(full.buffers)
+    assert all(np.shares_memory(a, b) for a, b in zip(inner.buffers, full.buffers))
+    results = []
+    for plan in (inner, alone):
+        outputs = forward(params, plan, x)
+        d = {"emotion": y_emotion, "country_logits": np.ones_like(outputs.country_logits),
+             "age_scaled": y_age}
+        grads = backward(params, plan, d, init_grads(tiny_config))
+        results.append([getattr(outputs, key).tobytes() for key in HEAD_OUTPUTS]
+                       + [g.tobytes() for g in grads.values()])
+    assert results[0] == results[1]
 
 
 def test_params_copy_is_deep(tiny_config):
@@ -369,7 +505,7 @@ def test_predict_shapes_and_descaling(tiny_config):
     assert preds.country.shape == (12,)
     assert preds.country.dtype == np.int64
     assert np.all((preds.country >= 0) & (preds.country < 4))
-    outputs, _ = forward(params, tiny_config, x)
+    outputs, _ = run_forward(params, tiny_config, x)
     assert np.allclose(preds.age_years, outputs.age_scaled[:, 0] * 5.0 + 30.0,
                        atol=1e-12)
     assert np.array_equal(preds.country, np.argmax(outputs.country_logits, axis=1))
@@ -388,7 +524,7 @@ def test_predict_in_blocks_equals_one_forward_bit_for_bit(config):
     x = np.random.default_rng(2).standard_normal((3000, config.input_dim))
     scaler = AgeScaler(mean=29.5, std=4.25)
     for n in (1, 127, 128, 129, 255, 256, 257, 383, 1000, 3000):
-        outputs, _ = forward(params, config, x[:n])
+        outputs, _ = run_forward(params, config, x[:n])
         preds = predict(params, config, x[:n], scaler)
         assert preds.emotion.tobytes() == outputs.emotion.tobytes(), n
         assert preds.age_years.tobytes() == scaler.descale(outputs.age_scaled[:, 0]).tobytes(), n
@@ -427,6 +563,34 @@ def test_predict_keeps_the_traced_forward_path(monkeypatch):
     predict(init_params(config, RngStream(6)), config, x, AgeScaler(mean=30.0, std=5.0))
     assert set(calls) == set(names)
     assert calls.count("forward") == 300 // PREDICT_ROWS
+
+
+def test_a_training_step_keeps_the_traced_names(monkeypatch, tiny_config):
+    # perfbench wraps these names where pmtl.train and pmtl.model look them
+    # up; its trace and its call-count pass need a call of each in every step
+    traced = {pmtl.train: ("forward", "backward", "mse_loss", "cross_entropy_loss", "combine",
+                           "adam_step"),
+              pmtl.model: tuple(f"{layer}_{way}" for layer in
+                                ("linear", "layer_norm", "leaky_relu", "sigmoid")
+                                for way in ("forward", "backward"))}
+    calls = set()
+
+    def counting(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.add(label)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in traced.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting((module, name), getattr(module, name)))
+    config = pmtl.train.TrainConfig(model=tiny_config, batch_size=8)
+    x, y_emotion, y_country, y_age = make_batch(tiny_config, 8)
+    params = init_params(tiny_config, RngStream(6))
+    pmtl.train._epoch_pass(params, config, pmtl.train.step_plans(tiny_config, 8, 8),
+                           init_grads(tiny_config), x, np.arange(8), y_emotion, y_country,
+                           y_age, RngStream(1), pmtl.train.init_adam(params))
+    assert calls == {(module, name) for module, names in traced.items() for name in names}
 
 
 def test_predict_holds_one_block_and_no_backward_caches(traced_peak):

@@ -25,6 +25,7 @@ from pmtl.train import (
     evaluate,
     grad_global_norm,
     init_adam,
+    step_plans,
     train_run,
 )
 
@@ -347,9 +348,9 @@ def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
 
 
 def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
-    # each batch is a slice of the reordered train rows: the pass allocates
-    # the gradient buffer and one step's activations, less than one
-    # (batch, width) array on top of the gradients
+    # each batch is a slice of the reordered train rows: the pass, with the
+    # gradient buffer and step plan that train_run makes for it, allocates
+    # less than one (batch, width) array on top of the gradients
     dim, batch = 2048, 256
     ds = synth_dataset(SynthSpec(n_train=2 * batch, n_val=8, dim=dim, rank=4, seed=7))
     config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=batch)
@@ -360,12 +361,34 @@ def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
     original = ds.train.x.copy()
 
     def one_epoch():
-        return _epoch_pass(params, config, ds.train.x, rows, ds.train.y_emotion,
+        plans, grads = step_plans(config.model, len(ds.train), batch), init_grads(config.model)
+        return _epoch_pass(params, config, plans, grads, ds.train.x, rows, ds.train.y_emotion,
                            ds.train.y_country, y_age_scaled, RngStream(1), adam)
     one_epoch()  # warm-up, so that one-time lazy imports are not counted
     _, peak = traced_peak(one_epoch)
     assert peak < params.flat.nbytes + batch * dim * 8
     assert ds.train.x.tobytes() == original[rows].tobytes()  # row i is train row rows[i]
+
+
+def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
+    # with its step plan, gradients and Adam moments made beforehand, a step
+    # allocates small temporaries and Adam's two chunk buffers; it peaked at
+    # 3.2 MB when each layer allocated its outputs and caches
+    dim, batch = 1024, 256
+    ds = synth_dataset(SynthSpec(n_train=batch, n_val=8, dim=dim, rank=4, seed=7))
+    config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=batch)
+    params = init_params(config.model, RngStream(0))
+    adam = init_adam(params)
+    plans, grads = step_plans(config.model, batch, batch), init_grads(config.model)
+    y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
+    rows = np.arange(batch)
+
+    def one_step():
+        return _epoch_pass(params, config, plans, grads, ds.train.x, rows, ds.train.y_emotion,
+                           ds.train.y_country, y_age_scaled, RngStream(1), adam)
+    one_step()  # warm-up, so that one-time lazy imports are not counted
+    _, peak = traced_peak(one_step)
+    assert peak <= 500_000
 
 
 @pytest.mark.parametrize("how", ["all-epochs", "early-stop", "raises-in-epoch-2"])
