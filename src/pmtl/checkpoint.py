@@ -15,10 +15,9 @@ Layout, all little-endian:
             ``tensors`` first then ``aux``
 
 Tensor names are sorted lexicographically, so identical parameter sets
-serialize to identical bytes and a save/load cycle is bit-exact. That is
-also the layout of ``Params.flat``, so the model tensors of the payload
-are exactly the parameter buffer's bytes. A save goes to a temporary file
-that replaces ``path`` only when complete.
+serialize to identical bytes and a save/load cycle is bit-exact. A load
+copies the model tensors into a ``Params`` laid out for training. A save
+goes to a temporary file that replaces ``path`` only when complete.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .data import AgeScaler, Standardizer, all_finite, atomic_open, read_header
 from .errors import DataFormatError, ShapeError
-from .model import ModelConfig, Params, check_params
+from .model import ModelConfig, Params, check_params, param_shapes
 
 MAGIC = b"PMCK"
 VERSION = 1
@@ -73,15 +72,15 @@ def save_checkpoint(path, params: Params, config: ModelConfig,
         fh.write(MAGIC)
         fh.write(struct.pack("<HI", VERSION, len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
-        for name, _ in header["aux"]:
-            fh.write(np.ascontiguousarray(aux[name], dtype="<f8").tobytes())
+        for table in (params, aux):
+            for name in sorted(table):
+                fh.write(np.ascontiguousarray(table[name], dtype="<f8"))
 
 
 def _read_table(index, payload: memoryview, offset: int, path) -> tuple[Params, int]:
-    """The tensors of one header table as one Params over a copy of their
+    """The tensors of one header table as one read-only Params over their
     bytes, which start at ``offset`` in ``payload``; also the offset after
-    them. Names must be unique and sorted, the layout of ``Params.flat``."""
+    them. Names must be unique and sorted, the order of the payload."""
     shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in index}
     if [entry[0] for entry in index] != sorted(shapes):
         raise DataFormatError("tensor names are not unique and sorted", path)
@@ -90,7 +89,7 @@ def _read_table(index, payload: memoryview, offset: int, path) -> tuple[Params, 
     end = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(payload) < end:
         raise DataFormatError("truncated payload", path)
-    return Params(shapes, np.frombuffer(payload[offset:end], dtype="<f8").copy()), end
+    return Params(shapes, np.frombuffer(payload[offset:end], dtype="<f8")), end
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -106,7 +105,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(header_raw) != header_len:
         raise DataFormatError("truncated header", path)
     try:
-        payload = memoryview(blob)[10 + header_len:]  # no copy: each table copies its slice
+        payload = memoryview(blob)[10 + header_len:]  # no copy: the tables are views of it
         return _from_header(json.loads(header_raw.decode("utf-8")), payload, path)
     except ShapeError as exc:
         raise DataFormatError(f"tensors do not match the model config: {exc}", path) from None
@@ -115,25 +114,27 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
-    params, offset = _read_table(header["tensors"], payload, 0, path)
+    table, offset = _read_table(header["tensors"], payload, 0, path)
     aux, offset = _read_table(header["aux"], payload, offset, path)
     if offset != len(payload):
         raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)
     scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
                        std=float(header["age_scaler"]["std"]))
-    if not (all_finite(params.flat) and all_finite(aux.flat)
+    if not (all_finite(table.flat) and all_finite(aux.flat)
             and math.isfinite(scaler.mean) and math.isfinite(scaler.std)):
         raise DataFormatError("non-finite values", path)
 
     config = ModelConfig(**header["config"])
-    check_params(params, config)
+    check_params(table, config)
+    layout = param_shapes(config)
+    params = Params(dict(layout), np.concatenate([table[name].reshape(-1) for name, _ in layout]))
     standardizer = None
     if header.get("standardizer") is not None:
         meta = header["standardizer"]
         standardizer = Standardizer(
             mode=meta["mode"],
-            center=aux["standardizer.center"],
-            scale=aux["standardizer.scale"],
+            center=aux["standardizer.center"].copy(),
+            scale=aux["standardizer.scale"].copy(),
             degenerate_columns=tuple(int(c) for c in meta["degenerate_columns"]),
         )
         if {standardizer.center.shape, standardizer.scale.shape} != {(config.input_dim,)}:

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
+from .model import Params, params_copy
 
 # Entries whose analytic and numeric magnitudes are both below this floor
 # are compared against the floor instead, so FD noise on near-zero
@@ -34,7 +35,8 @@ def grad_check(
     gradients over every entry of every tensor in ``params``.
 
     ``f(params) -> (loss, grads)`` must be deterministic; ``grads`` mirrors
-    the keys and shapes of ``params``. ``params`` is not modified.
+    the keys and shapes of ``params``. ``f`` sees a copy of ``params``, in
+    the same layout if it is a ``Params``; ``params`` is not modified.
     """
     loss, grads = f(params)
     if not np.isfinite(loss):
@@ -43,7 +45,8 @@ def grad_check(
     if missing:
         raise KeyError(f"grad_check: no gradient for {sorted(missing)}")
 
-    work = {name: np.array(v, dtype=np.float64) for name, v in params.items()}
+    work = (params_copy(params) if isinstance(params, Params)
+            else {name: np.array(v, dtype=np.float64) for name, v in params.items()})
     worst = 0.0
     for name, tensor in work.items():
         flat = tensor.reshape(-1)

@@ -11,7 +11,7 @@ the test suite.
 The caller owns the buffers: each function writes into the output arrays
 it is given (``out``, ``xhat``, ``dw``, ...) and allocates the others.
 Linear and layer norm also take a stack of k layers that read one input:
-``w`` (k, d_in, d_out), ``b``, ``gamma`` and ``beta`` (k, 1, d_out),
+``w`` (k, d_in, d_out), vectors (k, d_out) broadcast as ``v[..., None, :]``,
 activations (k, n, d_out); each slice gets the bits of its layer alone.
 
 These functions sit on the training hot path and, like the model and the
@@ -35,7 +35,7 @@ def linear_forward(x, w, b, out=None):
     x: (n, d_in), w: (d_in, d_out), b: (d_out,); or a stack as above.
     """
     y = np.matmul(x, w, out=out)
-    y += b
+    y += b[..., None, :]
     return y
 
 
@@ -92,8 +92,8 @@ def layer_norm_forward(x, gamma, beta, eps=1e-5, out=None, xhat=None, inv_std=No
     inv_std = np.sqrt(var, out=var)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    np.multiply(gamma, xhat, out=y)
-    y += beta
+    np.multiply(gamma[..., None, :], xhat, out=y)
+    y += beta[..., None, :]
     return y, xhat, inv_std
 
 
@@ -115,7 +115,7 @@ def layer_norm_backward(dy, xhat, inv_std, gamma, dgamma=None, dbeta=None, out=N
     t = np.multiply(dy, xhat, out=scratch)
     dgamma = np.add.reduce(t, axis=-2, out=dgamma)
     dbeta = np.add.reduce(dy, axis=-2, out=dbeta)
-    g = np.multiply(dy, gamma, out=out)
+    g = np.multiply(dy, gamma[..., None, :], out=out)
     mean_g = np.add.reduce(g, axis=-1, keepdims=True)
     mean_g /= d
     np.multiply(g, xhat, out=t)

@@ -18,15 +18,17 @@ records. The caller owns the parameters, the gradient buffer
 (``init_grads``) and the input rows.
 
 Parameters live in a ``Params`` dict of named float64 tensors that are
-views into one contiguous buffer, ``Params.flat``. The buffer holds the
-tensors row-major in lexicographic name order, the order of the
-checkpoint payload, so a checkpoint is the buffer's bytes and the
-optimizer updates every tensor in one pass.
+views into one contiguous buffer, ``Params.flat``, which the optimizer
+updates in one pass. ``param_shapes`` gives its layout: the layer plan's
+order, except that the stacked head layer's four kinds of tensor are each
+one (3, ...) block, which that layer reads and writes as it stands. The
+gradients share the layout; the checkpoint writes the tensors by name.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -114,16 +116,26 @@ def layer_plan(config: ModelConfig) -> tuple[tuple[tuple[str, int, int, bool], .
     )
 
 
+_NORM = ("w", "b", "gamma", "beta")  # a hidden layer's tensors, in the order layers use them
+
+
+def _stacked(config: ModelConfig) -> bool:
+    """Whether the heads' first hidden layers share a width: one stacked layer."""
+    return len({chain[0][2] for chain in layer_plan(config)[1:]}) == 1
+
+
 @functools.lru_cache(maxsize=64)
 def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(name, shape) of every parameter tensor, in layer-plan order."""
-    shapes = []
-    for chain in layer_plan(config):
-        for name, d_in, d_out, has_norm in chain:
-            shapes += [(f"{name}.w", (d_in, d_out)), (f"{name}.b", (d_out,))]
-            if has_norm:
-                shapes += [(f"{name}.gamma", (d_out,)), (f"{name}.beta", (d_out,))]
-    return tuple(shapes)
+    """(name, shape) of every parameter tensor, in the layout of
+    ``Params.flat``: layer by layer in layer-plan order, but the stacked
+    layer's three hold each kind of tensor in one block, head after head."""
+    trunk, *heads = layer_plan(config)
+    stacked = _stacked(config)
+    groups = [[layer] for layer in trunk] + ([[chain[0] for chain in heads]] if stacked else [])
+    groups += [[layer] for chain in heads for layer in (chain[1:] if stacked else chain)]
+    return tuple((f"{name}.{t}", (d_in, d_out) if t == "w" else (d_out,))
+                 for group in groups for t in (_NORM if group[0][3] else _NORM[:2])
+                 for name, d_in, d_out, _ in group)
 
 
 @functools.lru_cache(maxsize=64)
@@ -144,28 +156,27 @@ def _backward_order(config: ModelConfig) -> tuple[str, ...]:
 class Params(dict):
     """Named float64 tensors that are views into one contiguous buffer.
 
-    ``flat`` holds every tensor row-major in lexicographic name order, the
-    order of the checkpoint payload. The dict keeps the key order of the
-    ``shapes`` mapping it is built from, whatever the buffer layout. Write
+    ``flat`` holds every tensor row-major in the order of the ``shapes``
+    mapping, recorded as ``layout``; the model's is ``param_shapes``. The
+    dict is keyed in that order too, or in the order of ``keys``. Write
     into a tensor (``params[name][...] = value``); rebinding a name would
     detach it from ``flat``.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
-        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
-        starts, total = {}, 0
-        for name in sorted(sizes):
-            starts[name] = total
-            total += sizes[name]
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None,
+                 keys: tuple[str, ...] | None = None):
+        self.layout = tuple(shapes.items())
+        total = sum(math.prod(shape) for shape in shapes.values())
         if flat is None:
             try:
                 flat = np.zeros(total)
             except MemoryError:
                 raise ConfigError(f"a model of {total:,} parameters does not fit in memory") from None
-        super().__init__(
-            (name, flat[starts[name]:starts[name] + sizes[name]].reshape(shape))
-            for name, shape in shapes.items()
-        )
+        views, start = {}, 0
+        for name, shape in self.layout:
+            views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+            start += views[name].size
+        super().__init__((name, views[name]) for name in (views if keys is None else keys))
         self.flat = flat
 
 
@@ -184,9 +195,8 @@ def init_params(config: ModelConfig, rng: RngStream) -> Params:
 
 
 def init_grads(config: ModelConfig) -> Params:
-    """Zeroed gradient tensors for ``config``, keyed in backward order."""
-    shapes = dict(param_shapes(config))
-    return Params({name: shapes[name] for name in _backward_order(config)})
+    """Zeroed gradients for ``config``: the parameters' layout, keyed in backward order."""
+    return Params(dict(param_shapes(config)), keys=_backward_order(config))
 
 
 def check_params(params: dict, config: ModelConfig) -> None:
@@ -204,8 +214,8 @@ def check_params(params: dict, config: ModelConfig) -> None:
 
 
 def params_copy(params: Params) -> Params:
-    """A deep copy: one copy of the flat buffer."""
-    return Params({name: v.shape for name, v in params.items()}, params.flat.copy())
+    """A deep copy in the same layout and key order: one copy of the flat buffer."""
+    return Params(dict(params.layout), params.flat.copy(), keys=tuple(params))
 
 
 # -- step plan --------------------------------------------------------------
@@ -221,11 +231,9 @@ class ModelOutputs:
 # Each head chain's output, in layer-plan order; also backward's d_outputs keys.
 HEAD_OUTPUTS = tuple(f.name for f in fields(ModelOutputs))
 
-_NORM = ("w", "b", "gamma", "beta")  # a hidden layer's tensors, in the order layers use them
-
 
 class _Layer(SimpleNamespace):
-    get = params = grads = x = dx = key = act = g = s = None  # see StepPlan
+    get = x = dx = key = act = g = s = None  # see StepPlan
 
 
 class StepPlan:
@@ -233,20 +241,20 @@ class StepPlan:
     rows of one ModelConfig: built once, run on every batch of that size.
 
     ``layers`` follows ``layer_plan`` in forward order, the trunk and then
-    one head after the other. If the heads' first hidden layers share a
-    width, they are one stacked layer: each step gathers their tensors into
-    its (3, d, w) and (3, 1, w) ``params``, one call of each layer function
-    serves all three, and its ``grads`` are scattered back. Other layers
-    ``get`` their tensors from the parameter or gradient dict. A layer
-    reads ``x`` (None: the model input) and sends its input gradient to
-    ``dx`` (None: nowhere). A hidden layer holds the linear output ``z``
-    (then, in place, its normalized rows), each row's 1/√(var+eps) ``inv``,
-    the layer-norm output ``y`` and the activation ``h``; ``g`` receives
-    the gradient of ``h``, and ``s`` holds that of ``y``, then of ``z``. An
-    output layer's ``z`` is the output ``key``; under the emotion sigmoid
-    ``act`` holds the squashed output and ``s`` the gradient before it. The
-    heads' gradients of the trunk output land in ``head_dx`` and are summed
-    in head order into the top trunk layer's ``g``.
+    one head after the other. A layer's ``get`` takes its tensors from the
+    parameters or the gradients. If the heads' first hidden layers share a
+    width, they are one stacked layer: its ``get`` returns their (3, d, w)
+    and (3, w) blocks of ``flat``, and one call of each layer function
+    serves all three. A layer reads ``x`` (None: the model input) and sends
+    its input gradient to ``dx`` (None: nowhere). A hidden layer holds the
+    linear output ``z`` (then, in place, its normalized rows), each row's
+    1/√(var+eps) ``inv``, the layer-norm output ``y`` and the activation
+    ``h``; ``g`` receives the gradient of ``h``, and ``s`` holds that of
+    ``y``, then of ``z``. An output layer's ``z`` is the output ``key``;
+    under the emotion sigmoid ``act`` holds the squashed output and ``s``
+    the gradient before it. The heads' gradients of the trunk output land
+    in ``head_dx`` and are summed in head order into the top trunk layer's
+    ``g``.
 
     An inference plan (``backward=False``) has no gradient buffer; its
     hidden layers take ``z`` and ``y`` from two of three arenas as large as
@@ -271,22 +279,21 @@ class StepPlan:
             self.buffers.append(buf.reshape(-1))
             return buf
 
-        self.layers, self.gather, self.scatter, outputs = [], [], [], []
+        self.layers, outputs = [], []
         trunk, *heads = layer_plan(config)
-        entry = [chain[0] for chain in heads]
-        stacked = len({d_out for _, _, d_out, _ in entry}) == 1
+        stacked, (first, _, w, _) = _stacked(config), heads[0][0]
         widest = max(*(d_out for chain in (trunk, *heads) for _, _, d_out, _ in chain),
-                     3 * entry[0][2] if stacked else 0)
+                     3 * w if stacked else 0)
         arenas = None if backward else new((3, rows * widest))
 
-        def hidden(get, d_out, feed, stack=(), **fixed):
+        def hidden(get, d_out, feed, stack=()):
             """Add a hidden layer; returns the feed of the next: (h, g, arena)."""
             x, dx, below = feed
             shape, free = (*stack, rows, d_out), [a for a in range(3) if a != below]
             z, y = (new(shape) if backward else arenas[a, :math.prod(shape)].reshape(shape)
                     for a in free[:2])
             layer = _Layer(get=get, x=x, dx=dx, z=z, y=y, h=new(shape) if backward else z,
-                           inv=new((*shape[:-1], 1)), **fixed)
+                           inv=new((*shape[:-1], 1)))
             if backward:
                 layer.g, layer.s = new(shape), new(shape)
             self.layers.append(layer)
@@ -298,16 +305,13 @@ class StepPlan:
         self.trunk_top, (h_top, _, top) = self.layers[-1], feed
         self.head_dx = new((3, rows, trunk[-1][2])) if backward else None
         feeds = [(h_top, dx, top) for dx in ([None] * 3 if self.head_dx is None else self.head_dx)]
-        if stacked:
-            (_, d, w, _), names = entry[0], [name for name, _, _, _ in entry]
-            params = (new((3, d, w)), *(new((3, 1, w)) for _ in _NORM[1:]))
-            grads = ((new((3, d, w)), *(new((3, w)) for _ in _NORM[1:]))
-                     if backward else ())
-            for i, name in enumerate(names):
-                self.gather += [(f"{name}.{t}", p[i]) for t, p in zip(_NORM, params)]
-                self.scatter += [(f"{name}.{t}", g[i]) for t, g in zip(_NORM, grads)]
-            h, g, arena = hidden(None, w, (h_top, self.head_dx, top), (3,), params=params,
-                                 grads=grads)
+        if stacked:  # each kind's block starts at the first head's tensor and holds three
+            names, shapes = zip(*param_shapes(config))
+            start = dict(zip(names, itertools.accumulate(map(math.prod, shapes), initial=0)))
+            blocks = [(slice(start[name], start[name] + 3 * math.prod(shape)), (3, *shape))
+                      for name, shape in param_shapes(config) if name.startswith(f"{first}.")]
+            h, g, arena = hidden(lambda p: [p.flat[at].reshape(shape) for at, shape in blocks],
+                                 w, (h_top, self.head_dx, top), (3,))
             feeds = [(h[i], None if g is None else g[i], arena) for i in range(3)]
         for key, chain, feed in zip(HEAD_OUTPUTS, heads, feeds):
             for name, _, d_out, has_norm in chain[1:] if stacked else chain:
@@ -329,7 +333,7 @@ def _getter(name, tensors):
     return operator.itemgetter(*(f"{name}.{t}" for t in tensors))
 
 
-def forward(params: dict, plan: StepPlan, x: np.ndarray) -> ModelOutputs:
+def forward(params: Params, plan: StepPlan, x: np.ndarray) -> ModelOutputs:
     """Run the network on a batch of ``plan.rows`` rows, into the plan's
     buffers; returns the plan's outputs.
 
@@ -339,11 +343,9 @@ def forward(params: dict, plan: StepPlan, x: np.ndarray) -> ModelOutputs:
     matrix-product kernels by shape (by the row count too).
     """
     plan.x = x
-    for name, dst in plan.gather:
-        dst[...] = params[name]
     eps, slope = plan.config.ln_eps, plan.config.leaky_slope
     for layer in plan.layers:
-        p = layer.params or layer.get(params)
+        p = layer.get(params)
         linear_forward(x if layer.x is None else layer.x, p[0], p[1], out=layer.z)
         if layer.key is None:
             layer_norm_forward(layer.z, p[2], p[3], eps, out=layer.y, xhat=layer.z,
@@ -354,7 +356,7 @@ def forward(params: dict, plan: StepPlan, x: np.ndarray) -> ModelOutputs:
     return plan.outputs
 
 
-def backward(params: dict, plan: StepPlan, d_outputs: dict, grads: Params) -> Params:
+def backward(params: Params, plan: StepPlan, d_outputs: dict, grads: Params) -> Params:
     """Gradients for every parameter given output-side gradients.
 
     ``d_outputs`` maps each name in HEAD_OUTPUTS to an array shaped like
@@ -366,8 +368,7 @@ def backward(params: dict, plan: StepPlan, d_outputs: dict, grads: Params) -> Pa
     """
     slope = plan.config.leaky_slope
     for layer in reversed(plan.layers):
-        p = layer.params or layer.get(params)
-        dp = layer.grads or layer.get(grads)
+        p, dp = layer.get(params), layer.get(grads)
         if layer.key is None:
             if layer is plan.trunk_top:
                 np.add.reduce(plan.head_dx, axis=0, out=layer.g, initial=0.0)
@@ -380,8 +381,6 @@ def backward(params: dict, plan: StepPlan, d_outputs: dict, grads: Params) -> Pa
                 dy = sigmoid_backward(layer.act, dy, out=layer.s)
         linear_backward(plan.x if layer.x is None else layer.x, p[0], dy, dp[0], dp[1],
                         layer.dx, layer.dx is not None)
-    for name, src in plan.scatter:
-        grads[name][...] = src
     return grads
 
 
@@ -398,7 +397,7 @@ class PredictionSet:
 PREDICT_ROWS = 128  # rows per forward pass of ``predict``
 
 
-def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> PredictionSet:
+def predict(params: Params, config: ModelConfig, x: np.ndarray, age_scaler) -> PredictionSet:
     """Inference: emotion vector, age in years, and country class per row.
 
     ``forward`` runs on consecutive blocks of PREDICT_ROWS rows, the last
@@ -410,8 +409,11 @@ def predict(params: dict, config: ModelConfig, x: np.ndarray, age_scaler) -> Pre
 
     ``age_scaler`` maps the standardized age output back to years via its
     ``descale`` method. Country is the argmax of the logits; numpy argmax
-    resolves ties toward the lowest class index.
+    resolves ties toward the lowest class index. ``params`` in another
+    layout than ``param_shapes`` raise ShapeError.
     """
+    if getattr(params, "layout", ()) != param_shapes(config):
+        raise ShapeError("parameter layout", getattr(params, "layout", ()), param_shapes(config))
     n = x.shape[0]
     emotion = np.empty((n, config.emotion_out))
     logits = np.empty((n, config.country_out))

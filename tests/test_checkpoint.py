@@ -13,7 +13,7 @@ import pmtl.checkpoint
 from pmtl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pmtl.data import AgeScaler, Standardizer
 from pmtl.errors import DataFormatError, PmtlError
-from pmtl.model import ModelConfig, Params, init_params
+from pmtl.model import ModelConfig, Params, init_params, param_shapes, predict
 from pmtl.rng import RngStream
 
 
@@ -116,12 +116,24 @@ def test_magic_constant():
     assert MAGIC == b"PMCK"
 
 
-def test_payload_is_the_parameter_buffer(saved):
+def test_payload_is_the_tensors_in_sorted_name_order(saved):
     path, params, *_ = saved
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, 6)
     start = 10 + header_len
-    assert blob[start:start + params.flat.nbytes] == params.flat.astype("<f8").tobytes()
+    ordered = np.concatenate([params[name].reshape(-1) for name in sorted(params)])
+    assert blob[start:start + ordered.nbytes] == ordered.astype("<f8").tobytes()
+
+
+def test_load_gives_the_training_layout_and_its_predictions(saved):
+    path, params, config, scaler, _ = saved
+    ck = load_checkpoint(path)
+    assert ck.params.layout == params.layout == param_shapes(config)
+    assert list(ck.params) == list(params)
+    x = np.random.default_rng(0).standard_normal((9, config.input_dim))
+    want, got = (predict(p, config, x, scaler) for p in (params, ck.params))
+    for key in ("emotion", "age_years", "country"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
 def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path, traced_peak):

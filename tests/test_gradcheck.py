@@ -5,6 +5,7 @@ import pytest
 
 from pmtl.errors import NumericalError
 from pmtl.gradcheck import DENOM_FLOOR, grad_check, relative_error
+from pmtl.model import Params
 
 
 def quadratic(center):
@@ -55,6 +56,21 @@ def test_params_not_modified():
     w = np.array([0.1, 0.2])
     grad_check(quadratic(np.zeros(2)), {"w": w})
     assert np.array_equal(w, [0.1, 0.2])
+
+
+def test_a_params_is_perturbed_in_a_copy_of_its_layout():
+    params = Params({"b": (2,), "a": (1, 2)}, keys=("a", "b"))
+    params.flat[...] = [1.0, 2.0, 3.0, 4.0]
+    seen = set()
+
+    def f(p):
+        seen.add((type(p), p.layout, tuple(p), np.shares_memory(p.flat, params.flat)))
+        return float(p.flat @ p.flat), {name: 2.0 * v for name, v in p.items()}
+
+    assert grad_check(f, params) < 1e-8
+    # the analytic gradients come from the input itself, the perturbations from a copy
+    assert seen == {(Params, params.layout, ("a", "b"), shared) for shared in (True, False)}
+    assert params.flat.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_missing_gradient_key():

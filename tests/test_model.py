@@ -138,8 +138,9 @@ def test_layer_plan_variants():
 
 @pytest.mark.parametrize("variant", ["two-layer-age", "one-hidden-all"])
 def test_parameter_orders_pinned(tiny_config, variant):
-    # canonical order (param_shapes, the checkpoint header) and backward
-    # order (init_grads, the summation order of the gradient norm)
+    # layout order (param_shapes, Params.flat: the stacked head layer's kinds
+    # in blocks) and backward order (init_grads, the summation order of the
+    # gradient norm); the checkpoint header lists the names sorted
     age = ["age_hidden0"] + (["age_hidden1"] if variant == "two-layer-age" else [])
     config = ModelConfig(**{**asdict(tiny_config), "head_variant": variant,
                             "age_head_dims": (3, 2)[:len(age)]})
@@ -147,10 +148,11 @@ def test_parameter_orders_pinned(tiny_config, variant):
     def block(name, order=("w", "b", "gamma", "beta")):
         return [f"{name}.{s}" for s in order]
 
+    stack = ["emotion_hidden", "country_hidden", "age_hidden0"]
     canonical = (block("shared0") + block("shared1")
-                 + block("emotion_hidden") + ["emotion_out.w", "emotion_out.b"]
-                 + block("country_hidden") + ["country_out.w", "country_out.b"]
-                 + sum((block(a) for a in age), []) + ["age_out.w", "age_out.b"])
+                 + [f"{name}.{s}" for s in ("w", "b", "gamma", "beta") for name in stack]
+                 + ["emotion_out.w", "emotion_out.b", "country_out.w", "country_out.b"]
+                 + sum((block(a) for a in age[1:]), []) + ["age_out.w", "age_out.b"])
     up = ("gamma", "beta", "w", "b")
     backward_order = (["emotion_out.w", "emotion_out.b"] + block("emotion_hidden", up)
                       + ["country_out.w", "country_out.b"] + block("country_hidden", up)
@@ -465,17 +467,68 @@ def test_params_copy_is_deep(tiny_config):
     clone["shared0.w"][0, 0] += 1.0
     assert params["shared0.w"][0, 0] != clone["shared0.w"][0, 0]
     assert list(clone) == list(params)
+    # the copy keeps the layout, also where the keys follow another order
+    grads = init_grads(tiny_config)
+    grads.flat[...] = np.arange(grads.flat.size)
+    for original in (params, grads):
+        copy = params_copy(original)
+        assert copy.layout == original.layout == param_shapes(tiny_config)
+        assert list(copy) == list(original)
+        assert copy.flat.tobytes() == original.flat.tobytes()
+        assert all(np.shares_memory(v, copy.flat) for v in copy.values())
 
 
-def test_params_are_views_into_one_sorted_buffer(tiny_config):
+def test_params_are_views_into_one_buffer_in_layout_order(tiny_config):
     params = init_params(tiny_config, RngStream(8))
     assert isinstance(params, Params)
-    # the dict keeps layer-plan order; the buffer holds sorted names
-    assert list(params)[:4] == ["shared0.w", "shared0.b", "shared0.gamma", "shared0.beta"]
-    ordered = np.concatenate([params[k].reshape(-1) for k in sorted(params)])
+    assert params.layout == param_shapes(tiny_config)
+    assert list(params) == [name for name, _ in param_shapes(tiny_config)]
+    ordered = np.concatenate([params[name].reshape(-1) for name, _ in params.layout])
     assert params.flat.tobytes() == ordered.tobytes()
+    # each kind of the stacked head layer is one contiguous block, head after head
+    heads = ("emotion_hidden", "country_hidden", "age_hidden0")
+    for kind in ("w", "b", "gamma", "beta"):
+        first = params[f"{heads[0]}.{kind}"]
+        start = (first.__array_interface__["data"][0]
+                 - params.flat.__array_interface__["data"][0]) // 8
+        block = params.flat[start:start + 3 * first.size].reshape(3, *first.shape)
+        for i, name in enumerate(heads):
+            assert np.shares_memory(block[i], params[f"{name}.{kind}"])
+            assert block[i].tobytes() == params[f"{name}.{kind}"].tobytes(), (name, kind)
     params.flat[...] = 0.0
     assert not any(v.any() for v in params.values())
+
+
+def test_stacked_layer_reads_and_writes_the_flat_buffers(tiny_config):
+    # the plan holds no copy of a parameter or a gradient
+    params, grads = init_params(tiny_config, RngStream(8)), init_grads(tiny_config)
+    x, y_emotion, _, y_age = make_batch(tiny_config, 8)
+    outputs, plan = run_forward(params, tiny_config, x)
+    backward(params, plan, head_grads(outputs, emotion=y_emotion, age_scaled=y_age), grads)
+    stacked, = [layer for layer in plan.layers if layer.z.ndim == 3]
+    heads = ("emotion_hidden", "country_hidden", "age_hidden0")
+    for tensors, store in ((stacked.get(params), params), (stacked.get(grads), grads)):
+        for kind, block in zip(("w", "b", "gamma", "beta"), tensors):
+            assert np.shares_memory(block, store.flat)
+            for i, name in enumerate(heads):
+                assert np.shares_memory(block[i], store[f"{name}.{kind}"])
+    assert not any(np.shares_memory(buf, t.flat) for buf in plan.buffers for t in (params, grads))
+
+
+def test_predict_refuses_params_in_another_layout(tiny_config):
+    # filled by name but laid out in backward order: the stacked layer
+    # would read the wrong memory
+    params, grads = init_params(tiny_config, RngStream(8)), init_grads(tiny_config)
+    mislaid = Params({name: v.shape for name, v in grads.items()})
+    for name in mislaid:
+        mislaid[name][...] = params[name]
+    x, *_ = make_batch(tiny_config, 4)
+    for bad in (mislaid, dict(params)):
+        with pytest.raises(ShapeError, match="parameter layout"):
+            predict(bad, tiny_config, x, _Scaler(30.0, 5.0))
+    other = ModelConfig(**{**asdict(tiny_config), "emotion_hidden": 4})
+    with pytest.raises(ShapeError, match="parameter layout"):
+        predict(params, other, x, _Scaler(30.0, 5.0))
 
 
 def test_check_params_against_layer_plan(tiny_config):
