@@ -23,16 +23,14 @@ class ConfigError(PmtlError, ValueError):
 
 
 _type_hints = functools.cache(typing.get_type_hints)
-_NAMES = {int: "an integer", float: "a number", float | None: "a number or None",
-          tuple: "a list", tuple[int, ...]: "a list of integers"}
+_NAMES = {int: "an integer", float: "a number", tuple: "a list",
+          tuple[int, ...]: "a list of integers"}
 
 
 def _fits(value, hint) -> bool:
     args = typing.get_args(hint)
     if typing.get_origin(hint) is typing.Literal:
         return value in args
-    if type(None) in args:  # X | None
-        return value is None or _fits(value, args[0])
     if hint is tuple or typing.get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value if args)
     if hint in (int, float):  # a float field takes ints; NaN fails the bound, ints compare exactly

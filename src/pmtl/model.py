@@ -9,20 +9,20 @@ The age head has two hidden blocks (32 then 16 units) under the default
 ``two-layer-age`` variant; ``one-hidden-all`` gives every head one.
 
 ``layer_plan`` describes this once, as one chain of layers for the trunk
-and one per head. Parameter names and shapes, the initialization draw
-order (so a seed fully determines the network) and the gradient order
-walk it. A ``StepPlan`` is built from it once per row count: it owns every
-activation, normalized-row, scale and gradient array of a pass, and
-``forward`` and ``backward`` write into them; there are no per-call cache
-records. The caller owns the parameters, the gradient buffer
-(``init_grads``) and the input rows.
+and one per head. Parameter names and shapes and the initialization draw
+order (so a seed fully determines the network) walk it. A ``StepPlan`` is
+built from it once per row count: it owns every activation, normalized-row,
+scale and gradient array of a pass, and ``forward`` and ``backward`` write
+into them; there are no per-call cache records. The caller owns the
+parameters, the gradient buffer (``init_grads``) and the input rows.
 
 Parameters live in a ``Params`` dict of named float64 tensors that are
 views into one contiguous buffer, ``Params.flat``, which the optimizer
 updates in one pass. ``param_shapes`` gives its layout: the layer plan's
 order, except that the stacked head layer's four kinds of tensor are each
 one (3, ...) block, which that layer reads and writes as it stands. The
-gradients share the layout; the checkpoint writes the tensors by name.
+gradients are a ``Params`` of the same layout and key order; the
+checkpoint writes the tensors by name.
 """
 
 from __future__ import annotations
@@ -138,45 +138,24 @@ def param_shapes(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...]], ...]
                  for name, d_in, d_out, _ in group)
 
 
-@functools.lru_cache(maxsize=64)
-def _backward_order(config: ModelConfig) -> tuple[str, ...]:
-    """Parameter names in the order ``backward`` visits them: each head
-    from its output layer down, then the trunk from the top. Gradient
-    dicts are keyed in this order, which fixes the per-tensor summation
-    order of the global gradient norm."""
-    trunk, *heads = layer_plan(config)
-    names = []
-    for chain in (*heads, trunk):
-        for name, _, _, has_norm in reversed(chain):
-            names += [f"{name}.{s}" for s in
-                      (("gamma", "beta", "w", "b") if has_norm else ("w", "b"))]
-    return tuple(names)
-
-
 class Params(dict):
     """Named float64 tensors that are views into one contiguous buffer.
 
     ``flat`` holds every tensor row-major in the order of the ``shapes``
     mapping, recorded as ``layout``; the model's is ``param_shapes``. The
-    dict is keyed in that order too, or in the order of ``keys``. Write
-    into a tensor (``params[name][...] = value``); rebinding a name would
-    detach it from ``flat``.
+    dict is keyed in that order too. Write into a tensor
+    (``params[name][...] = value``); rebinding a name would detach it from
+    ``flat``.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None,
-                 keys: tuple[str, ...] | None = None):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
         self.layout = tuple(shapes.items())
-        total = sum(math.prod(shape) for shape in shapes.values())
         if flat is None:
-            try:
-                flat = np.zeros(total)
-            except MemoryError:
-                raise ConfigError(f"a model of {total:,} parameters does not fit in memory") from None
-        views, start = {}, 0
+            flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        start = 0
         for name, shape in self.layout:
-            views[name] = flat[start:start + math.prod(shape)].reshape(shape)
-            start += views[name].size
-        super().__init__((name, views[name]) for name in (views if keys is None else keys))
+            self[name] = flat[start:start + math.prod(shape)].reshape(shape)
+            start += self[name].size
         self.flat = flat
 
 
@@ -195,8 +174,8 @@ def init_params(config: ModelConfig, rng: RngStream) -> Params:
 
 
 def init_grads(config: ModelConfig) -> Params:
-    """Zeroed gradients for ``config``: the parameters' layout, keyed in backward order."""
-    return Params(dict(param_shapes(config)), keys=_backward_order(config))
+    """Zeroed gradients for ``config``, in the parameters' layout and key order."""
+    return Params(dict(param_shapes(config)))
 
 
 def check_params(params: dict, config: ModelConfig) -> None:
@@ -214,8 +193,8 @@ def check_params(params: dict, config: ModelConfig) -> None:
 
 
 def params_copy(params: Params) -> Params:
-    """A deep copy in the same layout and key order: one copy of the flat buffer."""
-    return Params(dict(params.layout), params.flat.copy(), keys=tuple(params))
+    """A deep copy in the same layout: one copy of the flat buffer."""
+    return Params(dict(params.layout), params.flat.copy())
 
 
 # -- step plan --------------------------------------------------------------

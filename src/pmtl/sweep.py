@@ -110,10 +110,6 @@ class ReportTable:
     aggregation: str
     cells: tuple[CellResult, ...]
 
-    @property
-    def has_failures(self) -> bool:
-        return any(c.failed for c in self.cells)
-
     def rows(self) -> list[ReportRow | None]:
         """One rendered row per cell, None for failed cells."""
         return [None if cell.failed else _aggregate(cell, self.aggregation)

@@ -10,10 +10,13 @@ earliest epoch, and training stops once the score has not improved for
 The optimizer is Adam in Kingma & Ba's efficient form: after the moment
 updates, ``p -= alpha * m / (sqrt(v) + eps_hat)`` with
 ``alpha = lr*sqrt(1-b2^t)/(1-b1^t)`` and ``eps_hat = eps*sqrt(1-b2^t)``.
+The gradients are a ``Params`` of the parameters' layout and key order, so
+the update runs over the two flat buffers side by side; no gradient is
+clipped.
 
-Wall-clock fields in RunHistory are informational only; the canonical
-form used for run comparison (``RunHistory.canonical_dict``) excludes
-them, since timing can never be bit-reproducible.
+The run's wall-clock time in RunHistory is informational only; the
+canonical form used for run comparison (``RunHistory.canonical_dict``)
+excludes it, since timing can never be bit-reproducible.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .model import (
     forward,
     init_grads,
     init_params,
+    param_shapes,
     params_copy,
     predict,
 )
@@ -55,7 +59,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     max_epochs: int = 100
     patience: int = 15
-    clip_norm: float | None = None  # optional global-norm gradient clip
 
     def __post_init__(self):
         check_fields(self)
@@ -73,8 +76,6 @@ class TrainConfig:
             raise ConfigError(
                 f"patience must lie in [0, max_epochs], got {self.patience}"
             )
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be None or > 0, got {self.clip_norm!r}")
 
 
 # -- optimizer --------------------------------------------------------------
@@ -137,20 +138,6 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
         p -= t
 
 
-def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
-def clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients down so the global L2 norm is at most max_norm."""
-    norm = grad_global_norm(grads)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return grads
-
-
 # -- run records ------------------------------------------------------------
 
 
@@ -159,7 +146,6 @@ class EpochRecord:
     epoch: int
     train_loss: LossBreakdown
     val: MetricsBundle
-    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -173,11 +159,9 @@ class RunHistory:
 
     def canonical_dict(self) -> dict:
         """Everything that the determinism contract covers: ``asdict``
-        without the timing fields."""
+        without the wall-clock time."""
         record = asdict(self)
         del record["wall_seconds"]
-        record["epochs"] = [{k: v for k, v in epoch.items() if k != "wall_seconds"}
-                            for epoch in record["epochs"]]
         return record
 
 
@@ -237,8 +221,6 @@ def _epoch_pass(params, config: TrainConfig, plans, grads, x, rows, y_emotion, y
         g_c *= w_c
         g_a *= w_a
         backward(params, plan, d, grads)
-        if config.clip_norm is not None:
-            clip_grads(grads, config.clip_norm)
         adam_step(params, grads, adam, config)
         frac = batch.size / n
         sum_e += l_e * frac
@@ -256,8 +238,11 @@ def train_run(config: TrainConfig, data: SplitDataset):
     order before it returns or raises. Randomness: sub-seed 0 of
     ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
     shuffle; identical (config, data) reproduce the history bit for bit,
-    timing fields aside. A floating-point fault raises NumericalError naming
-    its epoch; at epoch 0, with fresh parameters, it is in the data: DataError.
+    wall-clock time aside. The gradients are written into one ``Params``
+    of the parameters' layout. A model whose parameters, optimizer moments,
+    step buffers or best-parameter copy do not fit in memory raises
+    ConfigError. A floating-point fault raises NumericalError naming its
+    epoch; at epoch 0, with fresh parameters, it is in the data: DataError.
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
@@ -270,23 +255,26 @@ def train_run(config: TrainConfig, data: SplitDataset):
     t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))
     shuffle_rng = RngStream(derive_subseed(config.seed, 1))
-    params = init_params(config.model, init_rng)
-    adam = init_adam(params)
-    plans = step_plans(config.model, len(data.train), config.batch_size)
-    grads = init_grads(config.model)
+    try:
+        params = init_params(config.model, init_rng)
+        adam = init_adam(params)
+        plans = step_plans(config.model, len(data.train), config.batch_size)
+        grads = init_grads(config.model)
+        best_params = params_copy(params)
+    except MemoryError:
+        size = sum(math.prod(shape) for _, shape in param_shapes(config.model))
+        raise ConfigError(f"a model of {size:,} parameters does not fit in memory") from None
     scaler = data.age_scaler
     y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
 
     records: list[EpochRecord] = []
     best_epoch = 0
     best_score = -math.inf
-    best_params = params_copy(params)
     stopped_early = False
 
     rows = np.arange(len(data.train))
     try:
         for epoch in range(config.max_epochs + 1):  # epoch 0 scores the untrained model
-            t_epoch = time.perf_counter()
             try:  # a diverging run overflows somewhere before a check sees a non-finite value
                 with np.errstate(over="raise", invalid="raise"):
                     if epoch:
@@ -301,8 +289,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
             if not epoch:
                 initial_val = best_val = val
                 continue
-            records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val,
-                                       wall_seconds=time.perf_counter() - t_epoch))
+            records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val))
             if val.score > best_score:  # strict: ties keep the earliest epoch
                 best_score = val.score
                 best_epoch = epoch

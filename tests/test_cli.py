@@ -15,6 +15,7 @@ import pytest
 
 import pmtl.cli
 import pmtl.model
+import pmtl.train
 from pmtl.checkpoint import load_checkpoint, save_checkpoint
 from pmtl.cli import main, score_files
 from pmtl.data import (
@@ -695,11 +696,10 @@ def test_non_integer_train_count_exits_1(workspace, tmp_path, capsys, key, value
 
 @pytest.mark.parametrize("section,key,value,fragment", [
     (None, "learning_rate", True, "learning_rate must be a number, got True"),
-    (None, "clip_norm", True, "clip_norm must be a number or None, got True"),
     ("model", "shared_dims", [64.7, 8], "shared_dims must be a list of integers, got [64.7, 8]"),
     ("model", "emotion_hidden", 8.5, "emotion_hidden must be an integer, got 8.5"),
     ("loss", "alpha_age", "x", "alpha_age must be a number, got 'x'"),
-], ids=["bool-learning-rate", "bool-clip-norm", "fractional-shared-dims",
+], ids=["bool-learning-rate", "fractional-shared-dims",
         "fractional-emotion-hidden", "string-alpha-age"])
 def test_wrong_type_config_value_exits_1(workspace, tmp_path, capsys,
                                          section, key, value, fragment):
@@ -746,6 +746,24 @@ def test_model_too_large_to_allocate_exits_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_optimizer_state_too_large_to_allocate_exits_1(workspace, tmp_path, capsys,
+                                                       monkeypatch):
+    # the parameters fit, the Adam moments do not
+    def init_adam(params):
+        raise MemoryError
+
+    monkeypatch.setattr(pmtl.train, "init_adam", init_adam)
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config",
+                                str(workspace / "train_config.json"), "--max-epochs", "1",
+                                "--out", str(tmp_path / "o")])
+    count = sum(math.prod(shape) for _, shape in param_shapes(
+        ModelConfig(input_dim=SYNTH_CONFIG["dim"], **TRAIN_CONFIG["model"])))
+    assert code == 1
+    assert f"a model of {count:,} parameters does not fit in memory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,body,fragment", [
     ("train", [TRAIN_CONFIG], "must be a JSON object, got list"),
     ("train", dict(TRAIN_CONFIG, model=5), "'model' must be a JSON object, got int"),
@@ -784,13 +802,14 @@ def test_max_epochs_flag_clamps_configured_patience(workspace, tmp_path, capsys)
 
 
 def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(TRAIN_CONFIG, momentum=0.9)))
-    code, _, err = run(capsys, ["train", *data_args(workspace),
-                                "--config", str(bad),
-                                "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "momentum" in err
+    for key in ("momentum", "clip_norm"):  # training clips no gradient
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(dict(TRAIN_CONFIG, **{key: 0.9})))
+        code, _, err = run(capsys, ["train", *data_args(workspace),
+                                    "--config", str(bad),
+                                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in err
 
 
 def test_bad_standardize_in_train_config_exits_1(workspace, tmp_path, capsys):

@@ -29,13 +29,12 @@ CASES = {
         "0ed1e14d7ff219c20733695fa8ff6ccc18de983e0df47a27c004d7c2efa84ad8",
         "919588dac86bff27e601e7aa37c84174dcb13901cf31985b8de257389db3e516",
     ),
-    "one-hidden-all-linear-clip": (
+    "one-hidden-all-linear": (
         {"model": dict(MODEL, age_head_dims=[5], head_variant="one-hidden-all",
                        emotion_activation="linear"),
-         "seed": 9, "batch_size": 8, "max_epochs": 3, "patience": 3,
-         "clip_norm": 1.2},
-        "b7a53163a11a1228f216ee5fdab95e59a980f2acf159c6ef26e5dc053e77be72",
-        "41d917975a1f8bf362b2ebd4a33b3714aabc36eef8e8b95867362c5a59edf8e6",
+         "seed": 9, "batch_size": 8, "max_epochs": 3, "patience": 3},
+        "169916f6465c6cadd0ddf6b040d10046999b29370684e56fa0d8a0a3900d8539",
+        "6d4e7cf00621b701f6bce911655a215a4dfc7f9d3d9fc836ae460cd3d4f4297f",
     ),
 }
 

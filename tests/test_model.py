@@ -139,28 +139,24 @@ def test_layer_plan_variants():
 @pytest.mark.parametrize("variant", ["two-layer-age", "one-hidden-all"])
 def test_parameter_orders_pinned(tiny_config, variant):
     # layout order (param_shapes, Params.flat: the stacked head layer's kinds
-    # in blocks) and backward order (init_grads, the summation order of the
-    # gradient norm); the checkpoint header lists the names sorted
+    # in blocks), which the parameters and the gradients are keyed in too;
+    # the checkpoint header lists the names sorted
     age = ["age_hidden0"] + (["age_hidden1"] if variant == "two-layer-age" else [])
     config = ModelConfig(**{**asdict(tiny_config), "head_variant": variant,
                             "age_head_dims": (3, 2)[:len(age)]})
 
-    def block(name, order=("w", "b", "gamma", "beta")):
-        return [f"{name}.{s}" for s in order]
+    def block(name):
+        return [f"{name}.{s}" for s in ("w", "b", "gamma", "beta")]
 
     stack = ["emotion_hidden", "country_hidden", "age_hidden0"]
     canonical = (block("shared0") + block("shared1")
                  + [f"{name}.{s}" for s in ("w", "b", "gamma", "beta") for name in stack]
                  + ["emotion_out.w", "emotion_out.b", "country_out.w", "country_out.b"]
                  + sum((block(a) for a in age[1:]), []) + ["age_out.w", "age_out.b"])
-    up = ("gamma", "beta", "w", "b")
-    backward_order = (["emotion_out.w", "emotion_out.b"] + block("emotion_hidden", up)
-                      + ["country_out.w", "country_out.b"] + block("country_hidden", up)
-                      + ["age_out.w", "age_out.b"]
-                      + sum((block(a, up) for a in reversed(age)), [])
-                      + block("shared1", up) + block("shared0", up))
     assert [name for name, _ in param_shapes(config)] == canonical
-    assert list(init_grads(config)) == backward_order
+    params, grads = init_params(config, RngStream(8)), init_grads(config)
+    assert list(params) == list(grads) == canonical
+    assert params.layout == grads.layout == param_shapes(config)
     assert len(canonical) == (30 if variant == "two-layer-age" else 26)
 
 
@@ -516,10 +512,10 @@ def test_stacked_layer_reads_and_writes_the_flat_buffers(tiny_config):
 
 
 def test_predict_refuses_params_in_another_layout(tiny_config):
-    # filled by name but laid out in backward order: the stacked layer
-    # would read the wrong memory
-    params, grads = init_params(tiny_config, RngStream(8)), init_grads(tiny_config)
-    mislaid = Params({name: v.shape for name, v in grads.items()})
+    # filled by name but laid out in reverse: the stacked layer would read
+    # the wrong memory
+    params = init_params(tiny_config, RngStream(8))
+    mislaid = Params(dict(reversed(param_shapes(tiny_config))))
     for name in mislaid:
         mislaid[name][...] = params[name]
     x, *_ = make_batch(tiny_config, 4)

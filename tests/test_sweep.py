@@ -139,7 +139,7 @@ def test_cell_failure_is_isolated(sweep_dataset):
     assert failed.failed
     assert "ConfigError" in failed.error
     assert failed.error_code == 1
-    assert table.has_failures
+    assert any(c.failed for c in table.cells)
     assert table.rows()[1] is None
     assert table.best_index() == 0
 
@@ -167,7 +167,7 @@ def test_feature_set_axis_adapts_model_width(sweep_dataset):
     spec = SweepSpec(axis="feature_set", values=("wide", "narrow"),
                      base=base_config(), runs_per_cell=1)
     table = run_sweep(spec, {"wide": sweep_dataset, "narrow": narrow}.__getitem__)
-    assert not table.has_failures
+    assert not any(c.failed for c in table.cells)
     assert [c.label for c in table.cells] == ["feature_set=wide", "feature_set=narrow"]
 
 

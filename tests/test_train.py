@@ -21,9 +21,7 @@ from pmtl.train import (
     TrainConfig,
     _epoch_pass,
     adam_step,
-    clip_grads,
     evaluate,
-    grad_global_norm,
     init_adam,
     step_plans,
     train_run,
@@ -60,13 +58,13 @@ def small_train_config(**overrides):
     {"max_epochs": 0},
     {"patience": -1},
     {"patience": 9},  # exceeds max_epochs=8
-    {"clip_norm": 0.0},
+    {"learning_rate": math.nan},
     {"seed": 1.5},
     {"batch_size": 8.5},
     {"max_epochs": 2.5},
     {"patience": True},
     {"learning_rate": True},
-    {"clip_norm": True},
+    {"seed": None},  # no field takes None
     {"adam_beta1": "0.9"},
 ])
 def test_train_config_validation(overrides):
@@ -77,7 +75,6 @@ def test_train_config_validation(overrides):
 def test_train_config_dict_round_trip():
     config = small_train_config(
         loss=LossConfig(alpha_emotion=0.5, alpha_country=0.25, alpha_age=0.1),
-        clip_norm=5.0,
         patience=4,
     )
     # the manifest's train_config reads back as a train config
@@ -222,21 +219,6 @@ def test_adam_finiteness_scan_holds_no_flag_per_parameter(traced_peak):
     # parameter (0.8 MB) would outgrow them, the scan's fixed scratch does not
     size, peak = _adam_step_peak(traced_peak, 6373)
     assert peak <= 2 * 8 * ADAM_CHUNK + FIT_CHUNK + 16384 < size
-
-
-def test_grad_global_norm_oracle():
-    grads = {"a": np.array([3.0]), "b": np.array([[4.0]])}
-    assert grad_global_norm(grads) == pytest.approx(5.0)
-
-
-def test_clip_grads_scales_only_above_threshold():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clip_grads(grads, 2.5)
-    assert grad_global_norm(grads) == pytest.approx(2.5)
-    assert grads["a"][0] / grads["b"][0] == pytest.approx(0.75)  # direction kept
-    small = {"a": np.array([0.3])}
-    clip_grads(small, 2.5)
-    assert small["a"][0] == 0.3
 
 
 # -- training runs ----------------------------------------------------------
@@ -433,14 +415,6 @@ def test_overflow_in_the_untrained_validation_reports_epoch_0(train_dataset):
     ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val, x=val_x))
     with pytest.raises(DataError, match="^epoch 0: overflow encountered in "):
         train_run(small_train_config(), ds)
-
-
-def test_clip_norm_changes_trajectory(train_dataset):
-    base = small_train_config(max_epochs=2, patience=2)
-    clipped = dataclasses.replace(base, clip_norm=1e-3)
-    params_a, _ = train_run(base, train_dataset)
-    params_b, _ = train_run(clipped, train_dataset)
-    assert any(not np.array_equal(params_a[k], params_b[k]) for k in params_a)
 
 
 def test_train_run_rejects_dim_mismatch(train_dataset):
