@@ -14,14 +14,18 @@ Layout, all little-endian:
     bytes   float64 payload: each tensor row-major, in header order,
             ``tensors`` first then ``aux``
 
-Tensor names are sorted lexicographically, so identical parameter sets
-serialize to identical bytes and a save/load cycle is bit-exact. A load
-copies the model tensors into a ``Params`` laid out for training. A save
-goes to a temporary file that replaces ``path`` only when complete.
+The config, and whether a standardizer is saved, determine both tables
+(``tables``): the layer plan's parameters by sorted name, so identical
+parameter sets serialize to identical bytes, and the standardizer's center
+and scale, one value per input feature. A load requires exactly those
+tables and a payload of their size, then copies the tensors into a
+``Params`` laid out for training. A save goes to a temporary file that
+replaces ``path`` only when complete.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -30,8 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import AgeScaler, Standardizer, all_finite, atomic_open, read_header
-from .errors import DataFormatError, ShapeError
-from .model import ModelConfig, Params, check_params, param_shapes
+from .errors import DataFormatError
+from .model import ModelConfig, Params, param_shapes
 
 MAGIC = b"PMCK"
 VERSION = 1
@@ -45,58 +49,42 @@ class Checkpoint:
     standardizer: Standardizer | None
 
 
-def _tensor_index(tensors: dict[str, np.ndarray]) -> list[list]:
-    return [[name, list(tensors[name].shape)] for name in sorted(tensors)]
+def tables(config: ModelConfig, standardized: bool) -> dict[str, list]:
+    """The header's ``tensors`` and ``aux`` tables of a checkpoint of
+    ``config``, with a standardizer or without one."""
+    aux = ("standardizer.center", "standardizer.scale") if standardized else ()
+    return {"tensors": [[name, list(shape)] for name, shape in sorted(param_shapes(config))],
+            "aux": [[name, [config.input_dim]] for name in aux]}
 
 
 def save_checkpoint(path, params: Params, config: ModelConfig,
                     age_scaler: AgeScaler, standardizer: Standardizer | None = None) -> None:
-    aux: dict[str, np.ndarray] = {}
-    std_meta = None
-    if standardizer is not None:
-        aux["standardizer.center"] = np.asarray(standardizer.center, dtype=np.float64)
-        aux["standardizer.scale"] = np.asarray(standardizer.scale, dtype=np.float64)
-        std_meta = {
-            "mode": standardizer.mode,
-            "degenerate_columns": list(standardizer.degenerate_columns),
-        }
+    index = tables(config, standardizer is not None)
+    std_meta = None if standardizer is None else {
+        "mode": standardizer.mode,
+        "degenerate_columns": list(standardizer.degenerate_columns),
+    }
     header = {
         "age_scaler": {"mean": age_scaler.mean, "std": age_scaler.std},
-        "aux": _tensor_index(aux),
         "config": asdict(config),
         "standardizer": std_meta,
-        "tensors": _tensor_index(params),
+        **index,
     }
+    aux = () if standardizer is None else (standardizer.center, standardizer.scale)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HI", VERSION, len(blob)))
         fh.write(blob)
-        for table in (params, aux):
-            for name in sorted(table):
-                fh.write(np.ascontiguousarray(table[name], dtype="<f8"))
-
-
-def _read_table(index, payload: memoryview, offset: int, path) -> tuple[Params, int]:
-    """The tensors of one header table as one read-only Params over their
-    bytes, which start at ``offset`` in ``payload``; also the offset after
-    them. Names must be unique and sorted, the order of the payload."""
-    shapes = {entry[0]: tuple(int(v) for v in entry[1]) for entry in index}
-    if [entry[0] for entry in index] != sorted(shapes):
-        raise DataFormatError("tensor names are not unique and sorted", path)
-    if any(d < 0 for shape in shapes.values() for d in shape):
-        raise DataFormatError("negative tensor dimension", path)
-    end = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(payload) < end:
-        raise DataFormatError("truncated payload", path)
-    return Params(shapes, np.frombuffer(payload[offset:end], dtype="<f8")), end
+        for tensor in itertools.chain((params[name] for name, _ in index["tensors"]), aux):
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint and check it against the layer plan of its config.
+    """Read a checkpoint and check it against the tables of its config.
 
     A file that is truncated, malformed, holds non-finite values or whose
-    tensors differ from the plan raises DataFormatError.
+    tables differ from those of its config raises DataFormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -107,37 +95,37 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         payload = memoryview(blob)[10 + header_len:]  # no copy: the tables are views of it
         return _from_header(json.loads(header_raw.decode("utf-8")), payload, path)
-    except ShapeError as exc:
-        raise DataFormatError(f"tensors do not match the model config: {exc}", path) from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad header: {type(exc).__name__}: {exc}", path) from None
 
 
 def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
-    table, offset = _read_table(header["tensors"], payload, 0, path)
-    aux, offset = _read_table(header["aux"], payload, offset, path)
-    if offset != len(payload):
-        raise DataFormatError(f"{len(payload) - offset} trailing payload bytes", path)
+    config = ModelConfig(**header["config"])
+    meta = header["standardizer"]
+    for key, want in tables(config, meta is not None).items():
+        if header[key] != want:
+            pairs = itertools.zip_longest(header[key], want, fillvalue="nothing")
+            have, need = next((p for p in pairs if p[0] != p[1]), (header[key], want))
+            raise DataFormatError(f"{key} holds {have}, where the config implies {need}", path)
+    layout = param_shapes(config)
+    n = sum(math.prod(shape) for _, shape in layout)
+    d = config.input_dim if meta is not None else 0
+    if len(payload) != 8 * (n + 2 * d):
+        raise DataFormatError(f"payload is {len(payload)} bytes, the tables need "
+                              f"{8 * (n + 2 * d)}", path)
+    values = np.frombuffer(payload, dtype="<f8")
     scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
                        std=float(header["age_scaler"]["std"]))
-    if not (all_finite(table.flat) and all_finite(aux.flat)
-            and math.isfinite(scaler.mean) and math.isfinite(scaler.std)):
+    if not (all_finite(values) and math.isfinite(scaler.mean) and math.isfinite(scaler.std)):
         raise DataFormatError("non-finite values", path)
 
-    config = ModelConfig(**header["config"])
-    check_params(table, config)
-    layout = param_shapes(config)
-    params = Params(dict(layout), np.concatenate([table[name].reshape(-1) for name, _ in layout]))
-    standardizer = None
-    if header.get("standardizer") is not None:
-        meta = header["standardizer"]
-        standardizer = Standardizer(
-            mode=meta["mode"],
-            center=aux["standardizer.center"].copy(),
-            scale=aux["standardizer.scale"].copy(),
-            degenerate_columns=tuple(int(c) for c in meta["degenerate_columns"]),
-        )
-        if {standardizer.center.shape, standardizer.scale.shape} != {(config.input_dim,)}:
-            raise DataFormatError("standardizer width differs from the model input", path)
+    stored = Params(dict(sorted(layout)), values[:n])
+    params = Params(dict(layout), np.concatenate([stored[name].reshape(-1) for name, _ in layout]))
+    standardizer = None if meta is None else Standardizer(
+        mode=meta["mode"],
+        center=values[n:n + d].copy(),
+        scale=values[n + d:].copy(),
+        degenerate_columns=tuple(int(c) for c in meta["degenerate_columns"]),
+    )
     return Checkpoint(params=params, config=config, age_scaler=scaler,
                       standardizer=standardizer)

@@ -21,7 +21,8 @@ Memory contract: each feature matrix is held once, from load to training.
 The binary loader checks the payload size against the header, then reads the
 file into one float64 (n, d) array; the CSV loader counts the rows, then fills
 one (n, d) array a block of BLOCK_VALUES values at a time, with scratch of
-about 80 bytes per value of a block. Only the csv-module loop it falls back
+about 80 bytes per value of a block. An (n, d) array that cannot be
+allocated is a DataError naming the file. Only the csv-module loop it falls back
 on, which reports value errors by line, holds rows plus a stacked copy.
 Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
 otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
@@ -335,6 +336,15 @@ def _csv_records(reader, n_fields: int, path):
         yield line_no, row
 
 
+def _rows_array(n: int, d: int, path, dtype=np.float64) -> np.ndarray:
+    """An uninitialized (n, d) array for the rows of the file at ``path``;
+    DataError if it does not fit in memory."""
+    try:
+        return np.empty((n, d), dtype)
+    except MemoryError:
+        raise DataError(f"{path}: {n:,} rows of {d:,} values do not fit in memory") from None
+
+
 CSV_ONLY = '"\r'  # csv quoting, and a line end where the csv module splits a record
 BLOCK_VALUES = 1 << 12  # values per block of the CSV pass
 
@@ -356,7 +366,7 @@ def _decimal_rows(path, d: int, tail: int = 0):
             start, n, end = fh.tell(), 0, b"\n"
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 n, end = n + chunk.count(b"\n"), chunk[-1:]
-            values = np.empty((n + (end != b"\n"), d))
+            values = _rows_array(n + (end != b"\n"), d, path)
             fh.seek(start)
             k = max(1, BLOCK_VALUES // max(d, 1))
             for row in range(0, len(values), k):
@@ -472,7 +482,7 @@ def load_features_binary(path) -> FeatureTable:
         expected = n * d * 8
         if left != expected:
             raise DataFormatError(f"payload is {left} bytes, expected {expected}", path)
-        features = np.empty((n, d), dtype="<f8")
+        features = _rows_array(n, d, path, "<f8")
         if fh.readinto(features) != expected:
             raise DataFormatError("truncated payload", path)
     if not all_finite(features):

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import COUNTRIES
 from .errors import MissingClassError, MomentOverflowError, TooFewPointsError
 
 CCC_DEGENERATE_DENOM = 1e-12
-
-N_COUNTRY_CLASSES = 4
 
 
 def _as_series(v) -> np.ndarray:
@@ -74,7 +73,7 @@ def ccc_columns(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
     return values, degenerate
 
 
-def uar(pred_classes, true_classes, n_classes: int = N_COUNTRY_CLASSES) -> float:
+def uar(pred_classes, true_classes, n_classes: int = len(COUNTRIES)) -> float:
     """Unweighted average recall of two equal-length class-id series: the
     mean over classes of per-class recall.
 

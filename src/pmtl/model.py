@@ -178,20 +178,6 @@ def init_grads(config: ModelConfig) -> Params:
     return Params(dict(param_shapes(config)))
 
 
-def check_params(params: dict, config: ModelConfig) -> None:
-    """Raise ShapeError unless ``params`` holds exactly the tensors of the
-    layer plan, each with its planned shape."""
-    expected = param_shapes(config)
-    for name, shape in expected:
-        got = np.shape(params[name]) if name in params else ()
-        if got != shape:
-            raise ShapeError(f"parameter {name!r}", got, shape)
-    if len(params) != len(expected):
-        extra = sorted(set(params) - {name for name, _ in expected})
-        raise ShapeError(f"parameters not in the layer plan {extra}",
-                         (len(params),), (len(expected),))
-
-
 def params_copy(params: Params) -> Params:
     """A deep copy in the same layout: one copy of the flat buffer."""
     return Params(dict(params.layout), params.flat.copy())

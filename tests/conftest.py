@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,13 @@ def tiny_config():
         emotion_out=10,
         country_out=4,
     )
+
+
+@pytest.fixture
+def tmp_path(tmp_path_factory):
+    """A fresh directory not named after the test: error messages start with
+    a file path, so a ``match=`` fragment must not find the test's name."""
+    return tmp_path_factory.mktemp("t")
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +54,35 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return run
+
+
+@pytest.fixture
+def rewrite_header():
+    """``rewrite_header(path, dst, edit)`` copies the checkpoint at ``path``
+    to ``dst`` with ``edit(header)`` applied to its JSON header; the payload
+    is kept as it is."""
+    def rewrite(path, dst, edit):
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 6)
+        header = json.loads(blob[10:10 + header_len])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        dst.write_bytes(blob[:4] + struct.pack("<HI", 1, len(raw)) + raw
+                        + blob[10 + header_len:])
+        return dst
+    return rewrite
+
+
+@pytest.fixture
+def refuse_tables(monkeypatch):
+    """Make every 2-D ``np.empty`` raise MemoryError. A refused allocation
+    stands in for a real one: whether an oversized ``np.empty`` fails
+    depends on the machine's overcommit policy."""
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)

@@ -1,6 +1,5 @@
 """Checkpoint container: bit-exact round-trips and corruption handling."""
 
-import json
 import struct
 import types
 
@@ -13,7 +12,7 @@ import pmtl.checkpoint
 from pmtl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pmtl.data import AgeScaler, Standardizer
 from pmtl.errors import DataFormatError, PmtlError
-from pmtl.model import ModelConfig, Params, init_params, param_shapes, predict
+from pmtl.model import ModelConfig, init_params, param_shapes, predict
 from pmtl.rng import RngStream
 
 
@@ -95,12 +94,19 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def payload_size(blob):
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    return len(blob) - 10 - header_len
+
+
 def test_truncated_payload_rejected(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()
     clipped = tmp_path / "clipped.pmck"
     clipped.write_bytes(blob[:-16])
-    with pytest.raises(DataFormatError, match="truncated"):
+    size = payload_size(blob)
+    with pytest.raises(DataFormatError,
+                       match=f"payload is {size - 16} bytes, the tables need {size}$"):
         load_checkpoint(clipped)
 
 
@@ -108,7 +114,9 @@ def test_trailing_bytes_rejected(saved, tmp_path):
     path, *_ = saved
     padded = tmp_path / "padded.pmck"
     padded.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(DataFormatError, match="trailing"):
+    size = payload_size(path.read_bytes())
+    with pytest.raises(DataFormatError,
+                       match=f"payload is {size + 8} bytes, the tables need {size}$"):
         load_checkpoint(padded)
 
 
@@ -155,17 +163,12 @@ def test_load_checks_finiteness_in_fixed_scratch(tmp_path, traced_peak):
     assert peak <= 2.05 * path.stat().st_size
 
 
-def test_unsorted_tensor_index_rejected(saved, tmp_path):
+def test_unsorted_tensor_index_rejected(saved, tmp_path, rewrite_header):
     path, *_ = saved
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", blob, 6)
-    header = json.loads(blob[10:10 + header_len])
-    header["tensors"].reverse()
-    raw = json.dumps(header).encode("utf-8")
-    swapped = tmp_path / "swapped.pmck"
-    swapped.write_bytes(blob[:4] + struct.pack("<HI", 1, len(raw)) + raw
-                        + blob[10 + header_len:])
-    with pytest.raises(DataFormatError, match="sorted"):
+    swapped = rewrite_header(path, tmp_path / "swapped.pmck", lambda h: h["tensors"].reverse())
+    # the first entry stored is the last by name
+    with pytest.raises(DataFormatError, match=r"tensors holds \['shared1.w', \[5, 4\]\], "
+                                              r"where the config implies \['age_hidden0.b'"):
         load_checkpoint(swapped)
 
 
@@ -184,46 +187,47 @@ def test_failed_save_leaves_existing_checkpoint(saved, monkeypatch):
     assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
-def rewrite_header(path, dst, edit):
-    """Copy the checkpoint at ``path`` to ``dst`` with ``edit(header)``
-    applied to its JSON header; the payload is kept as it is."""
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", blob, 6)
-    header = json.loads(blob[10:10 + header_len])
-    edit(header)
-    raw = json.dumps(header).encode("utf-8")
-    dst.write_bytes(blob[:4] + struct.pack("<HI", 1, len(raw)) + raw
-                    + blob[10 + header_len:])
-    return dst
-
-
 @pytest.mark.parametrize("edit,fragment", [
-    (lambda h: h.update(tensors=[[1, 2]]), "bad header"),
+    pytest.param(lambda h: h.update(tensors=[[1, 2]]), r"tensors holds \[1, 2\]",
+                 id="tensors-malformed"),
     (lambda h: h.update(config=dict(h["config"], input_dim=7)), "shared0.w"),
-    (lambda h: h.update(aux=[["standardizer.center", [3]], ["standardizer.scale", [9]]]),
-     "standardizer width"),
+    pytest.param(lambda h: h.update(aux=[["standardizer.center", [3]],
+                                         ["standardizer.scale", [9]]]),
+                 r"aux holds \['standardizer.center', \[3\]\]", id="aux-width"),
     (lambda h: h["age_scaler"].update(mean=float("nan")), "non-finite"),
-    (lambda h: h.update(aux=h["aux"][::-1]), "sorted"),
-    (lambda h: h.update(aux=[["a", [-1]], *h["aux"]]), "negative"),
+    pytest.param(lambda h: h.update(aux=h["aux"][::-1]),
+                 r"aux holds \['standardizer.scale', \[6\]\], where the config implies "
+                 r"\['standardizer.center'", id="aux-unsorted"),
+    pytest.param(lambda h: h.update(aux=[["a", [-1]], *h["aux"]]),
+                 r"aux holds \['a', \[-1\]\]", id="aux-negative"),
+    # the standardizer dropped while its arrays stay: eval would score unscaled features
+    pytest.param(lambda h: h.update(standardizer=None),
+                 r"aux holds \['standardizer.center', \[6\]\], where the config implies "
+                 "nothing", id="standardizer-dropped"),
+    pytest.param(lambda h: h.update(aux=[["a", [0]], *h["aux"]]), r"aux holds \['a', \[0\]\]",
+                 id="aux-extra-empty"),
+    pytest.param(lambda h: h["tensors"].append(["extra.w", [1]]),
+                 r"tensors holds \['extra.w', \[1\]\], where the config implies nothing",
+                 id="tensors-extra"),
 ])
-def test_inconsistent_checkpoint_header_rejected(saved, tmp_path, edit, fragment):
+def test_inconsistent_checkpoint_header_rejected(saved, tmp_path, rewrite_header, edit,
+                                                fragment):
     path, *_ = saved
     with pytest.raises(DataFormatError, match=fragment):
         load_checkpoint(rewrite_header(path, tmp_path / "bad.pmck", edit))
 
 
 @pytest.mark.parametrize("fault,fragment", [("missing", "shared1.w"), ("nan", "non-finite")])
-def test_missing_or_non_finite_tensor_rejected(saved, tmp_path, fault, fragment):
+def test_missing_or_non_finite_tensor_rejected(saved, tmp_path, rewrite_header, fault,
+                                               fragment):
     path, params, config, scaler, std = saved
+    bad = tmp_path / "bad.pmck"
     if fault == "missing":
-        kept = Params({k: v.shape for k, v in params.items() if k != "shared1.w"})
-        for name in kept:
-            kept[name][...] = params[name]
-        params = kept
+        rewrite_header(path, bad, lambda h: h.update(
+            tensors=[entry for entry in h["tensors"] if entry[0] != "shared1.w"]))
     else:
         params["shared0.w"][0, 0] = np.nan
-    bad = tmp_path / "bad.pmck"
-    save_checkpoint(bad, params, config, scaler, std)
+        save_checkpoint(bad, params, config, scaler, std)
     with pytest.raises(DataFormatError, match=fragment):
         load_checkpoint(bad)
 

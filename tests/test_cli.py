@@ -6,6 +6,7 @@ is the JSON summary the real CLI would print.
 
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -31,7 +32,7 @@ from pmtl.data import (
     save_predictions_csv,
     synth_tables,
 )
-from pmtl.model import ModelConfig, Params, init_params, param_shapes
+from pmtl.model import ModelConfig, init_params, param_shapes
 from pmtl.rng import RngStream, derive_subseed
 
 TRAIN_CONFIG = {
@@ -764,6 +765,16 @@ def test_optimizer_state_too_large_to_allocate_exits_1(workspace, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_features_too_large_to_allocate_exit_2(workspace, tmp_path, capsys, refuse_tables):
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--config",
+                                str(workspace / "train_config.json"), "--max-epochs", "1",
+                                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert re.search(r"data/\w+\.csv: [0-9,]+ rows of [0-9,]+ values do not fit in memory", err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,body,fragment", [
     ("train", [TRAIN_CONFIG], "must be a JSON object, got list"),
     ("train", dict(TRAIN_CONFIG, model=5), "'model' must be a JSON object, got int"),
@@ -1028,13 +1039,10 @@ def test_eval_width_mismatch_exits_2(workspace, tmp_path, capsys):
     assert "5 features" in err and str(SYNTH_CONFIG["dim"]) in err
 
 
-def test_eval_checkpoint_missing_tensor_exits_2(workspace, tmp_path, capsys):
-    ck = load_checkpoint(workspace / "run" / "checkpoint.pmck")
-    params = Params({k: v.shape for k, v in ck.params.items() if k != "shared1.w"})
-    for name in params:
-        params[name][...] = ck.params[name]
-    bad = tmp_path / "bad.pmck"
-    save_checkpoint(bad, params, ck.config, ck.age_scaler, ck.standardizer)
+def test_eval_checkpoint_missing_tensor_exits_2(workspace, tmp_path, capsys, rewrite_header):
+    bad = rewrite_header(workspace / "run" / "checkpoint.pmck", tmp_path / "bad.pmck",
+                         lambda h: h.update(tensors=[e for e in h["tensors"]
+                                                     if e[0] != "shared1.w"]))
     code, _, err = run(capsys, [
         "eval", "--checkpoint", str(bad),
         "--features", str(workspace / "data" / "val_features.csv"),

@@ -517,6 +517,20 @@ def test_failed_data_write_leaves_old_file(tmp_path, monkeypatch, writer):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+@pytest.mark.parametrize("kind,rows", [("features-csv", "20 rows of 4"),
+                                       ("features-binary", "20 rows of 4"),
+                                       ("labels", "22 rows of 10"),
+                                       ("predictions", "22 rows of 11")])
+def test_rows_that_do_not_fit_in_memory_are_a_data_error(tmp_path, request, kind, rows):
+    features, labels = synth_tables(SynthSpec(n_train=20, n_val=2, dim=4, rank=2))
+    path = tmp_path / "rows"
+    WRITERS[kind](features["train"], labels, path)
+    request.getfixturevalue("refuse_tables")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {rows} values do not fit "
+                                        "in memory$"):
+        LOADERS.get(kind, load_features)(path)
+
+
 LOADERS = {"labels": load_labels_csv, "predictions": load_predictions_csv}
 
 

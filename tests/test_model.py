@@ -30,7 +30,6 @@ from pmtl.model import (
     Params,
     StepPlan,
     backward,
-    check_params,
     forward,
     init_grads,
     init_params,
@@ -525,16 +524,6 @@ def test_predict_refuses_params_in_another_layout(tiny_config):
     other = ModelConfig(**{**asdict(tiny_config), "emotion_hidden": 4})
     with pytest.raises(ShapeError, match="parameter layout"):
         predict(params, other, x, _Scaler(30.0, 5.0))
-
-
-def test_check_params_against_layer_plan(tiny_config):
-    params = init_params(tiny_config, RngStream(8))
-    check_params(params, tiny_config)
-    missing = {k: v for k, v in params.items() if k != "age_out.b"}
-    with pytest.raises(ShapeError, match="age_out.b"):
-        check_params(missing, tiny_config)
-    with pytest.raises(ShapeError, match="extra.w"):
-        check_params(dict(params, **{"extra.w": np.zeros(1)}), tiny_config)
 
 
 class _Scaler:
