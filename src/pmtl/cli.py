@@ -34,11 +34,12 @@ from .data import (
     save_labels_csv,
     save_predictions_csv,
     standardize,
+    standardized,
     synth_tables,
     write_json,
     write_text,
 )
-from .errors import ConfigError, DataError, IdMismatchError, PmtlError
+from .errors import ConfigError, DataError, DataFormatError, IdMismatchError, PmtlError
 from .losses import LossConfig
 from .metrics import compute_bundle, multitask_score_detail
 from .model import ModelConfig, predict
@@ -188,9 +189,11 @@ def cmd_eval(args) -> int:
     part = build_part(features, labels, "eval")
     try:  # a value near float_info.max overflows here, not in the loader's checks
         with np.errstate(over="raise", invalid="raise"):
-            if ck.standardizer is not None:
-                ck.standardizer.apply(part.x, out=part.x)
-            preds = predict(ck.params, ck.config, part.x, ck.age_scaler)
+            rows = part.rows if ck.standardizer is None else standardized(part.rows,
+                                                                          ck.standardizer)
+            preds = predict(ck.params, ck.config, rows, ck.age_scaler)
+    except DataFormatError:  # it names the file already
+        raise
     except (DataError, FloatingPointError) as exc:
         raise DataError(f"{args.features}: {exc}") from None
     if args.out_predictions:
@@ -281,7 +284,7 @@ def _cell_data(spec: SweepSpec, paths, mode: str, labels):
     paths, ``paths(value)``, are loaded and joined with ``labels`` once; only
     the last paths' data are held. Its mode is ``mode``, applied in place,
     or on the standardization axis the value itself, applied to a fresh
-    copy once the previous cell's copy is dropped."""
+    copy of a CSV's array once the previous cell's copy is dropped."""
     raw, held = {}, {}
     per_mode = spec.axis == "standardization"
 

@@ -17,25 +17,31 @@ Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order. ``_read_rows`` reads all
 three CSV layouts; the age and country fields of labels are checked once, after.
 
-Memory contract: each feature matrix is held once, from load to training.
-The binary loader checks the payload size against the header, then reads the
-file into one float64 (n, d) array; the CSV loader counts the rows, then fills
-one (n, d) array a block of BLOCK_VALUES values at a time, with scratch of
-about 80 bytes per value of a block. An (n, d) array that cannot be
-allocated is a DataError naming the file. Only the csv-module loop it falls back
-on, which reports value errors by line, holds rows plus a stacked copy.
-Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
-otherwise. Standardizing writes in place; the z-score fit needs a small scratch.
+Memory contract: a split's rows come from a row source with one method,
+``take(rows, out)``. A CSV file's are an ArrayRows: one float64 (n, d) array,
+which the CSV loader counts the rows for, then fills a block of BLOCK_VALUES
+values at a time, with scratch of about 80 bytes per value of a block; a blank
+line seen while counting leaves the file to the csv-module loop before any
+array is sized. A binary file's are a FileRows: the loader checks the header,
+the id table, the payload size and finiteness in one pass of FIT_CHUNK values
+and keeps the descriptor open; ``take`` reads rows with ``os.preadv`` into
+the caller's buffer and standardizes them there. Such a file must not be
+rewritten in place while it is read; one replaced through ``os.replace``
+leaves the open file as it was. An (n, d) array that cannot be allocated is
+a DataError naming the file. Only the csv-module loop, which reports value
+errors by line, holds rows plus a stacked copy. Joining keeps a loaded array
+whose ids are sorted and gathers a sorted copy otherwise; a FileRows keeps
+a map from id order to file rows. The standardization fit streams the train
+rows through a FIT_CHUNK scratch; an array is then standardized in place.
 Finiteness checks (``all_finite``) take one sum and, only if it overflows,
 scan fixed blocks, with no flag per value.
 A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
-standardization sweep keeps the raw data and standardizes one copy per cell.
+standardization sweep keeps the raw data and standardizes one copy of an
+array per cell (a FileRows only takes the cell's standardizer).
 Predicting holds one block of at most 255 rows and no caches (``model.predict``).
-Training holds no copy of a batch: ``train_run`` reorders the train rows in
-place into each epoch's shuffled order (``permute_rows``, one row of scratch),
-so a batch is a slice of them, and puts them back in their order before it
-returns or raises. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to 2047
+Training takes each batch into its step plan's input buffer and never writes
+the rows of a split. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to 2047
 weight rows, so OpenBLAS packs one block of xᵀ at a time, not the batch.
 """
 
@@ -47,7 +53,9 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -120,7 +128,7 @@ def write_json(obj, path) -> None:
 @dataclass(frozen=True)
 class FeatureTable:
     ids: tuple[str, ...]
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray | FileRows  # (n, d) float64, in the order of ids
 
     def __post_init__(self):
         if len(self.ids) != self.features.shape[0]:
@@ -198,22 +206,32 @@ class Standardizer:
         return out
 
     @classmethod
-    def fit(cls, train_x: np.ndarray, mode: str) -> "Standardizer":
+    def fit(cls, train, mode: str) -> "Standardizer":
+        """Fit on ``train``, an (n, d) array or a row source, with the bits of
+        numpy's ``mean``, ``std``, ``min`` and ``max`` over axis 0 of its
+        rows in id order. numpy sums a lone or a non-C-contiguous column
+        pairwise, so such an array, and a file's lone column (read whole, 8n
+        bytes), are fit by numpy; other rows ``_row_stats`` streams in blocks."""
         check_mode(mode)
-        d = train_x.shape[1]
+        n, d = train.shape
         if mode == "none":
             return cls(mode, np.zeros(d), np.ones(d))
+        if isinstance(train, np.ndarray):
+            train = ArrayRows(train)
+        x = train.x if isinstance(train, ArrayRows) else None
+        if d == 1 and x is None:
+            x = train.take(np.arange(n), np.empty((n, 1)))
         with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+            if x is not None and (d == 1 or not x.flags.c_contiguous):
+                stats = ((x.mean(axis=0), x.std(axis=0)) if mode == "zscore"
+                         else (x.min(axis=0), x.max(axis=0)))
+            else:
+                stats = _row_stats(train, mode)
             if mode == "zscore":
-                center = train_x.mean(axis=0)
-                # numpy sums a lone or a non-C-contiguous column pairwise
-                rowwise = d > 1 and train_x.flags.c_contiguous
-                spread = _column_std(train_x, center) if rowwise else train_x.std(axis=0)
+                center, spread = stats
             else:  # minmax onto [-1, 1]
-                lo = train_x.min(axis=0)
-                hi = train_x.max(axis=0)
-                center = (lo + hi) / 2.0
-                spread = (hi - lo) / 2.0
+                lo, hi = stats
+                center, spread = (lo + hi) / 2.0, (hi - lo) / 2.0
         bad = ~(np.isfinite(center) & np.isfinite(spread))
         if bad.any():
             raise DataError(f"feature f{int(np.argmax(bad))}: values overflow the {mode} fit")
@@ -222,7 +240,7 @@ class Standardizer:
         return cls(mode, center, scale, tuple(np.nonzero(degenerate)[0].tolist()))
 
 
-FIT_CHUNK = 1 << 15  # elements of scratch per block of the z-score fit (256 KiB)
+FIT_CHUNK = 1 << 15  # elements of scratch per block of the fit and the open pass (256 KiB)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -238,33 +256,104 @@ def all_finite(a: np.ndarray) -> bool:
     return all(np.isfinite(block, out=scratch[:block.size]).all() for block in blocks)
 
 
-def _column_std(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """``x.std(axis=0)`` of a C-contiguous x with d > 1, bit for bit, without
-    its (n, d) temporary. numpy adds such rows in order along axis 0, so a
-    reduction over a block whose row 0 carries the running sum and whose
-    other rows hold the next squared deviations continues the sequence."""
-    n, d = x.shape
+def _row_stats(source, mode: str):
+    """The mean and std (zscore) or the min and max (minmax) over axis 0 of
+    the rows of ``source``, d > 1, read a block at a time. numpy reduces
+    such rows in order, from 0 for a sum and from the first row for a min
+    or max, so a reduction over a block whose row 0 carries the running
+    result and whose other rows hold the next rows continues the sequence."""
+    n, d = source.shape
     k = max(1, FIT_CHUNK // d - 1)
     scratch = np.empty((k + 1, d))
-    total = np.zeros(d)
-    for start in range(0, n, k):
-        rows = x[start:start + k]
-        block = scratch[:len(rows) + 1]
-        block[0] = total
-        squares = block[1:]
-        np.subtract(rows, center, out=squares)
-        squares *= squares
-        np.add.reduce(block, axis=0, out=total)
-    total /= n
-    return np.sqrt(total, out=total)
+
+    def fold(*totals, center=None):
+        """Each ``(ufunc, running result)`` of ``totals`` over the rows, or
+        over their squared deviations from ``center``; the results."""
+        for start in range(0, n, k):
+            block = scratch[:min(k, n - start) + 1]
+            rows = source.take(np.arange(start, start + len(block) - 1), block[1:])
+            if center is not None:
+                rows -= center
+                rows *= rows
+            for ufunc, total in totals:
+                block[0] = total
+                ufunc.reduce(block, axis=0, out=total)
+        return [total for _, total in totals]
+
+    if mode == "minmax":
+        first = source.take(np.arange(1), np.empty((1, d)))[0]
+        return fold((np.minimum, first), (np.maximum, first.copy()))
+    center = fold((np.add, np.zeros(d)))[0] / n
+    total = fold((np.add, np.zeros(d)), center=center)[0] / n
+    return center, np.sqrt(total, out=total)
+
+
+class ArrayRows:
+    """The rows of an in-memory (n, d) array ``x``, in id order."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.shape = x, x.shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` into ``out[:len(rows)]``, which is returned."""
+        # mode "raise" would gather into a temporary and copy it into out
+        return np.take(self.x, rows, axis=0, out=out[:len(rows)], mode="clip")
+
+
+class _Descriptor:
+    """A read-only descriptor of ``path``, closed once nothing refers to it."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+
+
+@dataclass(frozen=True, eq=False)
+class FileRows:
+    """The rows of a binary features file, from ``load_features_binary``.
+    They stay in the file: ``take`` reads them through the descriptor that
+    the load opened, so they come from the file that was opened even if
+    ``path`` is replaced. Row i is file row ``order[i]`` (None: row i), and
+    a ``standardizer`` is applied to the rows as they are read."""
+
+    path: object
+    descriptor: _Descriptor
+    shape: tuple[int, int]
+    offset: int  # of file row 0
+    order: np.ndarray | None = None
+    standardizer: Standardizer | None = None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` into ``out[:len(rows)]``, which is returned, with one
+        ``os.preadv`` per run of consecutive file rows. A read that comes up
+        short, from a file cut while it is open, raises DataFormatError."""
+        out = out[:len(rows)]
+        at = (rows if self.order is None else self.order[rows]).tolist()
+        width, start = 8 * self.shape[1], 0
+        for stop in range(1, len(at) + 1):
+            if stop < len(at) and at[stop] == at[stop - 1] + 1:
+                continue  # the run goes on
+            offset = self.offset + at[start] * width
+            if os.preadv(self.descriptor.fd, [out[start:stop]], offset) != (stop - start) * width:
+                raise DataFormatError(f"payload ends before row {at[start]:,}", self.path)
+            start = stop
+        if not np.little_endian:
+            out.byteswap(inplace=True)
+        return out if self.standardizer is None else self.standardizer.apply(out, out=out)
 
 
 @dataclass(frozen=True)
 class SplitPart:
-    """One aligned partition: features plus (optionally) labels."""
+    """One aligned partition: its rows (a row source) plus (optionally) labels."""
 
     ids: tuple[str, ...]
-    x: np.ndarray
+    rows: ArrayRows | FileRows
     y_emotion: np.ndarray | None
     y_age: np.ndarray | None
     y_country: np.ndarray | None
@@ -286,7 +375,7 @@ class SplitDataset:
 
     @property
     def dim(self) -> int:
-        return self.train.x.shape[1]
+        return self.train.rows.shape[1]
 
 
 # -- CSV / binary loaders ---------------------------------------------------
@@ -336,17 +425,18 @@ def _csv_records(reader, n_fields: int, path):
         yield line_no, row
 
 
-def _rows_array(n: int, d: int, path, dtype=np.float64) -> np.ndarray:
+def _rows_array(n: int, d: int, path) -> np.ndarray:
     """An uninitialized (n, d) array for the rows of the file at ``path``;
     DataError if it does not fit in memory."""
     try:
-        return np.empty((n, d), dtype)
+        return np.empty((n, d))
     except MemoryError:
         raise DataError(f"{path}: {n:,} rows of {d:,} values do not fit in memory") from None
 
 
 CSV_ONLY = '"\r'  # csv quoting, and a line end where the csv module splits a record
 BLOCK_VALUES = 1 << 12  # values per block of the CSV pass
+BLANK_LINE = re.compile(rb"\n\r?\n")  # seen by a regex at about the speed of a count
 
 
 def _decimal_rows(path, d: int, tail: int = 0):
@@ -365,8 +455,10 @@ def _decimal_rows(path, d: int, tail: int = 0):
                 return None
             start, n, end = fh.tell(), 0, b"\n"
             for chunk in iter(lambda: fh.read(1 << 16), b""):
-                n, end = n + chunk.count(b"\n"), chunk[-1:]
-            values = _rows_array(n + (end != b"\n"), d, path)
+                if BLANK_LINE.search(end + chunk[:2]) or BLANK_LINE.search(chunk):
+                    return None  # the csv-module loop skips a blank line
+                n, end = n + chunk.count(b"\n"), (end + chunk[-2:])[-2:]
+            values = _rows_array(n + (not end.endswith(b"\n")), d, path)
             fh.seek(start)
             k = max(1, BLOCK_VALUES // max(d, 1))
             for row in range(0, len(values), k):
@@ -396,7 +488,7 @@ def _csv_dim(path) -> int:
         if not header or header[0] != "id":
             raise DataFormatError(f"first header column must be 'id', got {header[:1]}", path, 1)
         d = len(header) - 1
-        if header != ["id"] + [f"f{j}" for j in range(d)]:
+        if any(name != f"f{j}" for j, name in enumerate(itertools.islice(header, 1, None))):
             raise DataFormatError(f"header must be id,f0..f{d - 1}", path, 1)
         return d
 
@@ -460,7 +552,12 @@ def read_header(head: bytes, magic: bytes, fmt: str, version: int, path) -> list
 
 
 def load_features_binary(path) -> FeatureTable:
-    with open(path, "rb") as fh:
+    """The table of the binary features file at ``path``, whose features
+    stay in the file as a FileRows. One pass checks the header, the id table,
+    the payload size and, FIT_CHUNK values at a time, that every value is
+    finite; the descriptor it opens stays open for the FileRows."""
+    descriptor = _Descriptor(path)
+    with open(descriptor.fd, "rb", closefd=False) as fh:
         n, d = read_header(fh.read(14), FEATURE_MAGIC, FEATURE_HEADER, FEATURE_VERSION, path)
         ids = []
         seen = set()
@@ -478,16 +575,18 @@ def load_features_binary(path) -> FeatureTable:
                 raise DataFormatError(f"duplicate id {sid!r}", path)
             seen.add(sid)
             ids.append(sid)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        expected = n * d * 8
+        offset = fh.tell()
+        left, expected = os.fstat(descriptor.fd).st_size - offset, n * d * 8
         if left != expected:
             raise DataFormatError(f"payload is {left} bytes, expected {expected}", path)
-        features = _rows_array(n, d, path, "<f8")
-        if fh.readinto(features) != expected:
-            raise DataFormatError("truncated payload", path)
-    if not all_finite(features):
-        raise DataFormatError("non-finite feature values", path)
-    return FeatureTable(ids=tuple(ids), features=features.astype(np.float64, copy=False))
+        scratch = np.empty(min(n * d, FIT_CHUNK), "<f8")
+        for start in range(0, n * d, FIT_CHUNK):
+            block = scratch[:min(FIT_CHUNK, n * d - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise DataFormatError("truncated payload", path)
+            if not all_finite(block):
+                raise DataFormatError("non-finite feature values", path)
+    return FeatureTable(ids=tuple(ids), features=FileRows(path, descriptor, (n, d), offset))
 
 
 def load_features(path) -> FeatureTable:
@@ -574,27 +673,30 @@ def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
 
 
 def build_part(features: FeatureTable, labels: LabelTable | None, split: str) -> SplitPart:
-    """The rows of ``features`` in id order, labeled if ``labels`` is given."""
+    """The rows of ``features`` in id order, labeled if ``labels`` is given.
+    Unsorted ids give an array's rows as a sorted copy and a file's as a
+    row map."""
     ids, x = features.ids, features.features
     if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted: no copy
         order = np.argsort(np.array(ids, dtype=object))
         ids = tuple(ids[i] for i in order)
-        x = x[order]
+        x = x[order] if isinstance(x, np.ndarray) else replace(x, order=order)
+    rows = ArrayRows(x) if isinstance(x, np.ndarray) else x
     if labels is None:
-        return SplitPart(ids=ids, x=x, y_emotion=None, y_age=None, y_country=None)
+        return SplitPart(ids=ids, rows=rows, y_emotion=None, y_age=None, y_country=None)
     label_index = labels.index()
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
         preview = ", ".join(missing[:10])
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise DataError(f"{split} split: no label for ids [{preview}]{more}")
-    rows = np.array([label_index[sid] for sid in ids], dtype=np.int64)
+    at = np.array([label_index[sid] for sid in ids], dtype=np.int64)
     return SplitPart(
         ids=ids,
-        x=x,
-        y_emotion=labels.emotion[rows],
-        y_age=labels.age[rows].astype(np.float64),
-        y_country=labels.country[rows],
+        rows=rows,
+        y_emotion=labels.emotion[at],
+        y_age=labels.age[at].astype(np.float64),
+        y_country=labels.country[at],
     )
 
 
@@ -620,12 +722,21 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 
+def standardized(rows: ArrayRows | FileRows, std: Standardizer, copy: bool = False):
+    """``rows`` under ``std``: an array's standardized in place, or with
+    ``copy`` into a new one; a file's as a source that applies ``std`` to
+    the rows it reads, in place of any standardizer it had."""
+    if isinstance(rows, FileRows):
+        return replace(rows, standardizer=std)
+    return ArrayRows(std.apply(rows.x, out=None if copy else rows.x))
+
+
 def standardize(ds: SplitDataset, mode: str, copy: bool = False) -> SplitDataset:
     """Fit feature standardization on the train split and apply it to both
-    splits in place, so ``ds`` is consumed, or with ``copy`` into new arrays
-    (made once the fit's scratch is freed), leaving ``ds`` as it was."""
-    std = Standardizer.fit(ds.train.x, mode)
-    train, val = (replace(part, x=std.apply(part.x, out=None if copy else part.x))
+    splits (``standardized``): in place, so ``ds`` is consumed, or with
+    ``copy`` leaving ``ds`` as it was."""
+    std = Standardizer.fit(ds.train.rows, mode)
+    train, val = (replace(part, rows=standardized(part.rows, std, copy))
                   for part in (ds.train, ds.val))
     return replace(ds, train=train, val=val, standardizer=std)
 
@@ -635,24 +746,6 @@ def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:
     short. A batch size larger than n yields a single full batch."""
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
-def permute_rows(a: np.ndarray, p: np.ndarray) -> None:
-    """Reorder the rows of ``a`` in place into ``a[p]``, for ``p`` an integer
-    array that permutes ``range(len(a))``, through one row of scratch: each
-    cycle of ``p`` is walked once and its rows move one place along it."""
-    p = p.tolist()
-    row = np.empty(a.shape[1:], a.dtype)
-    for start in range(len(p)):
-        if p[start] == start:  # a fixed point, or a cycle already moved
-            continue
-        row[...] = a[start]
-        i = start
-        while (j := p[i]) != start:
-            a[i] = a[j]
-            p[i], i = i, j
-        a[i] = row
-        p[i] = i
 
 
 # -- synthetic data ---------------------------------------------------------

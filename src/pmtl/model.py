@@ -12,9 +12,10 @@ The age head has two hidden blocks (32 then 16 units) under the default
 and one per head. Parameter names and shapes and the initialization draw
 order (so a seed fully determines the network) walk it. A ``StepPlan`` is
 built from it once per row count: it owns every activation, normalized-row,
-scale and gradient array of a pass, and ``forward`` and ``backward`` write
-into them; there are no per-call cache records. The caller owns the
-parameters, the gradient buffer (``init_grads``) and the input rows.
+scale and gradient array of a pass, and a training plan the batch's input
+rows; ``forward`` and ``backward`` write into them, and there are no per-call
+cache records. The caller owns the parameters and the gradient buffer
+(``init_grads``).
 
 Parameters live in a ``Params`` dict of named float64 tensors that are
 views into one contiguous buffer, ``Params.flat``, which the optimizer
@@ -37,7 +38,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import COUNTRIES, EMOTIONS
+from .data import COUNTRIES, EMOTIONS, ArrayRows
 from .errors import ConfigError, ShapeError, check_fields
 from .layers import (
     layer_norm_backward,
@@ -221,7 +222,9 @@ class StepPlan:
     in ``head_dx`` and are summed in head order into the top trunk layer's
     ``g``.
 
-    An inference plan (``backward=False``) has no gradient buffer; its
+    A training plan holds the batch's rows in ``input``, which a row
+    source's ``take`` fills. An inference plan (``backward=False``) has no
+    input or gradient buffer; its
     hidden layers take ``z`` and ``y`` from two of three arenas as large as
     the widest layer, never from the one that holds their input, and ``h``
     is ``z``. As the heads run one after the other, every output is read
@@ -244,6 +247,7 @@ class StepPlan:
             self.buffers.append(buf.reshape(-1))
             return buf
 
+        self.input = new((rows, config.input_dim)) if backward else None
         self.layers, outputs = [], []
         trunk, *heads = layer_plan(config)
         stacked, (first, _, w, _) = _stacked(config), heads[0][0]
@@ -362,14 +366,18 @@ class PredictionSet:
 PREDICT_ROWS = 128  # rows per forward pass of ``predict``
 
 
-def predict(params: Params, config: ModelConfig, x: np.ndarray, age_scaler) -> PredictionSet:
+def predict(params: Params, config: ModelConfig, x, age_scaler,
+            out: np.ndarray | None = None) -> PredictionSet:
     """Inference: emotion vector, age in years, and country class per row.
 
-    ``forward`` runs on consecutive blocks of PREDICT_ROWS rows, the last
-    one also taking the leftover rows. No block is shorter unless n is:
-    OpenBLAS rounds products of a few rows with other kernels. The outputs
-    then equal one full ``forward``'s bit for bit up to about 3,100 rows.
-    Besides its result arrays, predict holds one inference StepPlan, for at
+    ``x`` is an (n, input_dim) array or a row source. ``forward`` runs on
+    consecutive blocks of PREDICT_ROWS rows, the last one also taking the
+    leftover rows. No block is shorter unless n is: OpenBLAS rounds products
+    of a few rows with other kernels. The outputs then equal one full
+    ``forward``'s bit for bit up to about 3,100 rows. The blocks of an array,
+    or of an ArrayRows, are views of it; a FileRows reads each into ``out``,
+    or into a buffer that predict makes if ``out`` has too few rows. Besides
+    that and its result arrays, predict holds one inference StepPlan, for at
     most 2 * PREDICT_ROWS - 1 rows and without gradient buffers.
 
     ``age_scaler`` maps the standardized age output back to years via its
@@ -379,18 +387,24 @@ def predict(params: Params, config: ModelConfig, x: np.ndarray, age_scaler) -> P
     """
     if getattr(params, "layout", ()) != param_shapes(config):
         raise ShapeError("parameter layout", getattr(params, "layout", ()), param_shapes(config))
-    n = x.shape[0]
+    x = x.x if isinstance(x, ArrayRows) else x
+    n = len(x)
+    blocks = max(1, n // PREDICT_ROWS)
+    largest = min(n, 2 * PREDICT_ROWS - 1)  # rows of the last block, the largest
+    if not isinstance(x, np.ndarray) and (out is None or len(out) < largest):
+        out = np.empty((largest, config.input_dim))
     emotion = np.empty((n, config.emotion_out))
     logits = np.empty((n, config.country_out))
     age_scaled = np.empty(n)
-    blocks = max(1, n // PREDICT_ROWS)
     plan = None
     for i in range(blocks):
         start, stop = i * PREDICT_ROWS, n if i == blocks - 1 else (i + 1) * PREDICT_ROWS
         if plan is None or plan.rows != stop - start:
             plan = None  # the last block's plan is made after the others' is freed
             plan = StepPlan(config, stop - start, backward=False)
-        outputs = forward(params, plan, x[start:stop])
+        block = (x[start:stop] if isinstance(x, np.ndarray)
+                 else x.take(np.arange(start, stop), out))
+        outputs = forward(params, plan, block)
         emotion[start:stop] = outputs.emotion
         logits[start:stop] = outputs.country_logits
         age_scaled[start:stop] = outputs.age_scaled[:, 0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import SplitDataset, SplitPart, all_finite, batches, permute_rows
+from .data import SplitDataset, SplitPart, all_finite, batches
 from .errors import ConfigError, DataError, NumericalError, check_fields
 from .losses import LossBreakdown, LossConfig, combine, cross_entropy_loss, mse_loss
 from .metrics import MetricsBundle, compute_bundle
@@ -193,25 +193,20 @@ def step_plans(model: ModelConfig, n: int, batch_size: int) -> dict[int, StepPla
     return plans
 
 
-def _epoch_pass(params, config: TrainConfig, plans, grads, x, rows, y_emotion, y_country,
+def _epoch_pass(params, config: TrainConfig, plans, grads, source, y_emotion, y_country,
                 y_age_scaled, shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
     """One epoch of minibatch updates; returns per-sample mean losses.
 
-    Row ``i`` of ``x`` is train row ``rows[i]``. Both are reordered in place
-    into the epoch's shuffled order, so each batch is a slice of ``x``. Each
-    step runs in the buffers of ``plans`` (from ``step_plans``) and writes
-    its gradients into ``grads``."""
-    n = x.shape[0]
+    Each batch's rows are taken from the row source ``source`` into the
+    input buffer of its plan from ``plans`` (``step_plans``); the step runs
+    in the plan's buffers and writes its gradients into ``grads``."""
+    n = len(source)
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
-    parts = batches(n, config.batch_size, shuffle_rng)
-    order = np.concatenate(parts) if n else rows
-    permute_rows(x, np.argsort(rows)[order])
-    rows[...] = order
-    for start, batch in zip(range(0, n, config.batch_size), parts):
+    for batch in batches(n, config.batch_size, shuffle_rng):
         plan = plans[batch.size]
         d = plan.d_outputs
-        outputs = forward(params, plan, x[start:start + batch.size])
+        outputs = forward(params, plan, source.take(batch, plan.input))
         l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch], d["emotion"])
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch],
                                       d["country_logits"])
@@ -232,10 +227,8 @@ def _epoch_pass(params, config: TrainConfig, plans, grads, x, rows, y_emotion, y
 def train_run(config: TrainConfig, data: SplitDataset):
     """Full training loop; returns ``(best_params, history)``.
 
-    ``data`` is used as given (standardize first if desired). The rows of
-    ``data.train.x``, which must be writeable, are reordered in place into
-    each epoch's shuffled order while the run lasts, and put back in their
-    order before it returns or raises. Randomness: sub-seed 0 of
+    ``data`` is used as given (standardize first if desired); its rows are
+    only read, through each split's row source. Randomness: sub-seed 0 of
     ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
     shuffle; identical (config, data) reproduce the history bit for bit,
     wall-clock time aside. The gradients are written into one ``Params``
@@ -249,8 +242,6 @@ def train_run(config: TrainConfig, data: SplitDataset):
     if config.model.input_dim != data.dim:
         raise ConfigError(f"model input_dim must be {data.dim} to fit the data, "
                           f"got {config.model.input_dim}")
-    if not data.train.x.flags.writeable:
-        raise DataError("train features must be writeable: training reorders their rows")
 
     t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))
@@ -266,40 +257,37 @@ def train_run(config: TrainConfig, data: SplitDataset):
         raise ConfigError(f"a model of {size:,} parameters does not fit in memory") from None
     scaler = data.age_scaler
     y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
+    batch_buffer = plans[min(config.batch_size, len(data.train))].input  # lent to predict
 
     records: list[EpochRecord] = []
     best_epoch = 0
     best_score = -math.inf
     stopped_early = False
 
-    rows = np.arange(len(data.train))
-    try:
-        for epoch in range(config.max_epochs + 1):  # epoch 0 scores the untrained model
-            try:  # a diverging run overflows somewhere before a check sees a non-finite value
-                with np.errstate(over="raise", invalid="raise"):
-                    if epoch:
-                        train_loss = _epoch_pass(
-                            params, config, plans, grads, data.train.x, rows, data.train.y_emotion,
-                            data.train.y_country, y_age_scaled, shuffle_rng, adam,
-                        )
-                    preds = predict(params, config.model, data.val.x, scaler)
-            except (NumericalError, FloatingPointError) as exc:
-                raise (NumericalError if epoch else DataError)(f"epoch {epoch}: {exc}") from exc
-            val = evaluate(preds, data.val)
-            if not epoch:
-                initial_val = best_val = val
-                continue
-            records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val))
-            if val.score > best_score:  # strict: ties keep the earliest epoch
-                best_score = val.score
-                best_epoch = epoch
-                best_val = val
-                np.copyto(best_params.flat, params.flat)
-            if epoch - best_epoch >= config.patience:
-                stopped_early = epoch < config.max_epochs
-                break
-    finally:
-        permute_rows(data.train.x, np.argsort(rows))
+    for epoch in range(config.max_epochs + 1):  # epoch 0 scores the untrained model
+        try:  # a diverging run overflows somewhere before a check sees a non-finite value
+            with np.errstate(over="raise", invalid="raise"):
+                if epoch:
+                    train_loss = _epoch_pass(
+                        params, config, plans, grads, data.train.rows, data.train.y_emotion,
+                        data.train.y_country, y_age_scaled, shuffle_rng, adam,
+                    )
+                preds = predict(params, config.model, data.val.rows, scaler, batch_buffer)
+        except (NumericalError, FloatingPointError) as exc:
+            raise (NumericalError if epoch else DataError)(f"epoch {epoch}: {exc}") from exc
+        val = evaluate(preds, data.val)
+        if not epoch:
+            initial_val = best_val = val
+            continue
+        records.append(EpochRecord(epoch=epoch, train_loss=train_loss, val=val))
+        if val.score > best_score:  # strict: ties keep the earliest epoch
+            best_score = val.score
+            best_epoch = epoch
+            best_val = val
+            np.copyto(best_params.flat, params.flat)
+        if epoch - best_epoch >= config.patience:
+            stopped_early = epoch < config.max_epochs
+            break
 
     return best_params, RunHistory(
         initial_val=initial_val, epochs=tuple(records), best_epoch=best_epoch, best_val=best_val,

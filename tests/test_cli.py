@@ -285,12 +285,13 @@ def test_train_binary_features_match_csv(workspace, capsys):
 @pytest.mark.parametrize("fmt,save", [("csv", save_features_csv), ("bin", save_features_binary)],
                          ids=["csv", "binary"])
 def test_train_and_eval_ignore_feature_row_order(workspace, tmp_path, capsys, fmt, save):
-    # sorted files are used as loaded; shuffled ones are gathered into id order
+    # sorted files are used as loaded; shuffled ones are gathered into id
+    # order (CSV) or read through a row map (binary)
     data = workspace / "data"
     paths = {"sorted": {split: data / f"{split}_features.{fmt}" for split in ("train", "val")},
              "shuffled": {}}
-    for split, path in paths["sorted"].items():
-        table = load_features(path)
+    for split in paths["sorted"]:
+        table = load_features(data / f"{split}_features.csv")  # the binary files' values
         order = np.random.default_rng(len(split)).permutation(len(table))
         assert (order != np.arange(len(table))).any()
         shuffled = tmp_path / f"{split}_shuffled.{fmt}"

@@ -1,0 +1,236 @@
+"""Row sources: an in-memory array (CSV input) and a binary features file
+read per batch through a descriptor held open. Both give the same bits."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+import pmtl.cli
+import pmtl.train
+from pmtl.cli import main
+from pmtl.data import (
+    FIT_CHUNK,
+    STANDARDIZE_MODES,
+    FeatureTable,
+    FileRows,
+    Standardizer,
+    SynthSpec,
+    build_part,
+    load_features,
+    save_features_binary,
+    save_features_csv,
+    save_labels_csv,
+    synth_tables,
+)
+
+TRAIN_CONFIG = {
+    "model": {"shared_dims": [12, 6], "age_head_dims": [6, 3],
+              "emotion_hidden": 6, "country_hidden": 6},
+    "seed": 5, "max_epochs": 3, "patience": 3, "standardize": "zscore",
+}
+
+
+def _columns(rng, shape):
+    """Values of several scales, a constant column and a column of signed zeros."""
+    n, d = shape
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 50.0, d) + rng.normal(0, 9, d)
+    if d > 2:
+        x[:, 1] = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
+        x[:, 2] = 2.5
+    return x
+
+
+# (n, d): one row; lone columns, which numpy sums pairwise; blocks of
+# k = FIT_CHUNK // d - 1 rows that do not divide n; one block; rows wider
+# than a block
+@pytest.mark.parametrize("shape", [(1, 3), (2, 1), (3001, 1), (5003, 1), (3, 40), (1001, 300),
+                                   (5000, 7), (123, 6373), (3, 2 * FIT_CHUNK)], ids=str)
+@pytest.mark.parametrize("mode", STANDARDIZE_MODES)
+@pytest.mark.parametrize("ids", ["sorted", "unsorted"])
+def test_streamed_fit_equals_the_fit_of_the_array(tmp_path, shape, mode, ids):
+    n, d = shape
+    rng = np.random.default_rng(n * d)
+    x = _columns(rng, shape)
+    names = tuple(f"r{i:05d}" for i in range(n))
+    order = rng.permutation(n) if ids == "unsorted" else np.arange(n)
+    save_features_binary(FeatureTable(tuple(names[i] for i in order), x[order]),
+                         tmp_path / "x.bin")
+    part = build_part(load_features(tmp_path / "x.bin"), None, "train")
+    assert isinstance(part.rows, FileRows) and part.ids == names
+    got, want = Standardizer.fit(part.rows, mode), Standardizer.fit(x, mode)
+    assert got.center.tobytes() == want.center.tobytes()
+    assert got.scale.tobytes() == want.scale.tobytes()
+    assert got.degenerate_columns == want.degenerate_columns
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    center, spread = {"none": (np.zeros(d), np.ones(d)),
+                      "zscore": (x.mean(axis=0), x.std(axis=0)),
+                      "minmax": ((lo + hi) / 2.0, (hi - lo) / 2.0)}[mode]
+    assert want.center.tobytes() == center.tobytes()  # and the array's fit is numpy's
+    assert want.scale.tobytes() == np.where(spread == 0.0, 1.0, spread).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["zscore", "minmax"])
+def test_streamed_fit_scratch_is_fixed(tmp_path, mode, traced_peak):
+    x = np.random.default_rng(2).standard_normal((4000, 300))
+    save_features_binary(FeatureTable(tuple(f"r{i:05d}" for i in range(4000)), x),
+                         tmp_path / "x.bin")
+    rows = load_features(tmp_path / "x.bin").features
+    _, peak = traced_peak(lambda: Standardizer.fit(rows, mode))
+    assert peak <= 8 * (FIT_CHUNK + np.getbufsize()) + 10 * x[0].nbytes < x.nbytes / 10
+
+
+def test_take_reads_the_rows_it_is_given(tmp_path):
+    x = np.arange(40.0).reshape(10, 4)
+    save_features_binary(FeatureTable(tuple("jihgfedcba"), x), tmp_path / "x.bin")
+    part = build_part(load_features(tmp_path / "x.bin"), None, "eval")
+    out = np.full((6, 4), np.nan)
+    rows = np.array([0, 1, 2, 7, 3, 9])
+    got = part.rows.take(rows, out)
+    assert np.shares_memory(got, out)
+    assert got.tobytes() == x[::-1][rows].tobytes()  # id order is the file order reversed
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The same synthetic rows as a CSV, a binary file and a binary file
+    in shuffled row order, with their labels."""
+    root = tmp_path_factory.mktemp("sources")
+    features, labels = synth_tables(SynthSpec(n_train=300, n_val=290, dim=16, rank=4, seed=9))
+    save_labels_csv(labels, root / "labels.csv")
+    for split, table in features.items():
+        save_features_csv(table, root / f"{split}.csv")
+        save_features_binary(table, root / f"{split}.bin")
+        order = np.random.default_rng(len(split)).permutation(len(table))
+        save_features_binary(FeatureTable(tuple(table.ids[i] for i in order),
+                                          table.features[order]), root / f"{split}_shuffled.bin")
+    return root
+
+
+def _train(root, out, suffix, batch_size):
+    """``pmtl train`` on the ``suffix`` files; (exit code, run record, checkpoint bytes)."""
+    (root / "config.json").write_text(json.dumps(dict(TRAIN_CONFIG, batch_size=batch_size)))
+    code = main(["train", "--train-features", str(root / f"train{suffix}"),
+                 "--val-features", str(root / f"val{suffix}"),
+                 "--labels", str(root / "labels.csv"),
+                 "--config", str(root / "config.json"), "--out", str(out)])
+    if code:
+        return code, None, None
+    history = json.loads((out / "history.json").read_text())
+    return code, history["run"], (out / "checkpoint.pmck").read_bytes()
+
+
+# batch 8 leaves predict to make its own buffer; batch 256, whose plan holds
+# 256 rows, lends it its buffer; 300 rows leave a short last batch of 44
+@pytest.mark.parametrize("batch_size", [8, 256])
+def test_array_and_file_sources_train_the_same_bits(inputs, tmp_path, capsys, batch_size):
+    runs = [_train(inputs, tmp_path / suffix, suffix, batch_size)
+            for suffix in (".csv", ".bin", "_shuffled.bin")]
+    assert all(code == 0 for code, _, _ in runs), capsys.readouterr().err
+    (_, history, checkpoint), *others = runs
+    assert len(history["epochs"]) == 3
+    for _, other_history, other_checkpoint in others:
+        assert other_history == history
+        assert other_checkpoint == checkpoint
+
+
+def _after_first_predict(monkeypatch, action):
+    """Run ``action`` once, after the untrained validation pass."""
+    predict = pmtl.train.predict
+
+    def wrapped(*args):
+        result = predict(*args)
+        if not wrapped.done:
+            wrapped.done = True
+            action()
+        return result
+    wrapped.done = False
+    monkeypatch.setattr(pmtl.train, "predict", wrapped)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_a_file_cut_during_the_run_is_a_data_error(inputs, tmp_path, capsys, monkeypatch,
+                                                   split):
+    root = tmp_path / "copy"
+    root.mkdir()
+    for name in ("train.bin", "val.bin", "labels.csv"):
+        (root / name).write_bytes((inputs / name).read_bytes())
+    cut = root / f"{split}.bin"
+    _after_first_predict(monkeypatch, lambda: os.truncate(cut, cut.stat().st_size // 2))
+    code, _, _ = _train(root, tmp_path / "o", ".bin", 32)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"pmtl: error: {cut}: payload ends before row ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_file_replaced_during_the_run_leaves_its_bits(inputs, tmp_path, capsys, monkeypatch):
+    # pmtl and its users write files through a temporary file and os.replace;
+    # the open descriptor keeps the inode it opened
+    root = tmp_path / "copy"
+    root.mkdir()
+    for name in ("train.bin", "val.bin", "labels.csv"):
+        (root / name).write_bytes((inputs / name).read_bytes())
+    _, history, checkpoint = _train(root, tmp_path / "undisturbed", ".bin", 32)
+
+    def replace_both():
+        for split in ("train", "val"):
+            table = build_part(load_features(root / f"{split}.bin"), None, split)
+            x = table.rows.take(np.arange(len(table)), np.empty(table.rows.shape))
+            save_features_binary(FeatureTable(table.ids, -x), root / f"{split}.new")
+            os.replace(root / f"{split}.new", root / f"{split}.bin")
+    _after_first_predict(monkeypatch, replace_both)
+    code, got_history, got_checkpoint = _train(root, tmp_path / "replaced", ".bin", 32)
+    assert code == 0, capsys.readouterr().err
+    assert got_history == history and got_checkpoint == checkpoint
+    # and the files were replaced: the next run differs
+    monkeypatch.undo()
+    _, next_history, _ = _train(root, tmp_path / "next", ".bin", 32)
+    assert next_history != history
+
+
+def test_training_peak_does_not_grow_with_the_rows_of_a_binary_file(tmp_path, traced_peak):
+    # 2,000 and 8,000 train rows at width 1,024: 49 MB more features, read a
+    # batch at a time. What the peak still holds per row is its id and its
+    # labels, about 165 bytes: 0.97 MiB for the 6,000 rows
+    peaks = []
+    for n_train in (2000, 8000):
+        root = tmp_path / str(n_train)
+        root.mkdir()
+        features, labels = synth_tables(SynthSpec(n_train=n_train, n_val=300, dim=1024,
+                                                  rank=4, seed=4))
+        for split, table in features.items():
+            save_features_binary(table, root / f"{split}.bin")
+        save_labels_csv(labels, root / "labels.csv")
+        del features, labels
+        (root / "config.json").write_text(json.dumps(dict(TRAIN_CONFIG, batch_size=256,
+                                                          max_epochs=1, patience=1)))
+        code, peak = traced_peak(lambda: main([
+            "train", "--train-features", str(root / "train.bin"),
+            "--val-features", str(root / "val.bin"), "--labels", str(root / "labels.csv"),
+            "--config", str(root / "config.json"), "--out", str(root / "o")]))
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+def test_eval_of_a_file_cut_after_its_load_names_it_once(inputs, tmp_path, capsys,
+                                                         monkeypatch):
+    assert _train(inputs, tmp_path / "run", ".bin", 32)[0] == 0
+    cut = tmp_path / "val.bin"
+    cut.write_bytes((inputs / "val.bin").read_bytes())
+
+    def load_then_cut(path):
+        table = load_features(path)
+        os.truncate(path, os.path.getsize(path) - 8)
+        return table
+    monkeypatch.setattr(pmtl.cli, "load_features", load_then_cut)
+    code = main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.pmck"),
+                 "--features", str(cut), "--out-predictions", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"pmtl: error: {cut}: payload ends before row ")
+    assert err.count(str(cut)) == 1
+    assert not (tmp_path / "p.csv").exists()

@@ -10,7 +10,7 @@ import pytest
 
 import pmtl.train
 from pmtl.cli import parse_train_config
-from pmtl.data import FIT_CHUNK, SynthSpec, standardize, synth_dataset
+from pmtl.data import FIT_CHUNK, ArrayRows, SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError, DataError, NumericalError
 from pmtl.losses import LossConfig
 from pmtl.metrics import compute_bundle
@@ -307,16 +307,16 @@ def test_training_improves_over_untrained(train_dataset):
 def test_best_params_reproduce_best_val(train_dataset):
     config = small_train_config(max_epochs=4, patience=4)
     params, history = train_run(config, train_dataset)
-    bundle = evaluate(predict(params, config.model, train_dataset.val.x,
+    bundle = evaluate(predict(params, config.model, train_dataset.val.rows.x,
                               train_dataset.age_scaler), train_dataset.val)
     assert bundle.score == history.best_val.score
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
 
 
 def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
-    # params, best params, gradients, two Adam moments and one batch of
-    # slack (a batch is a slice of the train rows, not a copy); the data
-    # exists before the run, so it is not counted
+    # params, best params, gradients, two Adam moments and the step plan's
+    # batch buffer, which predict reads no array blocks into; the data exists
+    # before the run, so it is not counted
     dim = 4096
     ds = standardize(synth_dataset(SynthSpec(n_train=256, n_val=32, dim=dim, rank=4, seed=7)),
                      "zscore")
@@ -330,26 +330,25 @@ def test_train_run_holds_five_parameter_copies_and_one_batch(traced_peak):
 
 
 def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
-    # each batch is a slice of the reordered train rows: the pass, with the
-    # gradient buffer and step plan that train_run makes for it, allocates
-    # less than one (batch, width) array on top of the gradients
+    # each batch is taken into its step plan's input buffer: with the
+    # gradients and step plans that train_run makes for it, the pass
+    # allocates less than one (batch, width) array
     dim, batch = 2048, 256
     ds = synth_dataset(SynthSpec(n_train=2 * batch, n_val=8, dim=dim, rank=4, seed=7))
     config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=batch)
     params = init_params(config.model, RngStream(0))
     adam = init_adam(params)
     y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
-    rows = np.arange(len(ds.train))
-    original = ds.train.x.copy()
+    plans, grads = step_plans(config.model, len(ds.train), batch), init_grads(config.model)
+    original = ds.train.rows.x.copy()
 
     def one_epoch():
-        plans, grads = step_plans(config.model, len(ds.train), batch), init_grads(config.model)
-        return _epoch_pass(params, config, plans, grads, ds.train.x, rows, ds.train.y_emotion,
+        return _epoch_pass(params, config, plans, grads, ds.train.rows, ds.train.y_emotion,
                            ds.train.y_country, y_age_scaled, RngStream(1), adam)
     one_epoch()  # warm-up, so that one-time lazy imports are not counted
     _, peak = traced_peak(one_epoch)
-    assert peak < params.flat.nbytes + batch * dim * 8
-    assert ds.train.x.tobytes() == original[rows].tobytes()  # row i is train row rows[i]
+    assert peak < batch * dim * 8
+    assert ds.train.rows.x.tobytes() == original.tobytes()  # the rows are only read
 
 
 def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
@@ -363,10 +362,9 @@ def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
     adam = init_adam(params)
     plans, grads = step_plans(config.model, batch, batch), init_grads(config.model)
     y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
-    rows = np.arange(batch)
 
     def one_step():
-        return _epoch_pass(params, config, plans, grads, ds.train.x, rows, ds.train.y_emotion,
+        return _epoch_pass(params, config, plans, grads, ds.train.rows, ds.train.y_emotion,
                            ds.train.y_country, y_age_scaled, RngStream(1), adam)
     one_step()  # warm-up, so that one-time lazy imports are not counted
     _, peak = traced_peak(one_step)
@@ -375,16 +373,16 @@ def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
 
 @pytest.mark.parametrize("how", ["all-epochs", "early-stop", "raises-in-epoch-2"])
 def test_train_run_puts_the_train_rows_back(monkeypatch, how):
-    # the rows are reordered in place while the run lasts; the caller's order
-    # comes back however the run ends
+    # the run only reads the rows: they are in the caller's order while it
+    # lasts, and after it, however it ends
     ds = standardize(synth_dataset(SynthSpec(n_train=60, n_val=20, dim=24, rank=4, seed=8)),
                      "zscore")
-    before = ds.train.x.tobytes()
+    before = ds.train.rows.x.tobytes()
     config = small_train_config(max_epochs=4, patience=0 if how == "early-stop" else 4)
     calls, seen = itertools.count(), []
 
     def watched_predict(*args):
-        seen.append(ds.train.x.tobytes() != before)
+        seen.append(ds.train.rows.x.tobytes() != before)
         if how == "raises-in-epoch-2" and next(calls) == 2:  # initial, epoch 1, epoch 2
             raise FloatingPointError("overflow encountered in multiply")
         return predict(*args)
@@ -395,24 +393,16 @@ def test_train_run_puts_the_train_rows_back(monkeypatch, how):
     else:
         _, history = train_run(config, ds)
         assert history.stopped_early == (how == "early-stop")
-    assert seen[1:] and all(seen[1:])  # in an epoch's shuffled order while it ran
-    assert ds.train.x.tobytes() == before
-
-
-def test_train_run_rejects_read_only_train_rows(monkeypatch, train_dataset):
-    x = train_dataset.train.x.copy()
-    x.flags.writeable = False
-    ds = dataclasses.replace(train_dataset, train=dataclasses.replace(train_dataset.train, x=x))
-    monkeypatch.setattr(pmtl.train, "init_params", None)  # no work before the check
-    with pytest.raises(DataError, match="writeable"):
-        train_run(small_train_config(), ds)
+    assert seen[1:] and not any(seen)
+    assert ds.train.rows.x.tobytes() == before
 
 
 def test_overflow_in_the_untrained_validation_reports_epoch_0(train_dataset):
     # the parameters are fresh from init, so only the validation data can overflow
-    val_x = train_dataset.val.x.copy()
+    val_x = train_dataset.val.rows.x.copy()
     val_x[0, 0] = 1.7e308
-    ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val, x=val_x))
+    ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val,
+                                                                    rows=ArrayRows(val_x)))
     with pytest.raises(DataError, match="^epoch 0: overflow encountered in "):
         train_run(small_train_config(), ds)
 
@@ -434,11 +424,11 @@ def test_train_run_rejects_unlabeled_val(train_dataset):
 
 
 def test_non_finite_forward_reports_epoch(train_dataset):
-    poisoned_x = train_dataset.train.x.copy()
+    poisoned_x = train_dataset.train.rows.x.copy()
     poisoned_x[0, 0] = np.inf
     poisoned = dataclasses.replace(
         train_dataset,
-        train=dataclasses.replace(train_dataset.train, x=poisoned_x),
+        train=dataclasses.replace(train_dataset.train, rows=ArrayRows(poisoned_x)),
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="epoch 1"):
@@ -452,7 +442,7 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
     split = train_dataset.val
-    preds = predict(params, config, split.x, train_dataset.age_scaler)
+    preds = predict(params, config, split.rows.x, train_dataset.age_scaler)
     bundle = evaluate(preds, split)
     direct = compute_bundle(
         pred_emotion=preds.emotion,
@@ -468,7 +458,7 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
 def test_evaluate_is_pure(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
-    preds = predict(params, config, train_dataset.val.x, train_dataset.age_scaler)
+    preds = predict(params, config, train_dataset.val.rows.x, train_dataset.age_scaler)
     a = evaluate(preds, train_dataset.val)
     b = evaluate(preds, train_dataset.val)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
