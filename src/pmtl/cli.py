@@ -282,25 +282,19 @@ def _feature_paths(raw: dict, args):
 def _cell_data(spec: SweepSpec, paths, mode: str, labels):
     """``value -> SplitDataset`` for ``run_sweep``. A cell's train and val
     paths, ``paths(value)``, are loaded and joined with ``labels`` once; only
-    the last paths' data are held. Its mode is ``mode``, applied in place,
-    or on the standardization axis the value itself, applied to a fresh
-    copy of a CSV's array once the previous cell's copy is dropped."""
-    raw, held = {}, {}
+    the last paths' data are held, standardized in place under ``mode``. On
+    the standardization axis they are held raw, and each cell gets a copy
+    standardized under its value, which it drops when it ends."""
+    held = {}
     per_mode = spec.axis == "standardization"
 
     def cell_data(value):
-        nonlocal labels
-        pair, cell_mode = paths(value), value if per_mode else mode
-        if (pair, cell_mode) not in held:
+        pair = paths(value)
+        if pair not in held:
             held.clear()
-            if pair not in raw:
-                raw.clear()
-                raw[pair] = _load_dataset(*pair, labels)
-                if per_mode:  # its one pair of inputs stays loaded: no further join
-                    labels = None
-            held[pair, cell_mode] = standardize(raw[pair] if per_mode else raw.pop(pair),
-                                                cell_mode, copy=per_mode)
-        return held[pair, cell_mode]
+            loaded = _load_dataset(*pair, labels)
+            held[pair] = loaded if per_mode else standardize(loaded, mode)
+        return standardize(held[pair], value, copy=True) if per_mode else held[pair]
     return cell_data
 
 

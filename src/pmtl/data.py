@@ -17,24 +17,24 @@ Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order. ``_read_rows`` reads all
 three CSV layouts; the age and country fields of labels are checked once, after.
 
-Memory contract: a split's rows come from a row source with one method,
-``take(rows, out)``. A CSV file's are an ArrayRows: one float64 (n, d) array,
-which the CSV loader counts the rows for, then fills a block of BLOCK_VALUES
-values at a time, with scratch of about 80 bytes per value of a block; a blank
-line seen while counting leaves the file to the csv-module loop before any
-array is sized. A binary file's are a FileRows: the loader checks the header,
-the id table, the payload size and finiteness in one pass of FIT_CHUNK values
-and keeps the descriptor open; ``take`` reads rows with ``os.preadv`` into
-the caller's buffer and standardizes them there. Such a file must not be
-rewritten in place while it is read; one replaced through ``os.replace``
-leaves the open file as it was. An (n, d) array that cannot be allocated is
-a DataError naming the file. Only the csv-module loop, which reports value
-errors by line, holds rows plus a stacked copy. Joining keeps a loaded array
-whose ids are sorted and gathers a sorted copy otherwise; a FileRows keeps
-a map from id order to file rows. The standardization fit streams the train
-rows through a FIT_CHUNK scratch; an array is then standardized in place.
-Finiteness checks (``all_finite``) take one sum and, only if it overflows,
-scan fixed blocks, with no flag per value.
+Memory contract: a split's rows are read by ndarray's call, ``rows.take(at,
+axis=0, out=buf, mode="clip")`` ("raise" would gather through a temporary). A
+CSV file's are one float64 (n, d) array, which the CSV loader counts the rows
+for, then fills a block of BLOCK_VALUES values at a time, with scratch of about
+80 bytes per value of a block; a blank line seen while counting leaves the file
+to the csv-module loop before any array is sized. A binary file's are a
+FileRows: the loader checks the header, the id table, the payload size and
+finiteness in one pass of FIT_CHUNK values and keeps the descriptor open;
+``take`` reads rows with ``os.preadv`` into ``buf`` and standardizes them
+there. Such a file must not be rewritten in place while it is read; one
+replaced through ``os.replace`` leaves the open file as it was. An (n, d) array
+that cannot be allocated is a DataError naming the file. Only the csv-module
+loop, which reports value errors by line, holds rows plus a stacked copy.
+Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
+otherwise; a FileRows keeps a map from id order to file rows. The
+standardization fit streams the train rows through a FIT_CHUNK scratch; an
+array is then standardized in place. Finiteness checks (``all_finite``) take
+one sum and, only if it overflows, scan fixed blocks, with no flag per value.
 A sweep holds one cell's features at a time: it loads a cell's files just
 before the cell runs, and drops them before it loads another cell's. A
 standardization sweep keeps the raw data and standardizes one copy of an
@@ -52,6 +52,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import struct
@@ -207,24 +208,21 @@ class Standardizer:
 
     @classmethod
     def fit(cls, train, mode: str) -> "Standardizer":
-        """Fit on ``train``, an (n, d) array or a row source, with the bits of
+        """Fit on ``train``, an (n, d) array or a FileRows, with the bits of
         numpy's ``mean``, ``std``, ``min`` and ``max`` over axis 0 of its
         rows in id order. numpy sums a lone or a non-C-contiguous column
-        pairwise, so such an array, and a file's lone column (read whole, 8n
-        bytes), are fit by numpy; other rows ``_row_stats`` streams in blocks."""
+        pairwise, so a lone column (read whole, 8n bytes) and such an array
+        are fit by numpy; other rows ``_row_stats`` streams in blocks."""
         check_mode(mode)
         n, d = train.shape
         if mode == "none":
             return cls(mode, np.zeros(d), np.ones(d))
-        if isinstance(train, np.ndarray):
-            train = ArrayRows(train)
-        x = train.x if isinstance(train, ArrayRows) else None
-        if d == 1 and x is None:
-            x = train.take(np.arange(n), np.empty((n, 1)))
+        if d == 1:
+            train = train.take(np.arange(n), axis=0, mode="clip")
         with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-            if x is not None and (d == 1 or not x.flags.c_contiguous):
-                stats = ((x.mean(axis=0), x.std(axis=0)) if mode == "zscore"
-                         else (x.min(axis=0), x.max(axis=0)))
+            if isinstance(train, np.ndarray) and (d == 1 or not train.flags.c_contiguous):
+                stats = ((train.mean(axis=0), train.std(axis=0)) if mode == "zscore"
+                         else (train.min(axis=0), train.max(axis=0)))
             else:
                 stats = _row_stats(train, mode)
             if mode == "zscore":
@@ -258,7 +256,7 @@ def all_finite(a: np.ndarray) -> bool:
 
 def _row_stats(source, mode: str):
     """The mean and std (zscore) or the min and max (minmax) over axis 0 of
-    the rows of ``source``, d > 1, read a block at a time. numpy reduces
+    the rows of ``source``, d > 1, taken a block at a time. numpy reduces
     such rows in order, from 0 for a sum and from the first row for a min
     or max, so a reduction over a block whose row 0 carries the running
     result and whose other rows hold the next rows continues the sequence."""
@@ -271,7 +269,8 @@ def _row_stats(source, mode: str):
         over their squared deviations from ``center``; the results."""
         for start in range(0, n, k):
             block = scratch[:min(k, n - start) + 1]
-            rows = source.take(np.arange(start, start + len(block) - 1), block[1:])
+            rows = source.take(np.arange(start, start + len(block) - 1), axis=0,
+                               out=block[1:], mode="clip")
             if center is not None:
                 rows -= center
                 rows *= rows
@@ -281,26 +280,11 @@ def _row_stats(source, mode: str):
         return [total for _, total in totals]
 
     if mode == "minmax":
-        first = source.take(np.arange(1), np.empty((1, d)))[0]
+        first = source.take(np.arange(1), axis=0, mode="clip")[0]
         return fold((np.minimum, first), (np.maximum, first.copy()))
     center = fold((np.add, np.zeros(d)))[0] / n
     total = fold((np.add, np.zeros(d)), center=center)[0] / n
     return center, np.sqrt(total, out=total)
-
-
-class ArrayRows:
-    """The rows of an in-memory (n, d) array ``x``, in id order."""
-
-    def __init__(self, x: np.ndarray):
-        self.x, self.shape = x, x.shape
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` into ``out[:len(rows)]``, which is returned."""
-        # mode "raise" would gather into a temporary and copy it into out
-        return np.take(self.x, rows, axis=0, out=out[:len(rows)], mode="clip")
 
 
 class _Descriptor:
@@ -329,12 +313,14 @@ class FileRows:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` into ``out[:len(rows)]``, which is returned, with one
-        ``os.preadv`` per run of consecutive file rows. A read that comes up
-        short, from a file cut while it is open, raises DataFormatError."""
-        out = out[:len(rows)]
-        at = (rows if self.order is None else self.order[rows]).tolist()
+    def take(self, indices, axis=0, out=None, mode="raise") -> np.ndarray:
+        """Rows ``indices`` into ``out`` (None: a new array), by ndarray's call;
+        ``mode`` is ignored. One ``os.preadv`` reads each run of consecutive file
+        rows; a short one, from a file cut while it is open, is a DataFormatError."""
+        if operator.index(axis):
+            raise ValueError(f"FileRows.take reads rows (axis 0), not axis {axis}")
+        out = np.empty((len(indices), self.shape[1])) if out is None else out
+        at = (indices if self.order is None else self.order[indices]).tolist()
         width, start = 8 * self.shape[1], 0
         for stop in range(1, len(at) + 1):
             if stop < len(at) and at[stop] == at[stop - 1] + 1:
@@ -350,10 +336,10 @@ class FileRows:
 
 @dataclass(frozen=True)
 class SplitPart:
-    """One aligned partition: its rows (a row source) plus (optionally) labels."""
+    """One aligned partition: its rows (array or FileRows) plus (optionally) labels."""
 
     ids: tuple[str, ...]
-    rows: ArrayRows | FileRows
+    rows: np.ndarray | FileRows
     y_emotion: np.ndarray | None
     y_age: np.ndarray | None
     y_country: np.ndarray | None
@@ -681,9 +667,8 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str) ->
         order = np.argsort(np.array(ids, dtype=object))
         ids = tuple(ids[i] for i in order)
         x = x[order] if isinstance(x, np.ndarray) else replace(x, order=order)
-    rows = ArrayRows(x) if isinstance(x, np.ndarray) else x
     if labels is None:
-        return SplitPart(ids=ids, rows=rows, y_emotion=None, y_age=None, y_country=None)
+        return SplitPart(ids=ids, rows=x, y_emotion=None, y_age=None, y_country=None)
     label_index = labels.index()
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
@@ -693,7 +678,7 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str) ->
     at = np.array([label_index[sid] for sid in ids], dtype=np.int64)
     return SplitPart(
         ids=ids,
-        rows=rows,
+        rows=x,
         y_emotion=labels.emotion[at],
         y_age=labels.age[at].astype(np.float64),
         y_country=labels.country[at],
@@ -722,13 +707,13 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 
-def standardized(rows: ArrayRows | FileRows, std: Standardizer, copy: bool = False):
+def standardized(rows: np.ndarray | FileRows, std: Standardizer, copy: bool = False):
     """``rows`` under ``std``: an array's standardized in place, or with
     ``copy`` into a new one; a file's as a source that applies ``std`` to
     the rows it reads, in place of any standardizer it had."""
     if isinstance(rows, FileRows):
         return replace(rows, standardizer=std)
-    return ArrayRows(std.apply(rows.x, out=None if copy else rows.x))
+    return std.apply(rows, out=None if copy else rows)
 
 
 def standardize(ds: SplitDataset, mode: str, copy: bool = False) -> SplitDataset:

@@ -38,7 +38,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import COUNTRIES, EMOTIONS, ArrayRows
+from .data import COUNTRIES, EMOTIONS
 from .errors import ConfigError, ShapeError, check_fields
 from .layers import (
     layer_norm_backward,
@@ -222,15 +222,15 @@ class StepPlan:
     in ``head_dx`` and are summed in head order into the top trunk layer's
     ``g``.
 
-    A training plan holds the batch's rows in ``input``, which a row
-    source's ``take`` fills. An inference plan (``backward=False``) has no
-    input or gradient buffer; its
-    hidden layers take ``z`` and ``y`` from two of three arenas as large as
-    the widest layer, never from the one that holds their input, and ``h``
-    is ``z``. As the heads run one after the other, every output is read
-    before its arena is written again. A plan built ``within`` another of
-    the same config and kind with at least as many rows takes its buffers
-    from that plan's memory; the two must not run at once.
+    A training plan holds the batch's rows in ``input``, which has exactly
+    the plan's rows for the split's ``take`` to fill. An inference plan
+    (``backward=False``) has no input or gradient buffer; its hidden layers
+    take ``z`` and ``y`` from two of three arenas as large as the widest
+    layer, never from the one that holds their input, and ``h`` is ``z``.
+    As the heads run one after the other, every output is read before its
+    arena is written again. A plan built ``within`` another of the same
+    config and kind with at least as many rows takes its buffers from that
+    plan's memory; the two must not run at once.
 
     ``forward`` keeps a reference to its input for ``backward``. Its outputs
     are views of the plan, overwritten by its next call.
@@ -370,14 +370,14 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
             out: np.ndarray | None = None) -> PredictionSet:
     """Inference: emotion vector, age in years, and country class per row.
 
-    ``x`` is an (n, input_dim) array or a row source. ``forward`` runs on
+    ``x`` is an (n, input_dim) array or a FileRows. ``forward`` runs on
     consecutive blocks of PREDICT_ROWS rows, the last one also taking the
     leftover rows. No block is shorter unless n is: OpenBLAS rounds products
     of a few rows with other kernels. The outputs then equal one full
-    ``forward``'s bit for bit up to about 3,100 rows. The blocks of an array,
-    or of an ArrayRows, are views of it; a FileRows reads each into ``out``,
-    or into a buffer that predict makes if ``out`` has too few rows. Besides
-    that and its result arrays, predict holds one inference StepPlan, for at
+    ``forward``'s bit for bit up to about 3,100 rows. The blocks of an array
+    are views of it; a FileRows takes each into the first rows of ``out``,
+    or of a buffer that predict makes if ``out`` has too few. Besides that
+    and its result arrays, predict holds one inference StepPlan, for at
     most 2 * PREDICT_ROWS - 1 rows and without gradient buffers.
 
     ``age_scaler`` maps the standardized age output back to years via its
@@ -387,7 +387,6 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
     """
     if getattr(params, "layout", ()) != param_shapes(config):
         raise ShapeError("parameter layout", getattr(params, "layout", ()), param_shapes(config))
-    x = x.x if isinstance(x, ArrayRows) else x
     n = len(x)
     blocks = max(1, n // PREDICT_ROWS)
     largest = min(n, 2 * PREDICT_ROWS - 1)  # rows of the last block, the largest
@@ -402,8 +401,8 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
         if plan is None or plan.rows != stop - start:
             plan = None  # the last block's plan is made after the others' is freed
             plan = StepPlan(config, stop - start, backward=False)
-        block = (x[start:stop] if isinstance(x, np.ndarray)
-                 else x.take(np.arange(start, stop), out))
+        block = (x[start:stop] if isinstance(x, np.ndarray) else
+                 x.take(np.arange(start, stop), axis=0, out=out[:stop - start], mode="clip"))
         outputs = forward(params, plan, block)
         emotion[start:stop] = outputs.emotion
         logits[start:stop] = outputs.country_logits

@@ -33,14 +33,17 @@ from .metrics import MetricsBundle
 from .rng import derive_subseed
 from .train import TrainConfig, train_run
 
+Axis = Literal["seed", "batch_size", "feature_set", "standardization"]
+Aggregation = Literal["mean_std", "best"]
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    axis: Literal["seed", "batch_size", "feature_set", "standardization"]
+    axis: Axis
     values: tuple
     base: TrainConfig
     runs_per_cell: int = 5
-    aggregation: Literal["mean_std", "best"] = "mean_std"
+    aggregation: Aggregation = "mean_std"
 
     def __post_init__(self):
         check_fields(self)
@@ -106,9 +109,12 @@ METRIC_NAMES = tuple(METRIC_FIELDS)
 
 @dataclass(frozen=True)
 class ReportTable:
-    axis: str
-    aggregation: str
+    axis: Axis
+    aggregation: Aggregation
     cells: tuple[CellResult, ...]
+
+    def __post_init__(self):
+        check_fields(self)  # a stored table with another axis or aggregation: ConfigError
 
     def rows(self) -> list[ReportRow | None]:
         """One rendered row per cell, None for failed cells."""

@@ -193,20 +193,21 @@ def step_plans(model: ModelConfig, n: int, batch_size: int) -> dict[int, StepPla
     return plans
 
 
-def _epoch_pass(params, config: TrainConfig, plans, grads, source, y_emotion, y_country,
+def _epoch_pass(params, config: TrainConfig, plans, grads, rows, y_emotion, y_country,
                 y_age_scaled, shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
     """One epoch of minibatch updates; returns per-sample mean losses.
 
-    Each batch's rows are taken from the row source ``source`` into the
-    input buffer of its plan from ``plans`` (``step_plans``); the step runs
-    in the plan's buffers and writes its gradients into ``grads``."""
-    n = len(source)
+    ``rows`` (an array or a FileRows) takes each batch into the input buffer
+    of its plan from ``plans`` (``step_plans``); the step runs in the plan's
+    buffers and writes its gradients into ``grads``."""
+    n = len(rows)
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
     for batch in batches(n, config.batch_size, shuffle_rng):
         plan = plans[batch.size]
         d = plan.d_outputs
-        outputs = forward(params, plan, source.take(batch, plan.input))
+        outputs = forward(params, plan,
+                          rows.take(batch, axis=0, out=plan.input, mode="clip"))
         l_e, g_e = mse_loss(outputs.emotion, y_emotion[batch], d["emotion"])
         l_c, g_c = cross_entropy_loss(outputs.country_logits, y_country[batch],
                                       d["country_logits"])
@@ -228,7 +229,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
     """Full training loop; returns ``(best_params, history)``.
 
     ``data`` is used as given (standardize first if desired); its rows are
-    only read, through each split's row source. Randomness: sub-seed 0 of
+    only read, through each split's ``take``. Randomness: sub-seed 0 of
     ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
     shuffle; identical (config, data) reproduce the history bit for bit,
     wall-clock time aside. The gradients are written into one ``Params``

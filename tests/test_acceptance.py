@@ -83,10 +83,10 @@ def _nearest_centroid(x_train, labels_train, x_eval, n_classes=4):
 
 def oracle_scores(ds):
     """Combined score of the closed-form baseline on the validation split."""
-    emotion = np.clip(_ridge(ds.train.rows.x, ds.train.y_emotion, ds.val.rows.x), 0.0, 1.0)
-    age = _ridge(ds.train.rows.x, ds.train.y_age.astype(float).reshape(-1, 1),
-                 ds.val.rows.x).ravel()
-    country = _nearest_centroid(ds.train.rows.x, ds.train.y_country, ds.val.rows.x)
+    emotion = np.clip(_ridge(ds.train.rows, ds.train.y_emotion, ds.val.rows), 0.0, 1.0)
+    age = _ridge(ds.train.rows, ds.train.y_age.astype(float).reshape(-1, 1),
+                 ds.val.rows).ravel()
+    country = _nearest_centroid(ds.train.rows, ds.train.y_country, ds.val.rows)
     mean_ccc = float(np.mean([
         ccc(emotion[:, j], ds.val.y_emotion[:, j])
         for j in range(emotion.shape[1])

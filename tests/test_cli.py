@@ -1140,3 +1140,20 @@ def test_report_on_malformed_results_exits_2(sweep_out, tmp_path, capsys):
     assert code == 2
     assert "axis" in err
 
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+@pytest.mark.parametrize("field", ["aggregation", "axis"])
+def test_report_of_an_unknown_axis_or_aggregation_exits_2(sweep_out, tmp_path, capsys,
+                                                          field, fmt):
+    # a value outside the sweep spec's choices rendered a CSV of misshapen rows
+    stored = json.loads((sweep_out / "results.json").read_text())
+    stored[field] = "foo"
+    bad = tmp_path / "results.json"
+    bad.write_text(json.dumps(stored))
+    report = tmp_path / "report.txt"
+    code, out, err = run(capsys, ["report", "--results", str(bad), "--format", fmt,
+                                  "--out", str(report)])
+    assert code == 2
+    assert f"{field} must be one of" in err and "'foo'" in err
+    assert out == "" and not report.exists()
+

@@ -24,7 +24,6 @@ from pmtl.data import (
     FEATURE_MAGIC,
     FIT_CHUNK,
     AgeScaler,
-    ArrayRows,
     FeatureTable,
     FileRows,
     LabelTable,
@@ -61,9 +60,8 @@ def write(path, text):
 
 
 def values(table):
-    """The (n, d) features of ``table`` as an array, read whole from a FileRows."""
-    x = table.features
-    return x if isinstance(x, np.ndarray) else x.take(np.arange(len(x)), np.empty(x.shape))
+    """The (n, d) features of ``table``, an array or a FileRows, as a new array."""
+    return table.features.take(np.arange(len(table)), axis=0)
 
 
 @pytest.fixture
@@ -853,7 +851,7 @@ def test_join_sorts_ids_lexicographically():
     assert ds.train.ids == ("a", "b", "c")
     assert ds.val.ids == ("y", "z")
     # features follow their ids through the sort
-    assert ds.train.rows.x[0].tolist() == [3.0, 4.0, 5.0]  # id "a" was row 1
+    assert ds.train.rows[0].tolist() == [3.0, 4.0, 5.0]  # id "a" was row 1
 
 
 def test_join_aligns_labels_by_id():
@@ -885,7 +883,7 @@ def test_join_unlabeled_test_passes_through():
     part = build_part(features, None, "eval")
     assert not part.labeled
     assert part.ids == ("t1", "t2")
-    assert np.array_equal(part.rows.x, features.features[::-1])
+    assert np.array_equal(part.rows, features.features[::-1])
     # given labels, every id needs one
     with pytest.raises(DataError, match="t2"):
         build_part(features, make_labels(["a", "t1"]), "eval")
@@ -911,26 +909,26 @@ def test_age_scaler_round_trip():
 def test_standardize_zscore_train_stats():
     ds = synth_dataset(SynthSpec(n_train=100, n_val=30, dim=8, rank=3, seed=1))
     out = standardize(ds, "zscore")
-    assert np.abs(out.train.rows.x.mean(axis=0)).max() < 1e-10
-    assert np.abs(out.train.rows.x.std(axis=0) - 1.0).max() < 1e-9
+    assert np.abs(out.train.rows.mean(axis=0)).max() < 1e-10
+    assert np.abs(out.train.rows.std(axis=0) - 1.0).max() < 1e-9
     # val transformed with train stats, not its own
-    assert np.abs(out.val.rows.x.mean(axis=0)).max() > 1e-6
+    assert np.abs(out.val.rows.mean(axis=0)).max() > 1e-6
 
 
 def test_standardize_minmax_range():
     ds = synth_dataset(SynthSpec(n_train=100, n_val=30, dim=8, rank=3, seed=1))
     out = standardize(ds, "minmax")
-    assert out.train.rows.x.min() >= -1.0 - 1e-12
-    assert out.train.rows.x.max() <= 1.0 + 1e-12
+    assert out.train.rows.min() >= -1.0 - 1e-12
+    assert out.train.rows.max() <= 1.0 + 1e-12
 
 
 def test_standardize_none_is_identity():
     ds = synth_dataset(SynthSpec(n_train=50, n_val=20, dim=4, rank=2, seed=2))
     # standardize writes in place, so compare with copies taken before it
-    before = {split: getattr(ds, split).rows.x.copy() for split in ("train", "val")}
+    before = {split: getattr(ds, split).rows.copy() for split in ("train", "val")}
     out = standardize(ds, "none")
     for split, x in before.items():
-        assert getattr(out, split).rows.x.tobytes() == x.tobytes()
+        assert getattr(out, split).rows.tobytes() == x.tobytes()
     assert out.standardizer.mode == "none"
 
 
@@ -940,7 +938,7 @@ def test_standardize_no_leakage():
     # mutate val features; train-derived stats must not move (standardize
     # consumes its input, so the second dataset is built afresh)
     ds = synth_dataset(spec)
-    ds_mut = replace(ds, val=replace(ds.val, rows=ArrayRows(ds.val.rows.x + 1000.0)))
+    ds_mut = replace(ds, val=replace(ds.val, rows=ds.val.rows + 1000.0))
     std_b = standardize(ds_mut, "zscore").standardizer
     assert np.array_equal(std_a.center, std_b.center)
     assert np.array_equal(std_a.scale, std_b.scale)
@@ -976,8 +974,8 @@ def test_join_and_standardize_sorted_input_copy_nothing(mode, traced_peak):
     expected = Standardizer.fit(raw["train"], mode)
     for split in ("train", "val"):
         want = raw[split] if mode == "none" else expected.apply(raw[split])
-        assert getattr(ds, split).rows.x is features[split].features
-        assert getattr(ds, split).rows.x.tobytes() == want.tobytes()
+        assert getattr(ds, split).rows is features[split].features
+        assert getattr(ds, split).rows.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [
@@ -1094,11 +1092,11 @@ def ridge_ccc_oracle(ds):
     """Closed-form ridge regression from features to emotion targets;
     returns the validation mean CCC. Entirely independent of the model
     code: plain linear algebra on the raw arrays."""
-    x = np.hstack([ds.train.rows.x, np.ones((len(ds.train), 1))])
+    x = np.hstack([ds.train.rows, np.ones((len(ds.train), 1))])
     y = ds.train.y_emotion
     lam = 1e-3
     w = np.linalg.solve(x.T @ x + lam * np.eye(x.shape[1]), x.T @ y)
-    xv = np.hstack([ds.val.rows.x, np.ones((len(ds.val), 1))])
+    xv = np.hstack([ds.val.rows, np.ones((len(ds.val), 1))])
     pred = xv @ w
     cccs = []
     for j in range(y.shape[1]):

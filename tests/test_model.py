@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pmtl.model
-from pmtl.data import AgeScaler, ArrayRows
+from pmtl.data import AgeScaler
 from pmtl.errors import ConfigError, ShapeError
 import pmtl.train
 from pmtl.gradcheck import grad_check
@@ -626,7 +626,7 @@ def test_a_training_step_keeps_the_traced_names(monkeypatch, tiny_config):
     x, y_emotion, y_country, y_age = make_batch(tiny_config, 8)
     params = init_params(tiny_config, RngStream(6))
     pmtl.train._epoch_pass(params, config, pmtl.train.step_plans(tiny_config, 8, 8),
-                           init_grads(tiny_config), ArrayRows(x), y_emotion, y_country,
+                           init_grads(tiny_config), x, y_emotion, y_country,
                            y_age, RngStream(1), pmtl.train.init_adam(params))
     assert calls == {(module, name) for module, names in traced.items() for name in names}
 

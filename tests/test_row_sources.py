@@ -1,5 +1,6 @@
-"""Row sources: an in-memory array (CSV input) and a binary features file
-read per batch through a descriptor held open. Both give the same bits."""
+"""A split's rows: an in-memory array (CSV input) or a binary features file
+read per batch through a descriptor held open (FileRows). Both give the
+same bits through ndarray's ``take``."""
 
 import json
 import os
@@ -22,6 +23,7 @@ from pmtl.data import (
     save_features_binary,
     save_features_csv,
     save_labels_csv,
+    standardized,
     synth_tables,
 )
 
@@ -81,15 +83,31 @@ def test_streamed_fit_scratch_is_fixed(tmp_path, mode, traced_peak):
     assert peak <= 8 * (FIT_CHUNK + np.getbufsize()) + 10 * x[0].nbytes < x.nbytes / 10
 
 
-def test_take_reads_the_rows_it_is_given(tmp_path):
-    x = np.arange(40.0).reshape(10, 4)
-    save_features_binary(FeatureTable(tuple("jihgfedcba"), x), tmp_path / "x.bin")
-    part = build_part(load_features(tmp_path / "x.bin"), None, "eval")
-    out = np.full((6, 4), np.nan)
-    rows = np.array([0, 1, 2, 7, 3, 9])
-    got = part.rows.take(rows, out)
-    assert np.shares_memory(got, out)
-    assert got.tobytes() == x[::-1][rows].tobytes()  # id order is the file order reversed
+@pytest.mark.parametrize("case", ["sorted ids", "unsorted ids", "standardized"])
+def test_take_reads_the_rows_it_is_given(tmp_path, case):
+    # an array and the FileRows of the same table answer ndarray's call alike
+    x = np.arange(40.0).reshape(10, 4) ** 1.5
+    ids = tuple("jihgfedcba" if case == "unsorted ids" else "abcdefghij")
+    table = FeatureTable(ids, x)
+    save_features_binary(table, tmp_path / "x.bin")
+    sources = [build_part(t, None, "eval").rows
+               for t in (table, load_features(tmp_path / "x.bin"))]
+    at = np.array([0, 1, 2, 7, 3, 9])
+    want = (x[::-1] if case == "unsorted ids" else x)[at]  # unsorted: file order reversed
+    if case == "standardized":
+        std = Standardizer.fit(sources[0], "zscore")
+        sources, want = [standardized(rows, std, copy=True) for rows in sources], std.apply(want)
+    assert isinstance(sources[0], np.ndarray) and isinstance(sources[1], FileRows)
+    for rows in sources:
+        buf = np.full((6, 4), np.nan)
+        assert rows.take(at, axis=0, out=buf, mode="clip") is buf
+        assert buf.tobytes() == want.tobytes()
+        fresh = rows.take(at, axis=0, mode="clip")  # no out: a new array
+        assert not np.shares_memory(fresh, buf) and fresh.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            rows.take(at, axis=1, out=buf, mode="clip")
+        with pytest.raises(TypeError):
+            rows.take(at, buf)  # an array where the axis goes, as take(rows, out) passed it
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +196,7 @@ def test_a_file_replaced_during_the_run_leaves_its_bits(inputs, tmp_path, capsys
     def replace_both():
         for split in ("train", "val"):
             table = build_part(load_features(root / f"{split}.bin"), None, split)
-            x = table.rows.take(np.arange(len(table)), np.empty(table.rows.shape))
+            x = table.rows.take(np.arange(len(table)), axis=0)
             save_features_binary(FeatureTable(table.ids, -x), root / f"{split}.new")
             os.replace(root / f"{split}.new", root / f"{split}.bin")
     _after_first_predict(monkeypatch, replace_both)

@@ -10,7 +10,7 @@ import pytest
 
 import pmtl.train
 from pmtl.cli import parse_train_config
-from pmtl.data import FIT_CHUNK, ArrayRows, SynthSpec, standardize, synth_dataset
+from pmtl.data import FIT_CHUNK, SynthSpec, standardize, synth_dataset
 from pmtl.errors import ConfigError, DataError, NumericalError
 from pmtl.losses import LossConfig
 from pmtl.metrics import compute_bundle
@@ -307,7 +307,7 @@ def test_training_improves_over_untrained(train_dataset):
 def test_best_params_reproduce_best_val(train_dataset):
     config = small_train_config(max_epochs=4, patience=4)
     params, history = train_run(config, train_dataset)
-    bundle = evaluate(predict(params, config.model, train_dataset.val.rows.x,
+    bundle = evaluate(predict(params, config.model, train_dataset.val.rows,
                               train_dataset.age_scaler), train_dataset.val)
     assert bundle.score == history.best_val.score
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
@@ -340,7 +340,7 @@ def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
     adam = init_adam(params)
     y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
     plans, grads = step_plans(config.model, len(ds.train), batch), init_grads(config.model)
-    original = ds.train.rows.x.copy()
+    original = ds.train.rows.copy()
 
     def one_epoch():
         return _epoch_pass(params, config, plans, grads, ds.train.rows, ds.train.y_emotion,
@@ -348,7 +348,7 @@ def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
     one_epoch()  # warm-up, so that one-time lazy imports are not counted
     _, peak = traced_peak(one_epoch)
     assert peak < batch * dim * 8
-    assert ds.train.rows.x.tobytes() == original.tobytes()  # the rows are only read
+    assert ds.train.rows.tobytes() == original.tobytes()  # the rows are only read
 
 
 def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
@@ -377,12 +377,12 @@ def test_train_run_puts_the_train_rows_back(monkeypatch, how):
     # lasts, and after it, however it ends
     ds = standardize(synth_dataset(SynthSpec(n_train=60, n_val=20, dim=24, rank=4, seed=8)),
                      "zscore")
-    before = ds.train.rows.x.tobytes()
+    before = ds.train.rows.tobytes()
     config = small_train_config(max_epochs=4, patience=0 if how == "early-stop" else 4)
     calls, seen = itertools.count(), []
 
     def watched_predict(*args):
-        seen.append(ds.train.rows.x.tobytes() != before)
+        seen.append(ds.train.rows.tobytes() != before)
         if how == "raises-in-epoch-2" and next(calls) == 2:  # initial, epoch 1, epoch 2
             raise FloatingPointError("overflow encountered in multiply")
         return predict(*args)
@@ -394,15 +394,15 @@ def test_train_run_puts_the_train_rows_back(monkeypatch, how):
         _, history = train_run(config, ds)
         assert history.stopped_early == (how == "early-stop")
     assert seen[1:] and not any(seen)
-    assert ds.train.rows.x.tobytes() == before
+    assert ds.train.rows.tobytes() == before
 
 
 def test_overflow_in_the_untrained_validation_reports_epoch_0(train_dataset):
     # the parameters are fresh from init, so only the validation data can overflow
-    val_x = train_dataset.val.rows.x.copy()
+    val_x = train_dataset.val.rows.copy()
     val_x[0, 0] = 1.7e308
     ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val,
-                                                                    rows=ArrayRows(val_x)))
+                                                                    rows=val_x))
     with pytest.raises(DataError, match="^epoch 0: overflow encountered in "):
         train_run(small_train_config(), ds)
 
@@ -424,11 +424,11 @@ def test_train_run_rejects_unlabeled_val(train_dataset):
 
 
 def test_non_finite_forward_reports_epoch(train_dataset):
-    poisoned_x = train_dataset.train.rows.x.copy()
+    poisoned_x = train_dataset.train.rows.copy()
     poisoned_x[0, 0] = np.inf
     poisoned = dataclasses.replace(
         train_dataset,
-        train=dataclasses.replace(train_dataset.train, rows=ArrayRows(poisoned_x)),
+        train=dataclasses.replace(train_dataset.train, rows=poisoned_x),
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="epoch 1"):
@@ -442,7 +442,7 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
     split = train_dataset.val
-    preds = predict(params, config, split.rows.x, train_dataset.age_scaler)
+    preds = predict(params, config, split.rows, train_dataset.age_scaler)
     bundle = evaluate(preds, split)
     direct = compute_bundle(
         pred_emotion=preds.emotion,
@@ -458,7 +458,7 @@ def test_evaluate_composes_predict_and_metrics(train_dataset):
 def test_evaluate_is_pure(train_dataset):
     config = small_model()
     params = init_params(config, RngStream(7))
-    preds = predict(params, config, train_dataset.val.rows.x, train_dataset.age_scaler)
+    preds = predict(params, config, train_dataset.val.rows, train_dataset.age_scaler)
     a = evaluate(preds, train_dataset.val)
     b = evaluate(preds, train_dataset.val)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
