@@ -83,8 +83,19 @@ def test_streamed_fit_scratch_is_fixed(tmp_path, mode, traced_peak):
     assert peak <= 8 * (FIT_CHUNK + np.getbufsize()) + 10 * x[0].nbytes < x.nbytes / 10
 
 
+def test_take_reads_the_rows_it_is_given(tmp_path):
+    x = np.arange(40.0).reshape(10, 4)
+    save_features_binary(FeatureTable(tuple("jihgfedcba"), x), tmp_path / "x.bin")
+    part = build_part(load_features(tmp_path / "x.bin"), None, "eval")
+    out = np.full((6, 4), np.nan)
+    rows = np.array([0, 1, 2, 7, 3, 9])
+    got = part.rows.take(rows, axis=0, out=out, mode="clip")
+    assert got is out
+    assert got.tobytes() == x[::-1][rows].tobytes()  # id order is the file order reversed
+
+
 @pytest.mark.parametrize("case", ["sorted ids", "unsorted ids", "standardized"])
-def test_take_reads_the_rows_it_is_given(tmp_path, case):
+def test_an_array_and_its_file_rows_take_alike(tmp_path, case):
     # an array and the FileRows of the same table answer ndarray's call alike
     x = np.arange(40.0).reshape(10, 4) ** 1.5
     ids = tuple("jihgfedcba" if case == "unsorted ids" else "abcdefghij")
