@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,11 @@ from .data import (
     save_labels_csv,
     save_predictions_csv,
     standardize,
-    standardized,
     synth_tables,
     write_json,
     write_text,
 )
-from .errors import ConfigError, DataError, DataFormatError, IdMismatchError, PmtlError
+from .errors import ConfigError, DataError, DataFormatError, PmtlError
 from .losses import LossConfig
 from .metrics import compute_bundle, multitask_score_detail
 from .model import ModelConfig, predict
@@ -189,9 +188,8 @@ def cmd_eval(args) -> int:
     part = build_part(features, labels, "eval")
     try:  # a value near float_info.max overflows here, not in the loader's checks
         with np.errstate(over="raise", invalid="raise"):
-            rows = part.rows if ck.standardizer is None else standardized(part.rows,
-                                                                          ck.standardizer)
-            preds = predict(ck.params, ck.config, rows, ck.age_scaler)
+            preds = predict(ck.params, ck.config, replace(part, standardizer=ck.standardizer),
+                            ck.age_scaler)
     except DataFormatError:  # it names the file already
         raise
     except (DataError, FloatingPointError) as exc:
@@ -219,7 +217,7 @@ def score_files(predictions_path, labels_path):
     if set_p != index.keys():
         only_p = sorted(set_p - index.keys())
         only_l = sorted(index.keys() - set_p)
-        raise IdMismatchError(
+        raise DataError(
             f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
             f"{len(only_l)} only in labels {only_l[:5]}"
         )
@@ -281,20 +279,22 @@ def _feature_paths(raw: dict, args):
 
 def _cell_data(spec: SweepSpec, paths, mode: str, labels):
     """``value -> SplitDataset`` for ``run_sweep``. A cell's train and val
-    paths, ``paths(value)``, are loaded and joined with ``labels`` once; only
-    the last paths' data are held, standardized in place under ``mode``. On
-    the standardization axis they are held raw, and each cell gets a copy
-    standardized under its value, which it drops when it ends."""
-    held = {}
-    per_mode = spec.axis == "standardization"
+    paths, ``paths(value)``, are loaded and joined with ``labels`` once, and
+    only the last paths' data are held, raw. Each cell's standardization
+    (its value on the standardization axis, else ``mode``) is fit once per
+    loaded data and shares their rows."""
+    raw, fitted = {}, {}
 
     def cell_data(value):
         pair = paths(value)
-        if pair not in held:
-            held.clear()
-            loaded = _load_dataset(*pair, labels)
-            held[pair] = loaded if per_mode else standardize(loaded, mode)
-        return standardize(held[pair], value, copy=True) if per_mode else held[pair]
+        if pair not in raw:
+            raw.clear()
+            fitted.clear()
+            raw[pair] = _load_dataset(*pair, labels)
+        cell_mode = value if spec.axis == "standardization" else mode
+        if cell_mode not in fitted:
+            fitted[cell_mode] = standardize(raw[pair], cell_mode)
+        return fitted[cell_mode]
     return cell_data
 
 

@@ -17,32 +17,30 @@ Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order. ``_read_rows`` reads all
 three CSV layouts; the age and country fields of labels are checked once, after.
 
-Memory contract: a split's rows are read by ndarray's call, ``rows.take(at,
-axis=0, out=buf, mode="clip")`` ("raise" would gather through a temporary). A
-CSV file's are one float64 (n, d) array, which the CSV loader counts the rows
-for, then fills a block of BLOCK_VALUES values at a time, with scratch of about
-80 bytes per value of a block; a blank line seen while counting leaves the file
-to the csv-module loop before any array is sized. A binary file's are a
-FileRows: the loader checks the header, the id table, the payload size and
-finiteness in one pass of FIT_CHUNK values and keeps the descriptor open;
-``take`` reads rows with ``os.preadv`` into ``buf`` and standardizes them
-there. Such a file must not be rewritten in place while it is read; one
-replaced through ``os.replace`` leaves the open file as it was. An (n, d) array
-that cannot be allocated is a DataError naming the file. Only the csv-module
-loop, which reports value errors by line, holds rows plus a stacked copy.
-Joining keeps a loaded array whose ids are sorted and gathers a sorted copy
-otherwise; a FileRows keeps a map from id order to file rows. The
-standardization fit streams the train rows through a FIT_CHUNK scratch; an
-array is then standardized in place. Finiteness checks (``all_finite``) take
-one sum and, only if it overflows, scan fixed blocks, with no flag per value.
-A sweep holds one cell's features at a time: it loads a cell's files just
-before the cell runs, and drops them before it loads another cell's. A
-standardization sweep keeps the raw data and standardizes one copy of an
-array per cell (a FileRows only takes the cell's standardizer).
-Predicting holds one block of at most 255 rows and no caches (``model.predict``).
-Training takes each batch into its step plan's input buffer and never writes
-the rows of a split. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to 2047
-weight rows, so OpenBLAS packs one block of xᵀ at a time, not the batch.
+Memory contract: a split's rows are the loaded rows, never written; every
+reader takes what it needs by ndarray's call, ``part.take(at, axis=0, out=buf,
+mode="clip")`` ("raise" would gather through a temporary), and the part
+standardizes the taken rows in ``buf``. A CSV file's rows are one float64 (n, d)
+array, which the CSV loader counts the rows for, then fills a block of
+BLOCK_VALUES values at a time, with scratch of about 80 bytes per value of a
+block; a blank line seen while counting leaves the file to the csv-module loop
+before any array is sized. A binary file's are a FileRows: the loader checks the
+header, the id table, the payload size and finiteness in one pass of FIT_CHUNK
+values and keeps the descriptor open; ``take`` reads rows with ``os.preadv``.
+Such a file must not be rewritten in place while it is read; one replaced
+through ``os.replace`` leaves the open file as it was. An (n, d) array that
+cannot be allocated is a DataError naming the file. Only the csv-module loop,
+which reports value errors by line, holds rows plus a stacked copy. Joining
+keeps the loaded rows, with a map from id order to them where the ids are
+unsorted. The standardization fit streams the train rows through a FIT_CHUNK
+scratch. Finiteness checks (``all_finite``) take one sum and, only if it
+overflows, scan fixed blocks, with no flag per value. A sweep holds one cell's
+features at a time: it loads a cell's files just before the cell runs, and
+drops them before it loads another cell's; a standardization sweep holds them
+once, raw, with one Standardizer per mode. Predicting holds one block of
+``model.PREDICT_ROWS`` rows and no caches. Training takes each batch into its
+step plan's input buffer. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to
+2047 weight rows, so OpenBLAS packs one block of xᵀ at a time, not the batch.
 """
 
 from __future__ import annotations
@@ -208,9 +206,9 @@ class Standardizer:
 
     @classmethod
     def fit(cls, train, mode: str) -> "Standardizer":
-        """Fit on ``train``, an (n, d) array or a FileRows, with the bits of
-        numpy's ``mean``, ``std``, ``min`` and ``max`` over axis 0 of its
-        rows in id order. numpy sums a lone or a non-C-contiguous column
+        """Fit on ``train``, an (n, d) array, a FileRows or a SplitPart, with
+        the bits of numpy's ``mean``, ``std``, ``min`` and ``max`` over axis 0
+        of its rows in id order. numpy sums a lone or a non-C-contiguous column
         pairwise, so a lone column (read whole, 8n bytes) and such an array
         are fit by numpy; other rows ``_row_stats`` streams in blocks."""
         check_mode(mode)
@@ -297,18 +295,15 @@ class _Descriptor:
 
 @dataclass(frozen=True, eq=False)
 class FileRows:
-    """The rows of a binary features file, from ``load_features_binary``.
-    They stay in the file: ``take`` reads them through the descriptor that
-    the load opened, so they come from the file that was opened even if
-    ``path`` is replaced. Row i is file row ``order[i]`` (None: row i), and
-    a ``standardizer`` is applied to the rows as they are read."""
+    """The rows of a binary features file, from ``load_features_binary``,
+    in file order. They stay in the file: ``take`` reads them through the
+    descriptor that the load opened, so they come from the file that was
+    opened even if ``path`` is replaced."""
 
     path: object
     descriptor: _Descriptor
     shape: tuple[int, int]
     offset: int  # of file row 0
-    order: np.ndarray | None = None
-    standardizer: Standardizer | None = None
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -320,7 +315,7 @@ class FileRows:
         if operator.index(axis):
             raise ValueError(f"FileRows.take reads rows (axis 0), not axis {axis}")
         out = np.empty((len(indices), self.shape[1])) if out is None else out
-        at = (indices if self.order is None else self.order[indices]).tolist()
+        at = np.asarray(indices).tolist()
         width, start = 8 * self.shape[1], 0
         for stop in range(1, len(at) + 1):
             if stop < len(at) and at[stop] == at[stop - 1] + 1:
@@ -331,25 +326,42 @@ class FileRows:
             start = stop
         if not np.little_endian:
             out.byteswap(inplace=True)
-        return out if self.standardizer is None else self.standardizer.apply(out, out=out)
+        return out
 
 
 @dataclass(frozen=True)
 class SplitPart:
-    """One aligned partition: its rows (array or FileRows) plus (optionally) labels."""
+    """One aligned partition in id order, labeled or not. ``rows`` are the
+    loaded rows (an array or a FileRows), never written: the part's row i
+    is ``rows[order[i]]``, or ``rows[i]`` where ``order`` is None (sorted
+    ids). ``take`` reads the part's rows by ndarray's call and applies
+    ``standardizer``, if any, to them in ``out``."""
 
     ids: tuple[str, ...]
     rows: np.ndarray | FileRows
     y_emotion: np.ndarray | None
     y_age: np.ndarray | None
     y_country: np.ndarray | None
+    order: np.ndarray | None = None
+    standardizer: Standardizer | None = None
 
     @property
     def labeled(self) -> bool:
         return self.y_emotion is not None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape
+
     def __len__(self) -> int:
         return len(self.ids)
+
+    def take(self, indices, axis=0, out=None, mode="raise") -> np.ndarray:
+        """Rows ``indices`` of the part, standardized, into ``out`` (None: a
+        new array). Mode "none" is the identity, so it is not applied."""
+        at = indices if self.order is None else self.order[indices]
+        out, std = self.rows.take(at, axis=axis, out=out, mode=mode), self.standardizer
+        return out if std is None or std.mode == "none" else std.apply(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -660,15 +672,13 @@ def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
 
 def build_part(features: FeatureTable, labels: LabelTable | None, split: str) -> SplitPart:
     """The rows of ``features`` in id order, labeled if ``labels`` is given.
-    Unsorted ids give an array's rows as a sorted copy and a file's as a
-    row map."""
-    ids, x = features.ids, features.features
-    if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted: no copy
+    The rows stay as loaded; unsorted ids give the part an ``order``."""
+    ids, order = features.ids, None
+    if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted
         order = np.argsort(np.array(ids, dtype=object))
         ids = tuple(ids[i] for i in order)
-        x = x[order] if isinstance(x, np.ndarray) else replace(x, order=order)
     if labels is None:
-        return SplitPart(ids=ids, rows=x, y_emotion=None, y_age=None, y_country=None)
+        return SplitPart(ids, features.features, None, None, None, order)
     label_index = labels.index()
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
@@ -678,17 +688,18 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str) ->
     at = np.array([label_index[sid] for sid in ids], dtype=np.int64)
     return SplitPart(
         ids=ids,
-        rows=x,
+        rows=features.features,
         y_emotion=labels.emotion[at],
         y_age=labels.age[at].astype(np.float64),
         y_country=labels.country[at],
+        order=order,
     )
 
 
 def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitDataset:
     """Align the train and val features with labels, in lexicographic id
-    order, copying a table's rows only if its ids are unsorted. Every id
-    must be labeled; the age scaler is fit on the train labels."""
+    order (``build_part``). Every id must be labeled; the age scaler is fit
+    on the train labels."""
     for required in ("train", "val"):
         if required not in features:
             raise DataError(f"missing {required!r} feature table")
@@ -707,23 +718,14 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
     return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
 
 
-def standardized(rows: np.ndarray | FileRows, std: Standardizer, copy: bool = False):
-    """``rows`` under ``std``: an array's standardized in place, or with
-    ``copy`` into a new one; a file's as a source that applies ``std`` to
-    the rows it reads, in place of any standardizer it had."""
-    if isinstance(rows, FileRows):
-        return replace(rows, standardizer=std)
-    return std.apply(rows, out=None if copy else rows)
-
-
-def standardize(ds: SplitDataset, mode: str, copy: bool = False) -> SplitDataset:
-    """Fit feature standardization on the train split and apply it to both
-    splits (``standardized``): in place, so ``ds`` is consumed, or with
-    ``copy`` leaving ``ds`` as it was."""
-    std = Standardizer.fit(ds.train.rows, mode)
-    train, val = (replace(part, rows=standardized(part.rows, std, copy))
-                  for part in (ds.train, ds.val))
-    return replace(ds, train=train, val=val, standardizer=std)
+def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
+    """``ds`` with feature standardization under ``mode``, fit on the train
+    rows, which both splits' ``take`` applies to the rows it reads. The
+    rows are shared, and ``ds`` is left as it was."""
+    train = ds.train
+    std = Standardizer.fit(train.rows if train.order is None else train, mode)
+    return replace(ds, train=replace(train, standardizer=std),
+                   val=replace(ds.val, standardizer=std), standardizer=std)
 
 
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:

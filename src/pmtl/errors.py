@@ -69,10 +69,6 @@ class DataFormatError(DataError):
         self.path, self.line = path, line
 
 
-class IdMismatchError(DataError):
-    """Sample id sets disagree between two inputs."""
-
-
 class ShapeError(PmtlError, ValueError):
     """Operand shapes are incompatible; names both shapes."""
 
@@ -84,10 +80,6 @@ class NumericalError(PmtlError):
     """Non-finite value or other numerical breakdown."""
 
     exit_code = 3
-
-
-class TooFewPointsError(DataError, ValueError):
-    """A metric got fewer points, the rows of a split or file, than it needs."""
 
 
 class MomentOverflowError(DataError, ValueError):

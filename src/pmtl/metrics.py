@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import COUNTRIES
-from .errors import MissingClassError, MomentOverflowError, TooFewPointsError
+from .errors import DataError, MissingClassError, MomentOverflowError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
@@ -40,7 +40,7 @@ def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
     y = _as_series(y)
     n = x.size
     if n < 2:
-        raise TooFewPointsError(f"{name} needs at least 2 points, got {n}")
+        raise DataError(f"{name} needs at least 2 points, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
         mx = x.mean()
         my = y.mean()
@@ -94,7 +94,7 @@ def mae(pred, true) -> float:
     pred = _as_series(pred)
     true = _as_series(true)
     if pred.size == 0:
-        raise TooFewPointsError("mae needs at least 1 point")
+        raise DataError("mae needs at least 1 point")
     return float(np.mean(np.abs(pred - true)))
 
 

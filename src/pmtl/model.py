@@ -224,13 +224,11 @@ class StepPlan:
 
     A training plan holds the batch's rows in ``input``, which has exactly
     the plan's rows for the split's ``take`` to fill. An inference plan
-    (``backward=False``) has no input or gradient buffer; its hidden layers
-    take ``z`` and ``y`` from two of three arenas as large as the widest
-    layer, never from the one that holds their input, and ``h`` is ``z``.
-    As the heads run one after the other, every output is read before its
-    arena is written again. A plan built ``within`` another of the same
-    config and kind with at least as many rows takes its buffers from that
-    plan's memory; the two must not run at once.
+    (``backward=False``) has no input or gradient buffer, ``h`` is ``z``,
+    and the hidden layers' ``y``, which no other layer reads, share one
+    scratch as large as the widest of them. A plan built ``within`` another
+    of the same config and kind with at least as many rows takes its
+    buffers from that plan's memory; the two must not run at once.
 
     ``forward`` keeps a reference to its input for ``backward``. Its outputs
     are views of the plan, overwritten by its next call.
@@ -251,37 +249,35 @@ class StepPlan:
         self.layers, outputs = [], []
         trunk, *heads = layer_plan(config)
         stacked, (first, _, w, _) = _stacked(config), heads[0][0]
-        widest = max(*(d_out for chain in (trunk, *heads) for _, _, d_out, _ in chain),
-                     3 * w if stacked else 0)
-        arenas = None if backward else new((3, rows * widest))
+        widths = [d_out for chain in (trunk, *heads) for _, _, d_out, _ in chain]
+        scratch = None if backward else new((rows * max(*widths, 3 * w if stacked else 0),))
 
         def hidden(get, d_out, feed, stack=()):
-            """Add a hidden layer; returns the feed of the next: (h, g, arena)."""
-            x, dx, below = feed
-            shape, free = (*stack, rows, d_out), [a for a in range(3) if a != below]
-            z, y = (new(shape) if backward else arenas[a, :math.prod(shape)].reshape(shape)
-                    for a in free[:2])
-            layer = _Layer(get=get, x=x, dx=dx, z=z, y=y, h=new(shape) if backward else z,
-                           inv=new((*shape[:-1], 1)))
+            """Add a hidden layer; returns the feed of the next: (h, g)."""
+            shape = (*stack, rows, d_out)
+            z = new(shape)
+            y = new(shape) if backward else scratch[:math.prod(shape)].reshape(shape)
+            layer = _Layer(get=get, x=feed[0], dx=feed[1], z=z, y=y,
+                           h=new(shape) if backward else z, inv=new((*shape[:-1], 1)))
             if backward:
                 layer.g, layer.s = new(shape), new(shape)
             self.layers.append(layer)
-            return layer.h, layer.g, free[0]
+            return layer.h, layer.g
 
-        feed = (None, None, -1)
+        feed = (None, None)
         for name, _, d_out, _ in trunk:
             feed = hidden(_getter(name, _NORM), d_out, feed)
-        self.trunk_top, (h_top, _, top) = self.layers[-1], feed
+        self.trunk_top, h_top = self.layers[-1], feed[0]
         self.head_dx = new((3, rows, trunk[-1][2])) if backward else None
-        feeds = [(h_top, dx, top) for dx in ([None] * 3 if self.head_dx is None else self.head_dx)]
+        feeds = [(h_top, dx) for dx in ([None] * 3 if self.head_dx is None else self.head_dx)]
         if stacked:  # each kind's block starts at the first head's tensor and holds three
             names, shapes = zip(*param_shapes(config))
             start = dict(zip(names, itertools.accumulate(map(math.prod, shapes), initial=0)))
             blocks = [(slice(start[name], start[name] + 3 * math.prod(shape)), (3, *shape))
                       for name, shape in param_shapes(config) if name.startswith(f"{first}.")]
-            h, g, arena = hidden(lambda p: [p.flat[at].reshape(shape) for at, shape in blocks],
-                                 w, (h_top, self.head_dx, top), (3,))
-            feeds = [(h[i], None if g is None else g[i], arena) for i in range(3)]
+            h, g = hidden(lambda p: [p.flat[at].reshape(shape) for at, shape in blocks],
+                          w, (h_top, self.head_dx), (3,))
+            feeds = [(h[i], None if g is None else g[i]) for i in range(3)]
         for key, chain, feed in zip(HEAD_OUTPUTS, heads, feeds):
             for name, _, d_out, has_norm in chain[1:] if stacked else chain:
                 if has_norm:
@@ -363,22 +359,22 @@ class PredictionSet:
     country: np.ndarray       # (n,), int class ids; argmax ties -> lowest id
 
 
-PREDICT_ROWS = 128  # rows per forward pass of ``predict``
+PREDICT_ROWS = 128  # rows of every forward pass of ``predict``
 
 
 def predict(params: Params, config: ModelConfig, x, age_scaler,
             out: np.ndarray | None = None) -> PredictionSet:
     """Inference: emotion vector, age in years, and country class per row.
 
-    ``x`` is an (n, input_dim) array or a FileRows. ``forward`` runs on
-    consecutive blocks of PREDICT_ROWS rows, the last one also taking the
-    leftover rows. No block is shorter unless n is: OpenBLAS rounds products
-    of a few rows with other kernels. The outputs then equal one full
-    ``forward``'s bit for bit up to about 3,100 rows. The blocks of an array
-    are views of it; a FileRows takes each into the first rows of ``out``,
-    or of a buffer that predict makes if ``out`` has too few. Besides that
-    and its result arrays, predict holds one inference StepPlan, for at
-    most 2 * PREDICT_ROWS - 1 rows and without gradient buffers.
+    ``x`` is an (n, input_dim) array, a FileRows or a SplitPart (which
+    standardizes the rows it takes). ``forward`` runs on blocks of exactly
+    PREDICT_ROWS rows, so every row goes through the same matrix-product
+    kernels and its outputs have the same bits whatever rows come with it.
+    A block's k rows are taken into the first rows of ``out``, if it holds
+    PREDICT_ROWS rows, else of a buffer that predict makes; the rest of the
+    block is zeroed, not standardized, and its outputs are dropped. Besides
+    that buffer and its result arrays, predict holds one inference StepPlan
+    of PREDICT_ROWS rows, without gradient buffers.
 
     ``age_scaler`` maps the standardized age output back to years via its
     ``descale`` method. Country is the argmax of the logits; numpy argmax
@@ -388,25 +384,20 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
     if getattr(params, "layout", ()) != param_shapes(config):
         raise ShapeError("parameter layout", getattr(params, "layout", ()), param_shapes(config))
     n = len(x)
-    blocks = max(1, n // PREDICT_ROWS)
-    largest = min(n, 2 * PREDICT_ROWS - 1)  # rows of the last block, the largest
-    if not isinstance(x, np.ndarray) and (out is None or len(out) < largest):
-        out = np.empty((largest, config.input_dim))
+    if out is None or len(out) < PREDICT_ROWS:
+        out = np.empty((PREDICT_ROWS, config.input_dim))
+    block, plan = out[:PREDICT_ROWS], StepPlan(config, PREDICT_ROWS, backward=False)
     emotion = np.empty((n, config.emotion_out))
     logits = np.empty((n, config.country_out))
     age_scaled = np.empty(n)
-    plan = None
-    for i in range(blocks):
-        start, stop = i * PREDICT_ROWS, n if i == blocks - 1 else (i + 1) * PREDICT_ROWS
-        if plan is None or plan.rows != stop - start:
-            plan = None  # the last block's plan is made after the others' is freed
-            plan = StepPlan(config, stop - start, backward=False)
-        block = (x[start:stop] if isinstance(x, np.ndarray) else
-                 x.take(np.arange(start, stop), axis=0, out=out[:stop - start], mode="clip"))
+    for start in range(0, n, PREDICT_ROWS):
+        k = min(PREDICT_ROWS, n - start)
+        x.take(np.arange(start, start + k), axis=0, out=block[:k], mode="clip")
+        block[k:] = 0.0
         outputs = forward(params, plan, block)
-        emotion[start:stop] = outputs.emotion
-        logits[start:stop] = outputs.country_logits
-        age_scaled[start:stop] = outputs.age_scaled[:, 0]
+        emotion[start:start + k] = outputs.emotion[:k]
+        logits[start:start + k] = outputs.country_logits[:k]
+        age_scaled[start:start + k] = outputs.age_scaled[:k, 0]
     country = np.argmax(logits, axis=1).astype(np.int64)
     return PredictionSet(emotion=emotion, age_years=age_scaler.descale(age_scaled),
                          country=country)

@@ -197,9 +197,9 @@ def _epoch_pass(params, config: TrainConfig, plans, grads, rows, y_emotion, y_co
                 y_age_scaled, shuffle_rng: RngStream, adam: AdamState) -> LossBreakdown:
     """One epoch of minibatch updates; returns per-sample mean losses.
 
-    ``rows`` (an array or a FileRows) takes each batch into the input buffer
-    of its plan from ``plans`` (``step_plans``); the step runs in the plan's
-    buffers and writes its gradients into ``grads``."""
+    ``rows`` (a SplitPart, or an array) takes each batch into the input
+    buffer of its plan from ``plans`` (``step_plans``); the step runs in the
+    plan's buffers and writes its gradients into ``grads``."""
     n = len(rows)
     w_e, w_c, w_a = config.loss.weights()
     sum_e = sum_c = sum_a = 0.0
@@ -228,15 +228,18 @@ def _epoch_pass(params, config: TrainConfig, plans, grads, rows, y_emotion, y_co
 def train_run(config: TrainConfig, data: SplitDataset):
     """Full training loop; returns ``(best_params, history)``.
 
-    ``data`` is used as given (standardize first if desired); its rows are
-    only read, through each split's ``take``. Randomness: sub-seed 0 of
-    ``config.seed`` initializes parameters, sub-seed 1 drives every epoch's
-    shuffle; identical (config, data) reproduce the history bit for bit,
-    wall-clock time aside. The gradients are written into one ``Params``
-    of the parameters' layout. A model whose parameters, optimizer moments,
-    step buffers or best-parameter copy do not fit in memory raises
-    ConfigError. A floating-point fault raises NumericalError naming its
-    epoch; at epoch 0, with fresh parameters, it is in the data: DataError.
+    ``data`` is used as given (``standardize`` first if desired): each
+    split's ``take`` reads its rows into a step or predict buffer and
+    standardizes them there; the rows themselves are never written.
+    Randomness: sub-seed 0 of ``config.seed`` initializes parameters,
+    sub-seed 1 drives every epoch's shuffle; identical (config, data)
+    reproduce the history bit for bit, wall-clock time aside. The gradients
+    are written into one ``Params`` of the parameters' layout. A model whose
+    parameters, optimizer moments, step buffers or best-parameter copy do
+    not fit in memory raises ConfigError. A floating-point fault raises
+    NumericalError naming its epoch; at epoch 0, with fresh parameters, it
+    is in the data: DataError, as is a value that overflows a split's
+    standardization.
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
@@ -270,10 +273,10 @@ def train_run(config: TrainConfig, data: SplitDataset):
             with np.errstate(over="raise", invalid="raise"):
                 if epoch:
                     train_loss = _epoch_pass(
-                        params, config, plans, grads, data.train.rows, data.train.y_emotion,
+                        params, config, plans, grads, data.train, data.train.y_emotion,
                         data.train.y_country, y_age_scaled, shuffle_rng, adam,
                     )
-                preds = predict(params, config.model, data.val.rows, scaler, batch_buffer)
+                preds = predict(params, config.model, data.val, scaler, batch_buffer)
         except (NumericalError, FloatingPointError) as exc:
             raise (NumericalError if epoch else DataError)(f"epoch {epoch}: {exc}") from exc
         val = evaluate(preds, data.val)

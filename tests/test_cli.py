@@ -985,13 +985,13 @@ def test_sweep_loads_features_once_per_distinct_input(workspace, tmp_path, capsy
     assert len(calls) == loads
 
 
-def test_standardization_sweep_holds_one_copy_of_the_features(tmp_path, capsys, traced_peak):
-    # At most the raw arrays plus one working copy, plus a slack of half the
-    # features for the labels, the ids, the z-score scratch and the training
-    # buffers. Keeping a standardized copy per value would hold four copies.
-    features, labels = synth_tables(SynthSpec(n_train=400, n_val=100, dim=256, rank=4, seed=3))
+def _standardization_sweep_peak(tmp_path, capsys, traced_peak, suffix, save, spec):
+    """The traced peak of a none/zscore/minmax sweep over the features of
+    ``spec`` saved by ``save`` with ``suffix``, and the bytes of those
+    features."""
+    features, labels = synth_tables(spec)
     for split, table in features.items():
-        save_features_binary(table, tmp_path / f"{split}.bin")
+        save(table, tmp_path / f"{split}{suffix}")
     save_labels_csv(labels, tmp_path / "labels.csv")
     nbytes = sum(table.features.nbytes for table in features.values())
     del features, labels
@@ -1000,11 +1000,31 @@ def test_standardization_sweep_holds_one_copy_of_the_features(tmp_path, capsys, 
         "axis": "standardization", "values": ["none", "zscore", "minmax"],
         "runs_per_cell": 1, "base": dict(TRAIN_CONFIG, max_epochs=1, patience=1)}))
     code, peak = traced_peak(lambda: main([
-        "sweep", "--train-features", str(tmp_path / "train.bin"),
-        "--val-features", str(tmp_path / "val.bin"), "--labels", str(tmp_path / "labels.csv"),
+        "sweep", "--train-features", str(tmp_path / f"train{suffix}"),
+        "--val-features", str(tmp_path / f"val{suffix}"),
+        "--labels", str(tmp_path / "labels.csv"),
         "--spec", str(spec_path), "--out", str(tmp_path / "o")]))
     assert code == 0, capsys.readouterr().err
+    return peak, nbytes
+
+
+def test_standardization_sweep_holds_one_copy_of_the_features(tmp_path, capsys, traced_peak):
+    # At most the raw arrays plus one working copy, plus a slack of half the
+    # features for the labels, the ids, the z-score scratch and the training
+    # buffers. Keeping a standardized copy per value would hold four copies.
+    peak, nbytes = _standardization_sweep_peak(
+        tmp_path, capsys, traced_peak, ".bin", save_features_binary,
+        SynthSpec(n_train=400, n_val=100, dim=256, rank=4, seed=3))
     assert peak <= 2.5 * nbytes
+
+
+def test_csv_standardization_sweep_holds_the_rows_once(tmp_path, capsys, traced_peak):
+    # The loaded arrays, once, and each cell's Standardizer, plus the labels,
+    # the ids, the fit's scratch, the training buffers and a predict block.
+    peak, nbytes = _standardization_sweep_peak(
+        tmp_path, capsys, traced_peak, ".csv", save_features_csv,
+        SynthSpec(n_train=1600, n_val=400, dim=512, rank=4, seed=3))
+    assert peak <= 1.75 * nbytes  # a standardized copy per cell traced 2.17x
 
 
 def test_missing_feature_file_exits_2(workspace, tmp_path, capsys):
@@ -1090,7 +1110,7 @@ def test_eval_runs_the_forward_pass_once(workspace, tmp_path, capsys, monkeypatc
 
 
 def test_eval_sends_each_row_through_forward_once(workspace, tmp_path, capsys, monkeypatch):
-    # 700 rows: blocks of 128 rows, the last one also taking the 60 leftover rows
+    # 700 rows: blocks of 128 rows, the last one 60 rows padded with zeros
     features, _ = synth_tables(SynthSpec(n_train=2, n_val=700, dim=SYNTH_CONFIG["dim"], seed=6))
     save_features_csv(features["val"], tmp_path / "rows.csv")
     blocks = []
@@ -1101,10 +1121,12 @@ def test_eval_sends_each_row_through_forward_once(workspace, tmp_path, capsys, m
         "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
         "--features", str(tmp_path / "rows.csv"), "--out-predictions", str(tmp_path / "p.csv")])
     assert code == 0, err
-    assert [len(x) for x in blocks] == [128, 128, 128, 128, 188]
+    assert [len(x) for x in blocks] == [128] * 6
+    rows = np.concatenate(blocks)
+    assert not rows[700:].any()
     standardizer = load_checkpoint(workspace / "run" / "checkpoint.pmck").standardizer
     expected = standardizer.apply(load_features(tmp_path / "rows.csv").features)
-    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+    assert rows[:700].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("command,role", [

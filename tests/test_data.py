@@ -843,6 +843,11 @@ def make_labels(ids, rng=None):
     )
 
 
+def rows_of(part):
+    """The rows of a split part in id order, as its readers take them."""
+    return part.take(np.arange(len(part)), axis=0)
+
+
 def test_join_sorts_ids_lexicographically():
     features = {"train": make_features(["c", "a", "b"]),
                 "val": make_features(["z", "y"], offset=100.0)}
@@ -850,8 +855,9 @@ def test_join_sorts_ids_lexicographically():
     ds = join_splits(features, labels)
     assert ds.train.ids == ("a", "b", "c")
     assert ds.val.ids == ("y", "z")
-    # features follow their ids through the sort
-    assert ds.train.rows[0].tolist() == [3.0, 4.0, 5.0]  # id "a" was row 1
+    # features follow their ids through the sort, and the loaded rows stay as they are
+    assert rows_of(ds.train)[0].tolist() == [3.0, 4.0, 5.0]  # id "a" was row 1
+    assert ds.train.rows is features["train"].features
 
 
 def test_join_aligns_labels_by_id():
@@ -883,7 +889,7 @@ def test_join_unlabeled_test_passes_through():
     part = build_part(features, None, "eval")
     assert not part.labeled
     assert part.ids == ("t1", "t2")
-    assert np.array_equal(part.rows, features.features[::-1])
+    assert np.array_equal(rows_of(part), features.features[::-1])
     # given labels, every id needs one
     with pytest.raises(DataError, match="t2"):
         build_part(features, make_labels(["a", "t1"]), "eval")
@@ -909,34 +915,33 @@ def test_age_scaler_round_trip():
 def test_standardize_zscore_train_stats():
     ds = synth_dataset(SynthSpec(n_train=100, n_val=30, dim=8, rank=3, seed=1))
     out = standardize(ds, "zscore")
-    assert np.abs(out.train.rows.mean(axis=0)).max() < 1e-10
-    assert np.abs(out.train.rows.std(axis=0) - 1.0).max() < 1e-9
+    assert np.abs(rows_of(out.train).mean(axis=0)).max() < 1e-10
+    assert np.abs(rows_of(out.train).std(axis=0) - 1.0).max() < 1e-9
     # val transformed with train stats, not its own
-    assert np.abs(out.val.rows.mean(axis=0)).max() > 1e-6
+    assert np.abs(rows_of(out.val).mean(axis=0)).max() > 1e-6
 
 
 def test_standardize_minmax_range():
     ds = synth_dataset(SynthSpec(n_train=100, n_val=30, dim=8, rank=3, seed=1))
     out = standardize(ds, "minmax")
-    assert out.train.rows.min() >= -1.0 - 1e-12
-    assert out.train.rows.max() <= 1.0 + 1e-12
+    assert rows_of(out.train).min() >= -1.0 - 1e-12
+    assert rows_of(out.train).max() <= 1.0 + 1e-12
 
 
 def test_standardize_none_is_identity():
     ds = synth_dataset(SynthSpec(n_train=50, n_val=20, dim=4, rank=2, seed=2))
-    # standardize writes in place, so compare with copies taken before it
     before = {split: getattr(ds, split).rows.copy() for split in ("train", "val")}
     out = standardize(ds, "none")
     for split, x in before.items():
-        assert getattr(out, split).rows.tobytes() == x.tobytes()
+        assert rows_of(getattr(out, split)).tobytes() == x.tobytes()
+        assert getattr(ds, split).rows.tobytes() == x.tobytes()  # the input is left as it was
     assert out.standardizer.mode == "none"
 
 
 def test_standardize_no_leakage():
     spec = SynthSpec(n_train=80, n_val=40, dim=6, rank=3, seed=3)
     std_a = standardize(synth_dataset(spec), "zscore").standardizer
-    # mutate val features; train-derived stats must not move (standardize
-    # consumes its input, so the second dataset is built afresh)
+    # mutate val features; train-derived stats must not move
     ds = synth_dataset(spec)
     ds_mut = replace(ds, val=replace(ds.val, rows=ds.val.rows + 1000.0))
     std_b = standardize(ds_mut, "zscore").standardizer
@@ -969,13 +974,37 @@ def test_join_and_standardize_sorted_input_copy_nothing(mode, traced_peak):
     feature_bytes = sum(x.nbytes for x in raw.values())
     ds, peak = traced_peak(lambda: standardize(join_splits(features, labels), mode))
     assert peak <= 0.1 * feature_bytes
-    # the parts hold the loaded arrays, standardized in place, with the
-    # bits of a standardizer applied to copies ('none' leaves them as loaded)
+    # the parts hold the loaded arrays as they were loaded, and take them
+    # with the bits of a standardizer applied to copies
     expected = Standardizer.fit(raw["train"], mode)
     for split in ("train", "val"):
-        want = raw[split] if mode == "none" else expected.apply(raw[split])
-        assert getattr(ds, split).rows is features[split].features
-        assert getattr(ds, split).rows.tobytes() == want.tobytes()
+        part = getattr(ds, split)
+        assert part.rows is features[split].features
+        assert part.rows.tobytes() == raw[split].tobytes()
+        assert rows_of(part).tobytes() == expected.apply(raw[split]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["zscore", "minmax"])
+def test_load_join_and_standardize_shuffled_csv_hold_one_copy(tmp_path, mode, traced_peak):
+    # a CSV in shuffled id order: the parts keep the loaded arrays and a map
+    # from id order to their rows; gathering a sorted copy traced 2.08x
+    features, labels = synth_tables(SynthSpec(n_train=2000, n_val=500, dim=512, rank=4))
+    for split, table in features.items():
+        order = np.random.default_rng(len(split)).permutation(len(table))
+        save_features_csv(FeatureTable(tuple(table.ids[i] for i in order),
+                                       table.features[order]), tmp_path / f"{split}.csv")
+    feature_bytes = sum(table.features.nbytes for table in features.values())
+
+    def load_join_and_standardize():
+        tables = {split: load_features(tmp_path / f"{split}.csv") for split in ("train", "val")}
+        return standardize(join_splits(tables, labels), mode)
+    ds, peak = traced_peak(load_join_and_standardize)
+    assert peak <= 1.2 * feature_bytes
+    expected = Standardizer.fit(features["train"].features, mode)
+    for split in ("train", "val"):
+        part = getattr(ds, split)
+        assert part.order is not None and part.ids == features[split].ids
+        assert rows_of(part).tobytes() == expected.apply(features[split].features).tobytes()
 
 
 @pytest.mark.parametrize("shape", [

@@ -85,7 +85,7 @@ def test_ccc_degenerate_flag():
 
 
 def test_ccc_needs_two_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="^ccc needs at least 2 points, got 1$"):
         ccc(np.array([1.0]), np.array([1.0]))
 
 

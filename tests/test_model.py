@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from pmtl.model import (
     PREDICT_ROWS,
     ModelConfig,
     Params,
+    PredictionSet,
     StepPlan,
     backward,
     forward,
@@ -553,20 +554,26 @@ GOLDEN_MODEL = ModelConfig(input_dim=12, shared_dims=(10, 6), age_head_dims=(5, 
                            emotion_hidden=5, country_hidden=5)
 
 
+def _prediction_rows(preds, at=slice(None)):
+    return [getattr(preds, f.name)[at].tobytes() for f in fields(PredictionSet)]
+
+
 @pytest.mark.parametrize("config", [ModelConfig(input_dim=16), ModelConfig(input_dim=1024),
                                     GOLDEN_MODEL], ids=["w16", "w1024", "golden"])
-def test_predict_in_blocks_equals_one_forward_bit_for_bit(config):
-    # Each block has PREDICT_ROWS to 2 * PREDICT_ROWS - 1 rows, so no block
-    # falls to the few-row BLAS kernels that round differently.
+def test_a_row_predicts_the_same_bits_whatever_rows_come_with_it(config):
+    # Every forward pass has PREDICT_ROWS rows, the last block zero-padded,
+    # so no row count picks other BLAS kernels: each row of predict(x[:n])
+    # is that row of predict(x), and permuted rows give permuted outputs.
     params = init_params(config, RngStream(4))
-    x = np.random.default_rng(2).standard_normal((3000, config.input_dim))
+    x = np.random.default_rng(2).standard_normal((3200, config.input_dim))
     scaler = AgeScaler(mean=29.5, std=4.25)
-    for n in (1, 127, 128, 129, 255, 256, 257, 383, 1000, 3000):
-        outputs, _ = run_forward(params, config, x[:n])
-        preds = predict(params, config, x[:n], scaler)
-        assert preds.emotion.tobytes() == outputs.emotion.tobytes(), n
-        assert preds.age_years.tobytes() == scaler.descale(outputs.age_scaled[:, 0]).tobytes(), n
-        assert np.array_equal(preds.country, np.argmax(outputs.country_logits, axis=1)), n
+    full = predict(params, config, x, scaler)
+    for n in (1, 7, 127, 129, 200, 255, 257, 3000, 3200):
+        assert _prediction_rows(predict(params, config, x[:n], scaler)) == \
+            _prediction_rows(full, slice(n)), n
+    permutation = np.random.default_rng(3).permutation(len(x))
+    assert _prediction_rows(predict(params, config, x[permutation], scaler)) == \
+        _prediction_rows(full, permutation)
 
 
 def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_peak):
@@ -600,7 +607,7 @@ def test_predict_keeps_the_traced_forward_path(monkeypatch):
     x = np.random.default_rng(3).standard_normal((300, config.input_dim))
     predict(init_params(config, RngStream(6)), config, x, AgeScaler(mean=30.0, std=5.0))
     assert set(calls) == set(names)
-    assert calls.count("forward") == 300 // PREDICT_ROWS
+    assert calls.count("forward") == -(-300 // PREDICT_ROWS)  # the last block zero-padded
 
 
 def test_a_training_step_keeps_the_traced_names(monkeypatch, tiny_config):

@@ -307,7 +307,7 @@ def test_training_improves_over_untrained(train_dataset):
 def test_best_params_reproduce_best_val(train_dataset):
     config = small_train_config(max_epochs=4, patience=4)
     params, history = train_run(config, train_dataset)
-    bundle = evaluate(predict(params, config.model, train_dataset.val.rows,
+    bundle = evaluate(predict(params, config.model, train_dataset.val,
                               train_dataset.age_scaler), train_dataset.val)
     assert bundle.score == history.best_val.score
     assert dataclasses.asdict(bundle) == dataclasses.asdict(history.best_val)
@@ -398,11 +398,13 @@ def test_train_run_puts_the_train_rows_back(monkeypatch, how):
 
 
 def test_overflow_in_the_untrained_validation_reports_epoch_0(train_dataset):
-    # the parameters are fresh from init, so only the validation data can overflow
-    val_x = train_dataset.val.rows.copy()
+    # the parameters are fresh from init, so only the validation data can
+    # overflow: here a standardized value, so the split standardizes no more
+    val = train_dataset.val
+    val_x = val.take(np.arange(len(val)), axis=0)
     val_x[0, 0] = 1.7e308
-    ds = dataclasses.replace(train_dataset, val=dataclasses.replace(train_dataset.val,
-                                                                    rows=val_x))
+    ds = dataclasses.replace(train_dataset, val=dataclasses.replace(val, rows=val_x,
+                                                                    standardizer=None))
     with pytest.raises(DataError, match="^epoch 0: overflow encountered in "):
         train_run(small_train_config(), ds)
 
