@@ -722,7 +722,7 @@ def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
     """``ds`` with feature standardization under ``mode``, fit on the train
     rows, which both splits' ``take`` applies to the rows it reads. The
     rows are shared, and ``ds`` is left as it was."""
-    train = ds.train
+    train = ds.train  # rows in id order are fit as they are: an array keeps numpy's bits
     std = Standardizer.fit(train.rows if train.order is None else train, mode)
     return replace(ds, train=replace(train, standardizer=std),
                    val=replace(ds.val, standardizer=std), standardizer=std)
