@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .data import (
 from .errors import ConfigError, DataError, DataFormatError, PmtlError
 from .losses import LossConfig
 from .metrics import compute_bundle, multitask_score_detail
-from .model import ModelConfig, predict
+from .model import ModelConfig, PredictionSet, predict
 from .sweep import (
     SweepSpec,
     report_csv,
@@ -177,23 +177,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Predict the rows of ``--features``, read once in file order, one
+    ``predict`` block at a time; eval holds that block, the ids and the
+    outputs, and puts them in id order at the end to write and score them."""
     if args.labels is None and args.out_predictions is None:
         raise ConfigError("eval needs --labels, --out-predictions, or both")
     ck = load_checkpoint(args.checkpoint)
-    features = load_features(args.features)
-    if features.dim != ck.config.input_dim:
-        raise DataError(f"{args.features} has {features.dim} features per row, "
+    dim = feature_dim(args.features)
+    if dim != ck.config.input_dim:
+        raise DataError(f"{args.features} has {dim} features per row, "
                         f"the checkpoint expects {ck.config.input_dim}")
-    labels = load_labels_csv(args.labels) if args.labels else None
-    part = build_part(features, labels, "eval")
     try:  # a value near float_info.max overflows here, not in the loader's checks
         with np.errstate(over="raise", invalid="raise"):
-            preds = predict(ck.params, ck.config, replace(part, standardizer=ck.standardizer),
-                            ck.age_scaler)
+            features, preds = load_features(args.features, lambda rows: predict(
+                ck.params, ck.config, rows, ck.age_scaler, standardizer=ck.standardizer))
     except DataFormatError:  # it names the file already
         raise
     except (DataError, FloatingPointError) as exc:
         raise DataError(f"{args.features}: {exc}") from None
+    labels = load_labels_csv(args.labels) if args.labels else None
+    part = build_part(features, labels, "eval")
+    if part.order is not None:  # file order into id order
+        preds = PredictionSet(preds.emotion[part.order], preds.age_years[part.order],
+                              preds.country[part.order])
     if args.out_predictions:
         save_predictions_csv(part.ids, preds.emotion, preds.age_years,
                              preds.country, args.out_predictions)

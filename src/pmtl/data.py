@@ -17,30 +17,33 @@ Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order. ``_read_rows`` reads all
 three CSV layouts; the age and country fields of labels are checked once, after.
 
-Memory contract: a split's rows are the loaded rows, never written; every
-reader takes what it needs by ndarray's call, ``part.take(at, axis=0, out=buf,
+Memory contract: a split's rows are the loaded rows, never written; every reader
+takes what it needs by ndarray's call, ``part.take(at, axis=0, out=buf,
 mode="clip")`` ("raise" would gather through a temporary), and the part
-standardizes the taken rows in ``buf``. A CSV file's rows are one float64 (n, d)
-array, which the CSV loader counts the rows for, then fills a block of
-BLOCK_VALUES values at a time, with scratch of about 80 bytes per value of a
-block; a blank line seen while counting leaves the file to the csv-module loop
-before any array is sized. A binary file's are a FileRows: the loader checks the
-header, the id table, the payload size and finiteness in one pass of FIT_CHUNK
-values and keeps the descriptor open; ``take`` reads rows with ``os.preadv``.
-Such a file must not be rewritten in place while it is read; one replaced
-through ``os.replace`` leaves the open file as it was. An (n, d) array that
-cannot be allocated is a DataError naming the file. Only the csv-module loop,
-which reports value errors by line, holds rows plus a stacked copy. Joining
-keeps the loaded rows, with a map from id order to them where the ids are
-unsorted. The standardization fit streams the train rows through a FIT_CHUNK
-scratch. Finiteness checks (``all_finite``) take one sum and, only if it
-overflows, scan fixed blocks, with no flag per value. A sweep holds one cell's
-features at a time: it loads a cell's files just before the cell runs, and
-drops them before it loads another cell's; a standardization sweep holds them
-once, raw, with one Standardizer per mode. Predicting holds one block of
-``model.PREDICT_ROWS`` rows and no caches. Training takes each batch into its
-step plan's input buffer. ``linear_backward`` forms xᵀ·dy in blocks of 1024 to
-2047 weight rows, so OpenBLAS packs one block of xᵀ at a time, not the batch.
+standardizes the taken rows in ``buf``. For training, a CSV file's rows are one
+float64 (n, d) array, which the CSV loader (CsvRows) counts the rows for, then
+fills a block of BLOCK_VALUES values at a time, with scratch of about 80 bytes
+per value of a block; a blank line seen while counting leaves the file to the
+csv-module loop before any array is sized. A binary file's are a FileRows: the
+loader checks the header, the id table, the payload size and finiteness in one
+pass of FIT_CHUNK values and keeps the descriptor open; ``take`` reads rows with
+``os.preadv``. Such a file must not be rewritten in place while it is read; one
+replaced through ``os.replace`` leaves the open file as it was. Eval reads
+either once, in file order (``load_features`` with a consumer): a CSV file's
+rows are parsed into predict's block, and one refused part-way is read afresh
+from the csv-module loop's array. An (n, d) array that cannot be allocated is a
+DataError naming the file. Only the csv-module loop, which reports value errors
+by line, holds rows plus a stacked copy. Joining keeps the loaded rows, with a
+map from id order to them where the ids are unsorted. The standardization fit
+streams the train rows through a FIT_CHUNK scratch. Finiteness checks
+(``all_finite``) take one sum and, only if it overflows, scan fixed blocks, with
+no flag per value. A sweep holds one cell's features at a time: it loads a
+cell's files just before the cell runs, and drops them before it loads another
+cell's; a standardization sweep holds them once, raw, with one Standardizer per
+mode. Predicting holds one block of ``model.PREDICT_ROWS`` rows and no caches.
+Training takes each batch into its step plan's input buffer. ``linear_backward``
+forms xᵀ·dy in blocks of 1024 to 2047 weight rows, so OpenBLAS packs one block
+of xᵀ at a time, not the batch.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def write_json(obj, path) -> None:
 @dataclass(frozen=True)
 class FeatureTable:
     ids: tuple[str, ...]
-    features: np.ndarray | FileRows  # (n, d) float64, in the order of ids
+    features: np.ndarray | FileRows | CsvRows  # (n, d) float64, in the order of ids
 
     def __post_init__(self):
         if len(self.ids) != self.features.shape[0]:
@@ -435,49 +438,81 @@ def _rows_array(n: int, d: int, path) -> np.ndarray:
 CSV_ONLY = '"\r'  # csv quoting, and a line end where the csv module splits a record
 BLOCK_VALUES = 1 << 12  # values per block of the CSV pass
 BLANK_LINE = re.compile(rb"\n\r?\n")  # seen by a regex at about the speed of a count
+READ_BUFFER = 1 << 16  # a line of a wide table outgrows the default 8 KiB, and readline slows
+
+
+class _Refused(Exception):
+    """A CSV file that the fast pass does not read; the csv-module loop reads it."""
+
+
+class CsvRows:
+    """The rows of the CSV file open in ``fh`` (binary, READ_BUFFER bytes of
+    buffer), counted on opening: the ``d`` values after each id, parsed by
+    ``parse_decimals`` BLOCK_VALUES values at a time as ``take`` asks for the
+    rows that follow those it read last. ``ids`` and ``tails`` (each line's
+    last ``tail`` fields) grow with them. _Refused where the csv-module loop
+    must read the file: on opening, for a blank line or a header that ends at a
+    lone CR; in ``take``, for a CSV_ONLY character, a line of other fields or
+    with one over the csv limit, invalid UTF-8, a value that is not finite or
+    that ``parse_decimals`` rejects, or, with the last row, a duplicate id."""
+
+    def __init__(self, fh, d: int, tail: int = 0):
+        self.fh, self.tail, self.ids, self.tails = fh, tail, [], []
+        if b"\r" in fh.readline().rstrip(b"\r\n"):  # the header ends at a lone CR
+            raise _Refused
+        start, n, end = fh.tell(), 0, b"\n"
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if BLANK_LINE.search(end + chunk[:2]) or BLANK_LINE.search(chunk):
+                raise _Refused  # the csv-module loop skips a blank line
+            n, end = n + chunk.count(b"\n"), (end + chunk[-2:])[-2:]
+        fh.seek(start)
+        self.shape = (n + (not end.endswith(b"\n")), d)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def take(self, indices, axis=0, out=None, mode="raise") -> np.ndarray:
+        """The next ``len(indices)`` rows, which ``indices`` must number, into
+        ``out`` (None: a new array), by ndarray's call; ``mode`` is ignored."""
+        first, (n, d) = len(self.ids), (len(indices), self.shape[1])
+        if operator.index(axis) or not np.array_equal(indices, np.arange(first, first + n)):
+            raise ValueError("CsvRows reads its rows once, in file order, along axis 0")
+        out = np.empty((n, d)) if out is None else out
+        k, limit = max(1, BLOCK_VALUES // max(d, 1)), csv.field_size_limit()
+        try:
+            for row in range(0, n, k):
+                block = []
+                for line in itertools.islice(self.fh, min(k, n - row)):
+                    sid, _, rest = line.rstrip(b"\r\n").partition(b",")
+                    vals, *last = rest.rsplit(b",", self.tail)
+                    if (not vals or len(last) != self.tail
+                            or len(line) > limit and max(map(len, line.split(b","))) > limit):
+                        raise _Refused
+                    self.ids.append(sid.decode("utf-8"))
+                    if self.tail:
+                        self.tails.append([t.decode("utf-8") for t in last])
+                    block.append(vals)
+                parse_decimals(block, out[row:row + k].reshape(-1))
+        except ValueError:  # UnicodeDecodeError included
+            raise _Refused from None
+        fields = "".join(self.ids[first:]) + "".join(itertools.chain(*self.tails[first:]))
+        if (any(c in fields for c in CSV_ONLY) or not all_finite(out)
+                or len(self.ids) == len(self) and len(set(self.ids)) < len(self)):
+            raise _Refused
+        return out
 
 
 def _decimal_rows(path, d: int, tail: int = 0):
-    """``(ids, values, tails)`` of the rows of the CSV file at ``path``: the
-    ``d`` values after each id in one (n, d) array, filled by
-    ``parse_decimals`` a block of lines at a time, and the last ``tail``
-    fields of each line. None where the csv-module loop must read the file:
-    a CSV_ONLY character, a line of other fields or with one over the csv
-    limit, a duplicate id, invalid UTF-8, or a value that is not finite or
-    that ``parse_decimals`` rejects."""
-    ids, tails, limit = [], [], csv.field_size_limit()
+    """``(ids, values, tails)`` of the CSV file at ``path``: its CsvRows taken
+    into one (n, d) array, with their ids and tails. None where the csv-module
+    loop must read the file."""
     try:
-        # a line of a wide table outgrows the default 8 KiB buffer, and readline slows
-        with open(path, "rb", buffering=1 << 16) as fh:
-            if b"\r" in fh.readline().rstrip(b"\r\n"):  # the header ends at a lone CR
-                return None
-            start, n, end = fh.tell(), 0, b"\n"
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                if BLANK_LINE.search(end + chunk[:2]) or BLANK_LINE.search(chunk):
-                    return None  # the csv-module loop skips a blank line
-                n, end = n + chunk.count(b"\n"), (end + chunk[-2:])[-2:]
-            values = _rows_array(n + (not end.endswith(b"\n")), d, path)
-            fh.seek(start)
-            k = max(1, BLOCK_VALUES // max(d, 1))
-            for row in range(0, len(values), k):
-                block = []
-                for line in itertools.islice(fh, k):
-                    sid, _, rest = line.rstrip(b"\r\n").partition(b",")
-                    vals, *last = rest.rsplit(b",", tail)
-                    if (not vals or len(last) != tail
-                            or len(line) > limit and max(map(len, line.split(b","))) > limit):
-                        return None
-                    ids.append(sid.decode("utf-8"))
-                    if tail:
-                        tails.append([t.decode("utf-8") for t in last])
-                    block.append(vals)
-                parse_decimals(block, values[row:row + k].reshape(-1))
-    except ValueError:  # UnicodeDecodeError included
+        with open(path, "rb", buffering=READ_BUFFER) as fh:
+            rows = CsvRows(fh, d, tail)
+            values = rows.take(np.arange(len(rows)), out=_rows_array(len(rows), d, path))
+    except _Refused:
         return None
-    fields = "".join(ids) + "".join(itertools.chain.from_iterable(tails))
-    if len(set(ids)) < len(ids) or any(c in fields for c in CSV_ONLY) or not all_finite(values):
-        return None
-    return ids, values, tails
+    return rows.ids, values, rows.tails
 
 
 def _csv_dim(path) -> int:
@@ -493,11 +528,14 @@ def _csv_dim(path) -> int:
 
 def _read_rows(path, n_values: int, tail: int = 0):
     """``(ids, values, tails)`` of the CSV at ``path``, from ``_decimal_rows``
-    or, where it refuses the file, the csv-module loop, which gives every error:
-    ``_parse_float`` on each of the ``n_values`` values, tail fields as strings."""
-    fast = _decimal_rows(path, n_values, tail)
-    if fast is not None:
-        return fast
+    or, where it refuses the file, ``_csv_module_rows``."""
+    return _decimal_rows(path, n_values, tail) or _csv_module_rows(path, n_values, tail)
+
+
+def _csv_module_rows(path, n_values: int, tail: int = 0):
+    """``(ids, values, tails)`` of the CSV at ``path`` by the csv-module loop,
+    which gives every error: ``_parse_float`` on each of the ``n_values``
+    values, tail fields as strings."""
     ids, rows, tails = [], [], []
     with _open_csv(path) as (header, reader):
         for line_no, row in _csv_records(reader, 1 + n_values + tail, path):
@@ -587,13 +625,30 @@ def load_features_binary(path) -> FeatureTable:
     return FeatureTable(ids=tuple(ids), features=FileRows(path, descriptor, (n, d), offset))
 
 
-def load_features(path) -> FeatureTable:
-    """Dispatch on content: binary blob if the magic matches, else CSV."""
+def load_features(path, consume=None):
+    """The table of the features file at ``path``: binary if the magic
+    matches, else CSV. With ``consume``, ``(table, consume(rows))``:
+    ``consume`` reads ``rows``, the file's rows, once, in file order, by
+    ndarray's ``take``, and ``table`` holds the file's ids and those rows. A
+    binary file's rows are its FileRows, and a CSV file's a CsvRows; where that
+    refuses the file, even part-way, ``consume`` reads the csv-module loop's
+    array afresh."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == FEATURE_MAGIC:
-        return load_features_binary(path)
-    return load_features_csv(path)
+        table = load_features_binary(path)
+        return table if consume is None else (table, consume(table.features))
+    if consume is None:
+        return load_features_csv(path)
+    d = _csv_dim(path)
+    try:
+        with open(path, "rb", buffering=READ_BUFFER) as fh:
+            rows = CsvRows(fh, d)
+            result = consume(rows)
+        return FeatureTable(tuple(rows.ids), rows), result
+    except _Refused:
+        ids, values, _ = _csv_module_rows(path, d)
+        return FeatureTable(tuple(ids), values), consume(values)
 
 
 def feature_dim(path) -> int:

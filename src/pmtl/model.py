@@ -363,18 +363,19 @@ PREDICT_ROWS = 128  # rows of every forward pass of ``predict``
 
 
 def predict(params: Params, config: ModelConfig, x, age_scaler,
-            out: np.ndarray | None = None) -> PredictionSet:
+            out: np.ndarray | None = None, standardizer=None) -> PredictionSet:
     """Inference: emotion vector, age in years, and country class per row.
 
-    ``x`` is an (n, input_dim) array, a FileRows or a SplitPart (which
-    standardizes the rows it takes). ``forward`` runs on blocks of exactly
-    PREDICT_ROWS rows, so every row goes through the same matrix-product
-    kernels and its outputs have the same bits whatever rows come with it.
-    A block's k rows are taken into the first rows of ``out``, if it holds
-    PREDICT_ROWS rows, else of a buffer that predict makes; the rest of the
-    block is zeroed, not standardized, and its outputs are dropped. Besides
-    that buffer and its result arrays, predict holds one inference StepPlan
-    of PREDICT_ROWS rows, without gradient buffers.
+    ``x`` is an (n, input_dim) array, a FileRows, a CsvRows (read once, in
+    order) or a SplitPart (which standardizes the rows it takes).
+    ``forward`` runs on blocks of exactly PREDICT_ROWS rows, so every row goes
+    through the same matrix-product kernels and its outputs have the same bits
+    whatever rows come with it. A block's k rows are taken, in order, into the
+    first rows of ``out``, if it holds PREDICT_ROWS rows, else of a buffer that
+    predict makes, and ``standardizer``, if given, is applied to them there;
+    the rest of the block is zeroed, not standardized, and its outputs are
+    dropped. Besides that buffer and its result arrays, predict holds one
+    inference StepPlan of PREDICT_ROWS rows, without gradient buffers.
 
     ``age_scaler`` maps the standardized age output back to years via its
     ``descale`` method. Country is the argmax of the logits; numpy argmax
@@ -393,6 +394,8 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
     for start in range(0, n, PREDICT_ROWS):
         k = min(PREDICT_ROWS, n - start)
         x.take(np.arange(start, start + k), axis=0, out=block[:k], mode="clip")
+        if standardizer is not None:
+            standardizer.apply(block[:k], out=block[:k])
         block[k:] = 0.0
         outputs = forward(params, plan, block)
         emotion[start:start + k] = outputs.emotion[:k]

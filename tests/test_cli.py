@@ -286,7 +286,9 @@ def test_train_binary_features_match_csv(workspace, capsys):
                          ids=["csv", "binary"])
 def test_train_and_eval_ignore_feature_row_order(workspace, tmp_path, capsys, fmt, save):
     # sorted files are used as loaded; shuffled ones are gathered into id
-    # order (CSV) or read through a row map (binary)
+    # order (CSV) or read through a row map (binary) to train, and read in
+    # file order to eval, which puts its outputs in id order; eval gives the
+    # bytes of the sorted CSV file's eval, with and without labels
     data = workspace / "data"
     paths = {"sorted": {split: data / f"{split}_features.{fmt}" for split in ("train", "val")},
              "shuffled": {}}
@@ -299,6 +301,17 @@ def test_train_and_eval_ignore_feature_row_order(workspace, tmp_path, capsys, fm
                           features=table.features[order]), shuffled)
         paths["shuffled"][split] = shuffled
     checkpoint = tmp_path / "sorted" / "checkpoint.pmck"
+
+    def evals(features):
+        """Predictions bytes and stdout of eval on ``features``, unlabeled and labeled."""
+        got = []
+        for labels in ([], ["--labels", str(data / "val_labels.csv")]):
+            code, out, err = run(capsys, [
+                "eval", "--checkpoint", str(checkpoint), "--features", str(features),
+                "--out-predictions", str(tmp_path / "p.csv"), *labels])
+            assert code == 0, err
+            got.append(((tmp_path / "p.csv").read_bytes(), out))
+        return got
     for name, split_paths in paths.items():
         out = tmp_path / name
         code, _, err = run(capsys, [
@@ -306,13 +319,11 @@ def test_train_and_eval_ignore_feature_row_order(workspace, tmp_path, capsys, fm
             "--val-features", str(split_paths["val"]), "--labels", str(data / "labels.csv"),
             "--config", str(workspace / "train_config.json"), "--out", str(out)])
         assert code == 0, err
-        code, _, err = run(capsys, [
-            "eval", "--checkpoint", str(checkpoint), "--features", str(split_paths["val"]),
-            "--out-predictions", str(out / "predictions.csv")])
-        assert code == 0, err
-    for name in ("checkpoint.pmck", "predictions.csv"):
-        assert (tmp_path / "shuffled" / name).read_bytes() == \
-            (tmp_path / "sorted" / name).read_bytes()
+    reference = evals(data / "val_features.csv")
+    assert json.loads(reference[0][1])["n"] == 48
+    for split_paths in paths.values():
+        assert evals(split_paths["val"]) == reference
+    assert (tmp_path / "shuffled" / "checkpoint.pmck").read_bytes() == checkpoint.read_bytes()
     history = {name: json.loads((tmp_path / name / "history.json").read_text())
                for name in paths}
     assert history["shuffled"]["run"] == history["sorted"]["run"]

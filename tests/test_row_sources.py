@@ -1,6 +1,7 @@
 """A split's rows: an in-memory array (CSV input) or a binary features file
 read per batch through a descriptor held open (FileRows). Both give the
-same bits through ndarray's ``take``."""
+same bits through ndarray's ``take``. Eval reads a CSV file's rows as they
+are parsed (CsvRows), one block at a time."""
 
 import json
 import os
@@ -10,14 +11,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pmtl.cli
+import pmtl.data
+import pmtl.model
 import pmtl.train
+from pmtl.checkpoint import save_checkpoint
 from pmtl.cli import main
 from pmtl.data import (
     FIT_CHUNK,
+    READ_BUFFER,
     STANDARDIZE_MODES,
+    AgeScaler,
+    CsvRows,
     FeatureTable,
     FileRows,
+    LabelTable,
     Standardizer,
     SynthSpec,
     build_part,
@@ -29,6 +36,8 @@ from pmtl.data import (
     save_labels_csv,
     synth_tables,
 )
+from pmtl.model import ModelConfig, init_params
+from pmtl.rng import RngStream
 
 TRAIN_CONFIG = {
     "model": {"shared_dims": [12, 6], "age_head_dims": [6, 3],
@@ -266,11 +275,13 @@ def test_eval_of_a_file_cut_after_its_load_names_it_once(inputs, tmp_path, capsy
     cut = tmp_path / "val.bin"
     cut.write_bytes((inputs / "val.bin").read_bytes())
 
+    load = pmtl.data.load_features_binary
+
     def load_then_cut(path):
-        table = load_features(path)
+        table = load(path)
         os.truncate(path, os.path.getsize(path) - 8)
         return table
-    monkeypatch.setattr(pmtl.cli, "load_features", load_then_cut)
+    monkeypatch.setattr(pmtl.data, "load_features_binary", load_then_cut)  # eval's load calls it
     code = main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.pmck"),
                  "--features", str(cut), "--out-predictions", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
@@ -278,3 +289,131 @@ def test_eval_of_a_file_cut_after_its_load_names_it_once(inputs, tmp_path, capsy
     assert err.startswith(f"pmtl: error: {cut}: payload ends before row ")
     assert err.count(str(cut)) == 1
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("takes", [[1, 5, 128, 66], [200], [199, 1]], ids=str)
+def test_csv_rows_are_the_loaded_array_whatever_blocks_take_them(tmp_path, takes):
+    # 200 rows of 700 values: a parse block of 5 rows, which takes cut
+    x = np.random.default_rng(8).standard_normal((200, 700)) * 1e3
+    save_features_csv(FeatureTable(tuple(f"r{i:03d}" for i in range(200)), x), tmp_path / "x.csv")
+    table = load_features(tmp_path / "x.csv")
+    with open(tmp_path / "x.csv", "rb", buffering=READ_BUFFER) as fh:
+        rows = CsvRows(fh, 700)
+        assert (len(rows), rows.shape) == (200, (200, 700))
+        got = np.concatenate([rows.take(np.arange(start, start + k), axis=0, mode="clip")
+                              for start, k in zip(np.cumsum([0] + takes), takes)])
+    assert tuple(rows.ids) == table.ids
+    assert got.tobytes() == table.features.tobytes()
+
+
+def test_csv_rows_are_read_once_in_file_order(tmp_path):
+    save_features_csv(FeatureTable(("a", "b", "c"), np.ones((3, 2))), tmp_path / "x.csv")
+    with open(tmp_path / "x.csv", "rb", buffering=READ_BUFFER) as fh:
+        rows = CsvRows(fh, 2)
+        for at in ([1, 2], [0, 0]):  # not the next rows
+            with pytest.raises(ValueError, match="once, in file order"):
+                rows.take(np.array(at), axis=0)
+        with pytest.raises(ValueError, match="axis 0"):
+            rows.take(np.arange(2), axis=1)
+        rows.take(np.arange(2), axis=0)
+        with pytest.raises(ValueError, match="once, in file order"):
+            rows.take(np.arange(2), axis=0)  # read already
+        assert rows.take(np.arange(2, 3), axis=0).tolist() == [[1.0, 1.0]]
+
+
+def _checkpoint(path, d):
+    """A small untrained model of width ``d`` whose standardizer doubles every value."""
+    config = ModelConfig(input_dim=d, shared_dims=(12, 6), age_head_dims=(6, 3),
+                         emotion_hidden=6, country_hidden=6)
+    save_checkpoint(path, init_params(config, RngStream(3)), config, AgeScaler(30.0, 5.0),
+                    Standardizer("zscore", np.zeros(d), np.full(d, 0.5)))
+
+
+def test_eval_peak_does_not_grow_with_the_rows_of_a_csv_file(tmp_path, traced_peak):
+    # 300 and 1,200 shuffled rows at width 512: 3.7 MB more features, which
+    # eval reads PREDICT_ROWS rows at a time. What the peak may still grow by
+    # is what eval holds by design for the extra rows: their ids, in file and
+    # in id order, and their 12 outputs, with the copy that puts them in id
+    # order, plus 256 KiB
+    d = 512
+    _checkpoint(tmp_path / "ck.pmck", d)
+    peaks, held = [], []
+    for n in (300, 1200):
+        table = synth_tables(SynthSpec(n_train=2, n_val=n, dim=d, rank=4, seed=4))[0]["val"]
+        order = np.random.default_rng(n).permutation(n)
+        ids = tuple(table.ids[i] for i in order)
+        save_features_csv(FeatureTable(ids, table.features[order]), tmp_path / f"{n}.csv")
+        held.append(2 * (sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))) + 2 * 12 * 8 * n)
+        del table, ids
+        code, peak = traced_peak(lambda: main([
+            "eval", "--checkpoint", str(tmp_path / "ck.pmck"), "--features",
+            str(tmp_path / f"{n}.csv"), "--out-predictions", str(tmp_path / f"{n}.p")]))
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= held[1] - held[0] + (256 << 10), (peaks, held)
+
+
+@pytest.fixture(scope="module")
+def rows400(tmp_path_factory):
+    """A ``_checkpoint`` of width 16, and a CSV file of 400 rows (``plain.csv``)
+    with their labels."""
+    root = tmp_path_factory.mktemp("rows400")
+    features, labels = synth_tables(SynthSpec(n_train=2, n_val=400, dim=16, rank=4, seed=3))
+    save_features_csv(features["val"], root / "plain.csv")
+    save_labels_csv(LabelTable(labels.ids[2:], labels.emotion[2:], labels.age[2:],
+                               labels.country[2:]), root / "labels.csv")
+    _checkpoint(root / "ck.pmck", 16)
+    return root
+
+
+def _edited(root, path, row, edit):
+    """``root/plain.csv`` with ``edit`` applied to the line of row ``row``, at ``path``."""
+    lines = (root / "plain.csv").read_text().splitlines(keepends=True)
+    lines[1 + row] = edit(lines[1 + row])
+    path.write_text("".join(lines))
+    return path
+
+
+def _eval(capsys, root, features, *labels):
+    """``pmtl eval`` of ``root``'s checkpoint on ``features``: (exit code,
+    stdout, stderr, predictions bytes or None)."""
+    out = features.with_suffix(".p")
+    code = main(["eval", "--checkpoint", str(root / "ck.pmck"), "--features", str(features),
+                 "--out-predictions", str(out), *labels])
+    printed = capsys.readouterr()
+    return code, printed.out.replace(str(out), "P"), printed.err, \
+        out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("edit", [
+    lambda line: line.replace(",", ", ", 1),  # " 1.5": float reads it, parse_decimals does not
+    lambda line: '"{}",{}'.format(*line.split(",", 1)),  # a quoted id
+], ids=["spaced-value", "quoted-id"])
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+def test_a_csv_refused_part_way_evaluates_as_its_plain_twin(rows400, tmp_path, capsys,
+                                                           monkeypatch, edit, labeled):
+    # row 300 is in the third block of 128: two blocks run before the fast
+    # parse refuses the file, then the csv-module loop's array runs all four
+    labels = ["--labels", str(rows400 / "labels.csv")] if labeled else []
+    blocks = []
+    forward = pmtl.model.forward
+    monkeypatch.setattr(pmtl.model, "forward", lambda *args: blocks.append(1) or forward(*args))
+    plain = _eval(capsys, rows400, rows400 / "plain.csv", *labels)
+    assert plain[0] == 0 and len(blocks) == 4, plain
+    twin = _eval(capsys, rows400, _edited(rows400, tmp_path / "twin.csv", 300, edit), *labels)
+    assert len(blocks) == 4 + 2 + 4
+    assert twin == plain
+
+
+@pytest.mark.parametrize("token,message", [
+    ("inf", "{}:302: column 'f0': non-finite value 'inf'"),
+    ("1e308", "{}: feature f0: values overflow the zscore standardization"),
+])
+def test_a_bad_value_late_in_a_csv_fails_eval_as_before(rows400, tmp_path, capsys, token,
+                                                        message):
+    bad = _edited(rows400, tmp_path / "bad.csv", 300,
+                  lambda line: "{},{},{}".format(*line.split(",", 2)[:1], token,
+                                                 line.split(",", 2)[2]))
+    code, out, err, predictions = _eval(capsys, rows400, bad)
+    assert (code, out, predictions) == (2, "", None)
+    assert err == f"pmtl: error: {message.format(bad)}\n"
