@@ -131,6 +131,16 @@ def _apply_overrides(raw: dict, args) -> dict:
     return d
 
 
+def _out_dir(path) -> Path:
+    """``--out`` as a Path, checked before the run, which creates it at the
+    end: it, or else its nearest existing ancestor, must be a directory."""
+    out = Path(path)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not nearest.is_dir():
+        raise DataError(f"--out {out}: {nearest} is not a directory")
+    return out
+
+
 def _load_dataset(train_path, val_path, labels):
     features = {"train": load_features(train_path), "val": load_features(val_path)}
     return join_splits(features, labels)
@@ -140,6 +150,7 @@ def _load_dataset(train_path, val_path, labels):
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args.out)
     raw = _read_json(args.config, "config") if args.config else {}
     raw = _apply_overrides(raw, args)
     ds = _load_dataset(args.train_features, args.val_features, load_labels_csv(args.labels))
@@ -148,10 +159,9 @@ def cmd_train(args) -> int:
 
     params, history = train_run(config, ds)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.pmck", params, config.model,
-                    ds.age_scaler, ds.standardizer)
+                    ds.age_scaler, ds.train.standardizer)
     write_json({"run": history.canonical_dict(),
                 "wall_seconds": history.wall_seconds}, out / "history.json")
     manifest = {
@@ -305,6 +315,7 @@ def _cell_data(spec: SweepSpec, paths, mode: str, labels):
 
 
 def cmd_sweep(args) -> int:
+    out = _out_dir(args.out)
     raw = _read_json(args.spec, "sweep spec")
     spec_d = dict(raw)
     spec_d.pop("feature_sets", None)
@@ -321,7 +332,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep spec: {exc}")
     table = run_sweep(spec, _cell_data(spec, paths, mode, load_labels_csv(args.labels)))
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_results(table, out / "results.json")
     name, render = REPORTS[args.format]

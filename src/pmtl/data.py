@@ -15,7 +15,8 @@ predictions CSV   same columns as labels, but age is a float value read with
 
 Sample ids are unique; the canonical ordering everywhere is lexicographic
 by id, so results never depend on file row order. ``_read_rows`` reads all
-three CSV layouts; the age and country fields of labels are checked once, after.
+three CSV layouts, and only it chooses between the fast pass (CsvRows) and the
+csv-module loop; the age and country fields of labels are checked once, after.
 
 Memory contract: a split's rows are the loaded rows, never written; every reader
 takes what it needs by ndarray's call, ``part.take(at, axis=0, out=buf,
@@ -30,12 +31,13 @@ pass of FIT_CHUNK values and keeps the descriptor open; ``take`` reads rows with
 ``os.preadv``. Such a file must not be rewritten in place while it is read; one
 replaced through ``os.replace`` leaves the open file as it was. Eval reads
 either once, in file order (``load_features`` with a consumer): a CSV file's
-rows are parsed into predict's block, and one refused part-way is read afresh
-from the csv-module loop's array. An (n, d) array that cannot be allocated is a
-DataError naming the file. Only the csv-module loop, which reports value errors
-by line, holds rows plus a stacked copy. Joining keeps the loaded rows, with a
-map from id order to them where the ids are unsorted. The standardization fit
-streams the train rows through a FIT_CHUNK scratch. Finiteness checks
+rows are parsed into predict's block. A CSV file that the fast pass refuses,
+even part-way, is read afresh from the csv-module loop's array, once the refused
+pass and its array or block are freed. An (n, d) array that cannot be allocated
+is a DataError naming the file. Only the csv-module loop, which reports value
+errors by line, holds rows plus a stacked copy. Joining keeps the loaded rows,
+with a map from id order to them where the ids are unsorted. The standardization
+fit streams the train rows through a FIT_CHUNK scratch. Finiteness checks
 (``all_finite``) take one sum and, only if it overflows, scan fixed blocks, with
 no flag per value. A sweep holds one cell's features at a time: it loads a
 cell's files just before the cell runs, and drops them before it loads another
@@ -372,7 +374,6 @@ class SplitDataset:
     train: SplitPart
     val: SplitPart
     age_scaler: AgeScaler
-    standardizer: Standardizer | None = None
 
     @property
     def dim(self) -> int:
@@ -502,19 +503,6 @@ class CsvRows:
         return out
 
 
-def _decimal_rows(path, d: int, tail: int = 0):
-    """``(ids, values, tails)`` of the CSV file at ``path``: its CsvRows taken
-    into one (n, d) array, with their ids and tails. None where the csv-module
-    loop must read the file."""
-    try:
-        with open(path, "rb", buffering=READ_BUFFER) as fh:
-            rows = CsvRows(fh, d, tail)
-            values = rows.take(np.arange(len(rows)), out=_rows_array(len(rows), d, path))
-    except _Refused:
-        return None
-    return rows.ids, values, rows.tails
-
-
 def _csv_dim(path) -> int:
     """The width d of a features CSV, whose header must be ``id,f0..f{d-1}``."""
     with _open_csv(path) as (header, _):
@@ -526,10 +514,24 @@ def _csv_dim(path) -> int:
         return d
 
 
-def _read_rows(path, n_values: int, tail: int = 0):
-    """``(ids, values, tails)`` of the CSV at ``path``, from ``_decimal_rows``
-    or, where it refuses the file, ``_csv_module_rows``."""
-    return _decimal_rows(path, n_values, tail) or _csv_module_rows(path, n_values, tail)
+def _read_rows(path, n_values: int, tail: int = 0, consume=None):
+    """``(ids, rows, tails, result)`` of the CSV at ``path``: its ids, its rows
+    of ``n_values`` values, each line's last ``tail`` fields, and what
+    ``consume`` returns once it has read the rows, once, in file order, by
+    ndarray's ``take`` (without it, ``result`` is the rows in one array). The
+    rows are the file's CsvRows or, where that refuses the file, even
+    part-way, the csv-module loop's array, which ``consume`` reads afresh; the
+    refused pass and what it read are freed before the loop runs."""
+    try:
+        with open(path, "rb", buffering=READ_BUFFER) as fh:
+            rows = CsvRows(fh, n_values, tail)
+            result = consume(rows) if consume else rows.take(
+                np.arange(len(rows)), out=_rows_array(len(rows), n_values, path))
+            return rows.ids, rows, rows.tails, result
+    except _Refused:
+        rows = None  # with the ids it read, before the loop reads
+    ids, rows, tails = _csv_module_rows(path, n_values, tail)
+    return ids, rows, tails, consume(rows) if consume else rows
 
 
 def _csv_module_rows(path, n_values: int, tail: int = 0):
@@ -544,11 +546,6 @@ def _csv_module_rows(path, n_values: int, tail: int = 0):
                                   for t, c in zip(row[1:], header[1:1 + n_values])]))
             tails.append(row[1 + n_values:])
     return ids, np.array(rows, dtype=np.float64).reshape(len(ids), n_values), tails
-
-
-def load_features_csv(path) -> FeatureTable:
-    ids, features, _ = _read_rows(path, _csv_dim(path))
-    return FeatureTable(ids=tuple(ids), features=features)
 
 
 def save_features_csv(table: FeatureTable, path) -> None:
@@ -629,26 +626,17 @@ def load_features(path, consume=None):
     """The table of the features file at ``path``: binary if the magic
     matches, else CSV. With ``consume``, ``(table, consume(rows))``:
     ``consume`` reads ``rows``, the file's rows, once, in file order, by
-    ndarray's ``take``, and ``table`` holds the file's ids and those rows. A
-    binary file's rows are its FileRows, and a CSV file's a CsvRows; where that
-    refuses the file, even part-way, ``consume`` reads the csv-module loop's
-    array afresh."""
+    ndarray's ``take``, and ``table`` holds the file's ids and those rows: a
+    binary file's FileRows, or a CSV file's as ``_read_rows`` gives them."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == FEATURE_MAGIC:
         table = load_features_binary(path)
         return table if consume is None else (table, consume(table.features))
+    ids, rows, _, result = _read_rows(path, _csv_dim(path), consume=consume)
     if consume is None:
-        return load_features_csv(path)
-    d = _csv_dim(path)
-    try:
-        with open(path, "rb", buffering=READ_BUFFER) as fh:
-            rows = CsvRows(fh, d)
-            result = consume(rows)
-        return FeatureTable(tuple(rows.ids), rows), result
-    except _Refused:
-        ids, values, _ = _csv_module_rows(path, d)
-        return FeatureTable(tuple(ids), values), consume(values)
+        return FeatureTable(tuple(ids), result)
+    return FeatureTable(tuple(ids), rows), result
 
 
 def feature_dim(path) -> int:
@@ -670,7 +658,7 @@ def _load_label_rows(path, age_kind):
     with _open_csv(path) as (header, _):
         if tuple(header) != LABEL_HEADER:
             raise DataFormatError(f"header must be {','.join(LABEL_HEADER)}", path, 1)
-    ids, values, tails = _read_rows(path, n_values, len(LABEL_HEADER) - 1 - n_values)
+    ids, _, tails, values = _read_rows(path, n_values, len(LABEL_HEADER) - 1 - n_values)
     try:
         ages = [int(t[0]) for t in tails] if age_kind is int else values[:, -1]
         countries = [COUNTRY_TO_ID[t[-1]] for t in tails]
@@ -775,12 +763,13 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
 
 def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
     """``ds`` with feature standardization under ``mode``, fit on the train
-    rows, which both splits' ``take`` applies to the rows it reads. The
-    rows are shared, and ``ds`` is left as it was."""
+    rows and set as both parts' ``standardizer``, which each part's ``take``
+    applies to the rows it reads. The rows are shared, and ``ds`` is left as
+    it was."""
     train = ds.train  # rows in id order are fit as they are: an array keeps numpy's bits
     std = Standardizer.fit(train.rows if train.order is None else train, mode)
     return replace(ds, train=replace(train, standardizer=std),
-                   val=replace(ds.val, standardizer=std), standardizer=std)
+                   val=replace(ds.val, standardizer=std))
 
 
 def batches(n: int, batch_size: int, rng: RngStream) -> list[np.ndarray]:

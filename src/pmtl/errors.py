@@ -80,18 +80,3 @@ class NumericalError(PmtlError):
     """Non-finite value or other numerical breakdown."""
 
     exit_code = 3
-
-
-class MomentOverflowError(DataError, ValueError):
-    """A metric's moments are not finite: the values are too large to score."""
-
-
-class MissingClassError(DataError, ValueError):
-    """A class id never occurs in the reference labels, so per-class recall
-    is undefined."""
-
-    def __init__(self, absent_classes):
-        absent = tuple(sorted(absent_classes))
-        super().__init__(f"recall undefined: classes {absent} absent from reference labels")
-        self.absent_classes = absent
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import COUNTRIES
-from .errors import DataError, MissingClassError, MomentOverflowError
+from .errors import DataError
 
 CCC_DEGENERATE_DENOM = 1e-12
 
@@ -34,7 +34,7 @@ def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
     CCC = 2*cov(x,y) / (var(x) + var(y) + (mean(x) - mean(y))^2) with
     population (1/n) moments. A denominator below 1e-12 (both series
     constant and equal means) yields (0.0, True). Moments that overflow
-    raise MomentOverflowError; ``name`` heads every error message.
+    raise DataError; ``name`` heads every error message.
     """
     x = _as_series(x)
     y = _as_series(y)
@@ -51,7 +51,7 @@ def ccc_detail(x, y, name: str = "ccc") -> tuple[float, bool]:
         cov = float(dx @ dy) / n
         denom = var_x + var_y + (mx - my) ** 2
     if not (math.isfinite(denom) and math.isfinite(cov)):
-        raise MomentOverflowError(f"{name}: values too large, moments are not finite")
+        raise DataError(f"{name}: values too large, moments are not finite")
     if denom < CCC_DEGENERATE_DENOM:
         return 0.0, True
     return 2.0 * cov / denom, False
@@ -78,14 +78,14 @@ def uar(pred_classes, true_classes, n_classes: int = len(COUNTRIES)) -> float:
     mean over classes of per-class recall.
 
     Every class id in [0, n_classes) must occur in ``true_classes``,
-    otherwise its recall is undefined and MissingClassError is raised.
+    otherwise its recall is undefined and DataError names the absent ones.
     """
     pred = np.asarray(pred_classes).astype(np.int64).reshape(-1)
     true = np.asarray(true_classes).astype(np.int64).reshape(-1)
     masks = [true == c for c in range(n_classes)]
     absent = [c for c, mask in enumerate(masks) if not mask.any()]
     if absent:
-        raise MissingClassError(absent)
+        raise DataError(f"recall undefined: classes {tuple(absent)} absent from reference labels")
     return float(np.mean([float(np.mean(pred[mask] == c)) for c, mask in enumerate(masks)]))
 
 

@@ -81,12 +81,6 @@ class RngStream:
 
     # -- raw words ---------------------------------------------------------
 
-    def next_u64(self) -> int:
-        """Next raw word, computed on Python ints: the scalar reference for
-        the vectorised ``u64``."""
-        self._counter += 1
-        return mix64((self._key + self._counter * GOLDEN) & MASK64)
-
     def u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw words as a uint64 array."""
         if n < 0:

@@ -616,8 +616,8 @@ def test_sweep_bad_spec_exits_1(spec, workspace, tmp_path, capsys):
 
 def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
     # a val split missing one country class: every run in the cell fails
-    # with MissingClassError, the sweep records it and exits with the data
-    # error code
+    # with a DataError (recall undefined), the sweep records it and exits
+    # with the data error code
     features, labels = synth_tables(
         SynthSpec(n_train=60, n_val=20, dim=5, rank=2, seed=2))
     val_countries = labels.country[[i for i, sid in enumerate(labels.ids)
@@ -641,10 +641,33 @@ def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
     assert code == 2
     summary = last_json(stdout)
     assert summary["failed"] == ["seed=1"]
-    assert "MissingClassError" in (out / "report.md").read_text()
+    assert "DataError: recall undefined: classes" in (out / "report.md").read_text()
 
 
 # -- exit codes and bad input -----------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_unusable_out_fails_before_the_run(workspace, tmp_path, capsys, monkeypatch,
+                                           command, where):
+    def started(*args):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(pmtl.cli, "train_run", started)
+    monkeypatch.setattr(pmtl.cli, "run_sweep", started)
+    regular = tmp_path / "regular"
+    regular.write_text("kept\n")
+    out = regular if where == "a-file" else regular / "run"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"axis": "seed", "values": [1], "runs_per_cell": 1,
+                                "base": TRAIN_CONFIG}))
+    given = (["--config", str(workspace / "train_config.json")] if command == "train"
+             else ["--spec", str(spec)])
+    code, stdout, err = run(capsys, [command, *data_args(workspace), *given, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == f"pmtl: error: --out {out}: {regular} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regular", "spec.json"]
+    assert regular.read_text() == "kept\n"
 
 
 def test_unknown_flag_exits_1(capsys):

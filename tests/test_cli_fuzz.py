@@ -99,7 +99,7 @@ def workspace(tmp_path_factory):
     assert main(["synth", "--config", str(root / "synth.json"), "--out", str(root)]) == 0
     labels = load_labels_csv(root / "labels.csv")
     val = {int(c) for sid, c in zip(labels.ids, labels.country) if sid.startswith("val_")}
-    assert val == set(range(len(COUNTRIES)))  # else every run ends in MissingClassError
+    assert val == set(range(len(COUNTRIES)))  # else every run fails: recall undefined
     return root
 
 

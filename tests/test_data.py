@@ -36,7 +36,6 @@ from pmtl.data import (
     join_splits,
     load_features,
     load_features_binary,
-    load_features_csv,
     load_labels_csv,
     load_predictions_csv,
     save_features_binary,
@@ -83,7 +82,7 @@ def label_csv(tmp_path):
 
 
 def test_load_features_csv(feature_csv):
-    table = load_features_csv(feature_csv)
+    table = load_features(feature_csv)
     assert table.ids == ("b", "a")  # file order preserved at load time
     assert table.dim == 2
     assert table.features.dtype == np.float64
@@ -97,7 +96,7 @@ def test_features_csv_round_trip(tmp_path, rng_np):
     )
     path = tmp_path / "rt.csv"
     save_features_csv(table, path)
-    back = load_features_csv(path)
+    back = load_features(path)
     assert back.ids == table.ids
     # repr-based serialization round-trips float64 exactly
     assert np.array_equal(back.features, table.features)
@@ -145,13 +144,13 @@ def test_load_features_dispatches_on_magic(tmp_path, rng_np):
 def test_features_csv_errors_carry_location(tmp_path, body, fragment):
     path = write(tmp_path / "bad.csv", body)
     with pytest.raises(DataFormatError, match=fragment):
-        load_features_csv(path)
+        load_features(path)
 
 
 def test_features_csv_error_line_numbers(tmp_path):
     path = write(tmp_path / "bad.csv", "id,f0\na,1.0\nb,xyz\n")
     with pytest.raises(DataFormatError) as info:
-        load_features_csv(path)
+        load_features(path)
     assert info.value.line == 3
     assert str(path) in str(info.value)
 
@@ -309,10 +308,11 @@ def _rows_across_a_chunk_end(newline, before=0):
 ], ids=["first", "middle", "crlf", "last", "chunk-end", "chunk-end-crlf", "chunk-in-crlf"])
 def test_blank_line_is_seen_before_the_array_is_sized(tmp_path, monkeypatch, body):
     path = write(tmp_path / "t.csv", "id,f0\n" + body)
-    expected = load_features_csv(path)  # the csv loop skips blank lines
+    expected = load_features(path)  # the csv loop skips blank lines
     monkeypatch.setattr(pmtl.data, "_rows_array", None)  # sized nothing
-    assert pmtl.data._decimal_rows(path, 1) is None
-    got = load_features_csv(path)
+    with open(path, "rb") as fh, pytest.raises(pmtl.data._Refused):
+        pmtl.data.CsvRows(fh, 1)  # refused on opening, before any row is taken
+    got = load_features(path)
     assert got.ids == expected.ids and got.features.tobytes() == expected.features.tobytes()
     assert len(got.ids) == body.count(",")
 
@@ -364,7 +364,7 @@ def test_csv_values_bit_equal_to_per_token_float(tmp_path):
         writer.writerow(["id"] + [f"f{j}" for j in range(d)])
         writer.writerows([f"r{i}"] + row for i, row in enumerate(rows))
     expected = np.array([[_reference_float(t) for t in row] for row in rows])
-    assert load_features_csv(path).features.tobytes() == expected.tobytes()
+    assert load_features(path).features.tobytes() == expected.tobytes()
 
 
 def _near_halfway_tokens(count, seed):
@@ -395,7 +395,7 @@ def test_csv_near_halfway_values_bit_equal_to_per_token_float(tmp_path):
     expected = np.array([[float(t) for t in row] for row in rows])
     for exact in (True, False) if pmtl.decimals.EXACT_SCALE else (False,):
         with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
-            assert load_features_csv(path).features.tobytes() == expected.tobytes(), exact
+            assert load_features(path).features.tobytes() == expected.tobytes(), exact
 
 
 @pytest.mark.parametrize("token", ["1.2.3", ".-5", "5.-", "1-2", "--5", "-", ".", "-.", "+-5",
@@ -405,7 +405,7 @@ def test_csv_malformed_decimals_go_to_the_csv_loop(tmp_path, token):
     for exact in (True, False) if pmtl.decimals.EXACT_SCALE else (False,):
         with mock.patch.object(pmtl.decimals, "EXACT_SCALE", exact):
             with pytest.raises(DataFormatError, match="column 'f1': cannot parse") as info:
-                load_features_csv(path)
+                load_features(path)
         assert info.value.line == 3
 
 
@@ -422,7 +422,7 @@ def test_csv_rows_of_another_width_go_to_the_csv_loop(tmp_path):
     # three values in one row and one in the next still make two per row on average
     path = write(tmp_path / "uneven.csv", "id,f0,f1\na,1.5,2.5,3.5\nb,4.5\n")
     with pytest.raises(DataFormatError, match="expected 3 fields, got 4") as info:
-        load_features_csv(path)
+        load_features(path)
     assert info.value.line == 2
 
 
@@ -434,7 +434,7 @@ def test_csv_rejects_what_per_token_float_rejects(tmp_path, token):
         csv.writer(fh).writerows([["id", "f0", "f1"], ["a", "1.0", "2.0"],
                                   ["b", "1.0", token]])
     with pytest.raises(DataFormatError, match="column 'f1'") as info:
-        load_features_csv(path)
+        load_features(path)
     assert info.value.line == 3
 
 
@@ -462,7 +462,7 @@ def test_csv_load_matches_per_token_reference(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     ids, expected = _reference_table(text)
-    table = load_features_csv(path)
+    table = load_features(path)
     assert table.ids == ids
     assert table.features.tobytes() == expected.tobytes()
 
@@ -475,7 +475,7 @@ def test_csv_load_without_values_warns_nothing(tmp_path, text, ids, shape):
     path = write(tmp_path / "t.csv", text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = load_features_csv(path)
+        table = load_features(path)
     assert table.ids == ids
     assert table.features.shape == shape
 
@@ -588,13 +588,25 @@ def test_rows_that_do_not_fit_in_memory_are_a_data_error(tmp_path, request, kind
 LOADERS = {"labels": load_labels_csv, "predictions": load_predictions_csv}
 
 
+def _load_consumed(path):
+    """The ids of ``load_features(path, consume)``'s table and the rows that
+    ``consume`` took, one ``take`` a row."""
+    def consume(rows):
+        out = np.empty(rows.shape)
+        for i in range(len(rows)):
+            rows.take(np.arange(i, i + 1), axis=0, out=out[i:i + 1])
+        return out
+    table, taken = load_features(path, consume)
+    return table.ids, taken
+
+
 def _outcome(kind, path):
     """What ``kind``'s loader gives for ``path``: its arrays' bytes, or the
     message of the DataFormatError it raises."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = {**LOADERS, "features": load_features_csv}[kind](path)
+            result = {**LOADERS, "features": load_features, "consumed": _load_consumed}[kind](path)
     except DataFormatError as exc:
         return str(exc)
     if kind == "labels":
@@ -606,7 +618,7 @@ def _outcome(kind, path):
 
 
 def _csv_loop_outcome(kind, path):
-    with mock.patch.object(pmtl.data, "_decimal_rows", lambda *args: None):
+    with mock.patch.object(pmtl.data, "CsvRows", side_effect=pmtl.data._Refused):
         return _outcome(kind, path)
 
 
@@ -747,6 +759,37 @@ def test_quoted_label_files_load_like_plain_ones(label_file_bytes, tmp_path, kin
         csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
     ids, arrays = _outcome(kind, plain)
     assert _outcome(kind, quoted) == (ids[:1] + ("b,2",) + ids[2:], arrays)
+
+
+# (header, rows) -> lines, for edits that the fast pass refuses: on opening (a
+# blank line, a header ending at a lone CR) or part-way, at the next-to-last row
+REFUSED_EDITS = {
+    "blank-line": lambda header, rows: [header, *rows[:-1], "", rows[-1]],
+    "header-lone-cr": lambda header, rows: [header + "\r" + rows[0], *rows[1:]],
+    "quoted-id": lambda header, rows: [header, *rows[:-2], '"' + rows[-2].replace(",", '",', 1),
+                                       rows[-1]],
+    "spaced-value": lambda header, rows: [header, *rows[:-2], rows[-2].replace(",", ", ", 1),
+                                          rows[-1]],
+    "duplicate-id": lambda header, rows: [header, *rows[:-1], rows[-2].split(",")[0] + ","
+                                          + rows[-1].split(",", 1)[1]],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(REFUSED_EDITS))
+@pytest.mark.parametrize("kind", ["features", "consumed", "labels", "predictions"])
+def test_every_csv_reader_gives_the_csv_loop_outcome_of_a_refused_file(
+        feature_file_bytes, label_file_bytes, tmp_path, kind, edit):
+    text = {**label_file_bytes, "features": feature_file_bytes["csv"],
+            "consumed": feature_file_bytes["csv"]}[kind].decode("utf-8")
+    header, *rows = text.splitlines()
+    path = write(tmp_path / "refused.csv", "\n".join(REFUSED_EDITS[edit](header, rows)) + "\n")
+    loop = mock.patch.object(pmtl.data, "_csv_module_rows", wraps=pmtl.data._csv_module_rows)
+    with loop as module_rows:
+        got = _outcome(kind, path)
+    assert module_rows.called  # the fast pass refused the file
+    assert got == _csv_loop_outcome(kind, path)
+    if edit == "duplicate-id":
+        assert got.endswith(f"duplicate id {rows[-2].split(',')[0]!r}")
 
 
 @pytest.mark.parametrize("kind,row,fields", [
@@ -935,16 +978,16 @@ def test_standardize_none_is_identity():
     for split, x in before.items():
         assert rows_of(getattr(out, split)).tobytes() == x.tobytes()
         assert getattr(ds, split).rows.tobytes() == x.tobytes()  # the input is left as it was
-    assert out.standardizer.mode == "none"
+    assert out.train.standardizer.mode == "none"
 
 
 def test_standardize_no_leakage():
     spec = SynthSpec(n_train=80, n_val=40, dim=6, rank=3, seed=3)
-    std_a = standardize(synth_dataset(spec), "zscore").standardizer
+    std_a = standardize(synth_dataset(spec), "zscore").train.standardizer
     # mutate val features; train-derived stats must not move
     ds = synth_dataset(spec)
     ds_mut = replace(ds, val=replace(ds.val, rows=ds.val.rows + 1000.0))
-    std_b = standardize(ds_mut, "zscore").standardizer
+    std_b = standardize(ds_mut, "zscore").train.standardizer
     assert np.array_equal(std_a.center, std_b.center)
     assert np.array_equal(std_a.scale, std_b.scale)
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pmtl.errors import DataError, MissingClassError, MomentOverflowError
+from pmtl.errors import DataError
 from pmtl.metrics import (
     MetricsBundle,
     ccc,
@@ -90,12 +90,10 @@ def test_ccc_needs_two_points():
 
 
 def test_ccc_overflowing_moments_raise_data_error():
-    with pytest.raises(MomentOverflowError, match="ccc: values too large"):
+    with pytest.raises(DataError, match="^ccc: values too large, moments are not finite$"):
         ccc_detail(np.full(3, 1e308), np.arange(3.0))
-    with pytest.raises(MomentOverflowError, match="ccc of emotion 1:"):
+    with pytest.raises(DataError, match="^ccc of emotion 1: values too large"):
         ccc_columns(np.array([[0.0, 1e308], [1.0, -1e308]]), np.eye(2))
-    assert issubclass(MomentOverflowError, DataError)
-    assert issubclass(MomentOverflowError, ValueError)
 
 
 def test_mean_ccc_columns(rng_np):
@@ -151,11 +149,11 @@ def test_uar_insensitive_to_class_imbalance():
 
 
 def test_uar_missing_class():
-    with pytest.raises(MissingClassError) as info:
+    with pytest.raises(DataError) as info:
         uar([0, 1, 2], [0, 1, 2])
-    assert info.value.absent_classes == (3,)
+    assert str(info.value) == "recall undefined: classes (3,) absent from reference labels"
     # labels without a class are bad data: exit code 2
-    assert isinstance(info.value, DataError) and info.value.exit_code == 2
+    assert info.value.exit_code == 2
 
 
 def test_mae_and_inversion():
