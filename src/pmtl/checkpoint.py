@@ -7,7 +7,7 @@ Layout, all little-endian:
     u32     header length in bytes
     bytes   UTF-8 JSON header with sorted keys:
             config        model configuration dict
-            age_scaler    {"mean": float, "std": float}
+            age_scaler    {"mean": float, "std": float} of the age Standardizer
             standardizer  {"mode":..., "degenerate_columns":[...]} or null
             tensors       [[name, [dims...]], ...] model parameters
             aux           [[name, [dims...]], ...] standardizer arrays
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AgeScaler, Standardizer, all_finite, atomic_open, read_header
+from .data import Standardizer, all_finite, atomic_open, read_header
 from .errors import DataFormatError
 from .model import ModelConfig, Params, param_shapes
 
@@ -45,7 +45,7 @@ VERSION = 1
 class Checkpoint:
     params: Params
     config: ModelConfig
-    age_scaler: AgeScaler
+    age_scaler: Standardizer  # one column
     standardizer: Standardizer | None
 
 
@@ -58,14 +58,14 @@ def tables(config: ModelConfig, standardized: bool) -> dict[str, list]:
 
 
 def save_checkpoint(path, params: Params, config: ModelConfig,
-                    age_scaler: AgeScaler, standardizer: Standardizer | None = None) -> None:
+                    age_scaler: Standardizer, standardizer: Standardizer | None = None) -> None:
     index = tables(config, standardizer is not None)
     std_meta = None if standardizer is None else {
         "mode": standardizer.mode,
         "degenerate_columns": list(standardizer.degenerate_columns),
     }
     header = {
-        "age_scaler": {"mean": age_scaler.mean, "std": age_scaler.std},
+        "age_scaler": {"mean": float(age_scaler.center[0]), "std": float(age_scaler.scale[0])},
         "config": asdict(config),
         "standardizer": std_meta,
         **index,
@@ -114,9 +114,8 @@ def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
         raise DataFormatError(f"payload is {len(payload)} bytes, the tables need "
                               f"{8 * (n + 2 * d)}", path)
     values = np.frombuffer(payload, dtype="<f8")
-    scaler = AgeScaler(mean=float(header["age_scaler"]["mean"]),
-                       std=float(header["age_scaler"]["std"]))
-    if not (all_finite(values) and math.isfinite(scaler.mean) and math.isfinite(scaler.std)):
+    mean, std = (float(header["age_scaler"][key]) for key in ("mean", "std"))
+    if not (all_finite(values) and math.isfinite(mean) and math.isfinite(std)):
         raise DataFormatError("non-finite values", path)
 
     stored = Params(dict(sorted(layout)), values[:n])
@@ -127,5 +126,5 @@ def _from_header(header: dict, payload: memoryview, path) -> Checkpoint:
         scale=values[n + d:].copy(),
         degenerate_columns=tuple(int(c) for c in meta["degenerate_columns"]),
     )
-    return Checkpoint(params=params, config=config, age_scaler=scaler,
-                      standardizer=standardizer)
+    return Checkpoint(params=params, config=config, standardizer=standardizer,
+                      age_scaler=Standardizer("zscore", np.array([mean]), np.array([std])))

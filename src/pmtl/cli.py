@@ -21,6 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     STANDARDIZE_MODES,
+    FeatureTable,
     SynthSpec,
     build_part,
     check_mode,
@@ -141,6 +142,17 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _out_files(args, *flags) -> None:
+    """Check each output file given for ``flags`` before any input is read:
+    its directory must exist, and it must not be a directory itself."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and Path(path).is_dir():
+            raise DataError(f"{flag} {path}: is a directory")
+        if path and not Path(path).parent.is_dir():
+            raise DataError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def _load_dataset(train_path, val_path, labels):
     features = {"train": load_features(train_path), "val": load_features(val_path)}
     return join_splits(features, labels)
@@ -192,6 +204,7 @@ def cmd_eval(args) -> int:
     outputs, and puts them in id order at the end to write and score them."""
     if args.labels is None and args.out_predictions is None:
         raise ConfigError("eval needs --labels, --out-predictions, or both")
+    _out_files(args, "--out-predictions", "--out-metrics")
     ck = load_checkpoint(args.checkpoint)
     dim = feature_dim(args.features)
     if dim != ck.config.input_dim:
@@ -225,29 +238,18 @@ def cmd_eval(args) -> int:
 
 
 def score_files(predictions_path, labels_path):
-    """Score a predictions CSV against a labels CSV, joined by id."""
+    """Score a predictions CSV against a labels CSV, joined by ``build_part``."""
     ids_p, emotion_p, age_p, country_p = load_predictions_csv(predictions_path)
     labels = load_labels_csv(labels_path)
-    index = labels.index()
-    set_p = set(ids_p)
-    if set_p != index.keys():
-        only_p = sorted(set_p - index.keys())
-        only_l = sorted(index.keys() - set_p)
-        raise DataError(
-            f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
-            f"{len(only_l)} only in labels {only_l[:5]}"
-        )
-    # equal sets of unique ids: predictions in id order, each with its label row
-    rows_p = np.argsort(np.array(ids_p, dtype=object))
-    rows_l = np.array([index[ids_p[i]] for i in rows_p], dtype=np.int64)
-    return compute_bundle(
-        pred_emotion=emotion_p[rows_p],
-        true_emotion=labels.emotion[rows_l],
-        pred_country=country_p[rows_p],
-        true_country=labels.country[rows_l],
-        pred_age_years=age_p[rows_p],
-        true_age_years=labels.age[rows_l].astype(float),
-    )
+    set_p, set_l = set(ids_p), set(labels.ids)
+    if set_p != set_l:
+        only_p, only_l = sorted(set_p - set_l), sorted(set_l - set_p)
+        raise DataError(f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
+                        f"{len(only_l)} only in labels {only_l[:5]}")
+    part = build_part(FeatureTable(ids_p, emotion_p), labels, "score")
+    at = slice(None) if part.order is None else part.order  # predictions in id order
+    return compute_bundle(emotion_p[at], part.y_emotion, country_p[at], part.y_country,
+                          age_p[at], part.y_age)
 
 
 def cmd_score(args) -> int:
@@ -261,6 +263,7 @@ def cmd_score(args) -> int:
         return 0
     if not args.predictions or not args.labels:
         raise ConfigError("score needs --predictions and --labels (or --components)")
+    _out_files(args, "--out-metrics")
     bundle = score_files(args.predictions, args.labels)
     if args.out_metrics:
         write_json(asdict(bundle), args.out_metrics)

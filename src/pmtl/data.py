@@ -14,9 +14,11 @@ predictions CSV   same columns as labels, but age is a float value read with
                   the emotions, which are not range-checked.
 
 Sample ids are unique; the canonical ordering everywhere is lexicographic
-by id, so results never depend on file row order. ``_read_rows`` reads all
-three CSV layouts, and only it chooses between the fast pass (CsvRows) and the
-csv-module loop; the age and country fields of labels are checked once, after.
+by id, so results never depend on file row order, and ``build_part`` is the
+one join of ids to label rows. The age target's z-score is a one-column
+Standardizer. ``_read_rows`` reads all three CSV layouts, and only it chooses
+between the fast pass (CsvRows) and the csv-module loop; the age and country
+fields of labels are checked once, after.
 
 Memory contract: a split's rows are the loaded rows, never written; every reader
 takes what it needs by ndarray's call, ``part.take(at, axis=0, out=buf,
@@ -156,33 +158,11 @@ class LabelTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def index(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.ids)}
-
-
-@dataclass(frozen=True)
-class AgeScaler:
-    """Standardization of age targets, fit on training labels only."""
-
-    mean: float
-    std: float
-
-    def scale(self, years):
-        return (np.asarray(years, dtype=np.float64) - self.mean) / self.std
-
-    def descale(self, scaled):
-        return np.asarray(scaled, dtype=np.float64) * self.std + self.mean
-
-    @classmethod
-    def fit(cls, years) -> "AgeScaler":
-        years = np.asarray(years, dtype=np.float64)
-        std = float(years.std())
-        return cls(mean=float(years.mean()), std=std if std > 0.0 else 1.0)
-
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature affine transform fit on the train split.
+    """Per-feature affine transform fit on the train split; the age target's
+    is a one-column zscore one (``join_splits``), which ``predict`` inverts.
 
     zscore: (x - mean) / std; minmax: maps the train range onto [-1, 1].
     Zero-spread features are centered but not scaled and recorded in
@@ -208,6 +188,10 @@ class Standardizer:
             raise DataError(f"feature f{column}: values overflow the {self.mode} "
                             "standardization") from None
         return out
+
+    def invert(self, y: np.ndarray) -> np.ndarray:
+        """y * scale + center: standardized values back in their own units."""
+        return y * self.scale + self.center
 
     @classmethod
     def fit(cls, train, mode: str) -> "Standardizer":
@@ -373,7 +357,7 @@ class SplitPart:
 class SplitDataset:
     train: SplitPart
     val: SplitPart
-    age_scaler: AgeScaler
+    age_scaler: Standardizer  # one column, zscore: the train ages
 
     @property
     def dim(self) -> int:
@@ -722,7 +706,7 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str) ->
         ids = tuple(ids[i] for i in order)
     if labels is None:
         return SplitPart(ids, features.features, None, None, None, order)
-    label_index = labels.index()
+    label_index = {sid: i for i, sid in enumerate(labels.ids)}
     missing = [sid for sid in ids if sid not in label_index]
     if missing:
         preview = ", ".join(missing[:10])
@@ -741,8 +725,8 @@ def build_part(features: FeatureTable, labels: LabelTable | None, split: str) ->
 
 def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitDataset:
     """Align the train and val features with labels, in lexicographic id
-    order (``build_part``). Every id must be labeled; the age scaler is fit
-    on the train labels."""
+    order (``build_part``). Every id must be labeled; the age scaler is a
+    one-column zscore Standardizer fit on the train ages."""
     for required in ("train", "val"):
         if required not in features:
             raise DataError(f"missing {required!r} feature table")
@@ -758,7 +742,7 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
 
     train = build_part(features["train"], labels, "train")
     val = build_part(features["val"], labels, "val")
-    return SplitDataset(train=train, val=val, age_scaler=AgeScaler.fit(train.y_age))
+    return SplitDataset(train, val, Standardizer.fit(train.y_age.reshape(-1, 1), "zscore"))
 
 
 def standardize(ds: SplitDataset, mode: str) -> SplitDataset:

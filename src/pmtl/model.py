@@ -377,8 +377,8 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
     dropped. Besides that buffer and its result arrays, predict holds one
     inference StepPlan of PREDICT_ROWS rows, without gradient buffers.
 
-    ``age_scaler`` maps the standardized age output back to years via its
-    ``descale`` method. Country is the argmax of the logits; numpy argmax
+    ``age_scaler``, the age target's one-column Standardizer, gives years
+    through ``invert``. Country is the argmax of the logits; numpy argmax
     resolves ties toward the lowest class index. ``params`` in another
     layout than ``param_shapes`` raise ShapeError.
     """
@@ -402,5 +402,5 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
         logits[start:start + k] = outputs.country_logits[:k]
         age_scaled[start:start + k] = outputs.age_scaled[:k, 0]
     country = np.argmax(logits, axis=1).astype(np.int64)
-    return PredictionSet(emotion=emotion, age_years=age_scaler.descale(age_scaled),
+    return PredictionSet(emotion=emotion, age_years=age_scaler.invert(age_scaled),
                          country=country)

@@ -37,10 +37,7 @@ _INV_2_53 = 2.0 ** -53
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer on a Python int (mod 2**64)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
-    return z ^ (z >> 31)
+    return int(_mix64_array(np.array(z & MASK64, dtype=np.uint64)))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:

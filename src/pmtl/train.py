@@ -230,16 +230,17 @@ def train_run(config: TrainConfig, data: SplitDataset):
 
     ``data`` is used as given (``standardize`` first if desired): each
     split's ``take`` reads its rows into a step or predict buffer and
-    standardizes them there; the rows themselves are never written.
-    Randomness: sub-seed 0 of ``config.seed`` initializes parameters,
-    sub-seed 1 drives every epoch's shuffle; identical (config, data)
-    reproduce the history bit for bit, wall-clock time aside. The gradients
-    are written into one ``Params`` of the parameters' layout. A model whose
-    parameters, optimizer moments, step buffers or best-parameter copy do
-    not fit in memory raises ConfigError. A floating-point fault raises
-    NumericalError naming its epoch; at epoch 0, with fresh parameters, it
-    is in the data: DataError, as is a value that overflows a split's
-    standardization.
+    standardizes them there; the rows themselves are never written. The
+    age head learns the train ages through ``data.age_scaler.apply``, and
+    ``predict`` inverts it. Randomness: sub-seed 0 of ``config.seed``
+    initializes parameters, sub-seed 1 drives every epoch's shuffle;
+    identical (config, data) reproduce the history bit for bit, wall-clock
+    time aside. The gradients are written into one ``Params`` of the
+    parameters' layout. A model whose parameters, optimizer moments, step
+    buffers or best-parameter copy do not fit in memory raises ConfigError.
+    A floating-point fault raises NumericalError naming its epoch; at epoch
+    0, with fresh parameters, it is in the data: DataError, as is a value
+    that overflows a split's standardization.
     """
     if not (data.train.labeled and data.val.labeled):
         raise DataError("train and val splits must be labeled")
@@ -259,8 +260,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
     except MemoryError:
         size = sum(math.prod(shape) for _, shape in param_shapes(config.model))
         raise ConfigError(f"a model of {size:,} parameters does not fit in memory") from None
-    scaler = data.age_scaler
-    y_age_scaled = scaler.scale(data.train.y_age).reshape(-1, 1)
+    y_age_scaled = data.age_scaler.apply(data.train.y_age.reshape(-1, 1))
     batch_buffer = plans[min(config.batch_size, len(data.train))].input  # lent to predict
 
     records: list[EpochRecord] = []
@@ -276,7 +276,7 @@ def train_run(config: TrainConfig, data: SplitDataset):
                         params, config, plans, grads, data.train, data.train.y_emotion,
                         data.train.y_country, y_age_scaled, shuffle_rng, adam,
                     )
-                preds = predict(params, config.model, data.val, scaler, batch_buffer)
+                preds = predict(params, config.model, data.val, data.age_scaler, batch_buffer)
         except (NumericalError, FloatingPointError) as exc:
             raise (NumericalError if epoch else DataError)(f"epoch {epoch}: {exc}") from exc
         val = evaluate(preds, data.val)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmtl.data import SynthSpec, standardize, synth_dataset
+from pmtl.data import Standardizer, SynthSpec, standardize, synth_dataset
 from pmtl.model import ModelConfig
 
 
@@ -35,6 +35,13 @@ def small_dataset():
     """Standardized synthetic dataset shared by training tests."""
     ds = synth_dataset(SynthSpec(n_train=400, n_val=150, dim=24, rank=6, seed=11))
     return standardize(ds, "zscore")
+
+
+@pytest.fixture(scope="session")
+def age_scaler():
+    """``age_scaler(mean, std)``: an age scaler as ``join_splits`` fits one, a
+    one-column zscore Standardizer, with that center and scale."""
+    return lambda mean, std: Standardizer("zscore", np.array([mean]), np.array([std]))
 
 
 @pytest.fixture

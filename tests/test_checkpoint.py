@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 import pmtl.checkpoint
 from pmtl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from pmtl.data import AgeScaler, Standardizer
+from pmtl.data import Standardizer
 from pmtl.errors import DataFormatError, PmtlError
 from pmtl.model import ModelConfig, init_params, param_shapes, predict
 from pmtl.rng import RngStream
 
 
 @pytest.fixture
-def saved(tmp_path, tiny_config):
+def saved(tmp_path, tiny_config, age_scaler):
     params = init_params(tiny_config, RngStream(1))
-    scaler = AgeScaler(mean=29.731, std=4.128)
+    scaler = age_scaler(29.731, 4.128)
     std = Standardizer(
         mode="zscore",
         center=np.linspace(-1, 1, tiny_config.input_dim),
@@ -39,16 +39,17 @@ def test_round_trip_bit_exact(saved):
     for name, v in params.items():
         assert v.dtype == np.float64
         assert np.array_equal(ck.params[name], v), name
-    assert (ck.age_scaler.mean, ck.age_scaler.std) == (scaler.mean, scaler.std)
+    assert ck.age_scaler.center.tolist() == scaler.center.tolist() == [29.731]
+    assert ck.age_scaler.scale.tolist() == scaler.scale.tolist() == [4.128]
     assert ck.standardizer.mode == "zscore"
     assert np.array_equal(ck.standardizer.center, std.center)
     assert np.array_equal(ck.standardizer.scale, std.scale)
     assert ck.standardizer.degenerate_columns == (2,)
 
 
-def test_save_is_deterministic(tmp_path, tiny_config):
+def test_save_is_deterministic(tmp_path, tiny_config, age_scaler):
     params = init_params(tiny_config, RngStream(3))
-    scaler = AgeScaler(mean=30.0, std=5.0)
+    scaler = age_scaler(30.0, 5.0)
     p1 = tmp_path / "a.pmck"
     p2 = tmp_path / "b.pmck"
     save_checkpoint(p1, params, tiny_config, scaler)
@@ -64,27 +65,27 @@ def test_resave_after_load_identical_bytes(saved, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_no_standardizer_is_allowed(tmp_path, tiny_config):
+def test_no_standardizer_is_allowed(tmp_path, tiny_config, age_scaler):
     params = init_params(tiny_config, RngStream(2))
     path = tmp_path / "bare.pmck"
-    save_checkpoint(path, params, tiny_config, AgeScaler(mean=30.0, std=5.0))
+    save_checkpoint(path, params, tiny_config, age_scaler(30.0, 5.0))
     ck = load_checkpoint(path)
     assert ck.standardizer is None
 
 
-def test_preserves_exact_float_values(tmp_path, tiny_config):
+def test_preserves_exact_float_values(tmp_path, tiny_config, age_scaler):
     params = init_params(tiny_config, RngStream(2))
     # values that expose any text/float round-trip sloppiness
     params["shared0.w"][0, 0] = 0.1 + 0.2
     params["shared0.w"][0, 1] = np.nextafter(1.0, 2.0)
-    scaler = AgeScaler(mean=1.0 / 3.0, std=np.nextafter(4.5, 5.0))
+    scaler = age_scaler(1.0 / 3.0, np.nextafter(4.5, 5.0))
     path = tmp_path / "exact.pmck"
     save_checkpoint(path, params, tiny_config, scaler)
     ck = load_checkpoint(path)
     assert ck.params["shared0.w"][0, 0] == 0.1 + 0.2
     assert ck.params["shared0.w"][0, 1] == np.nextafter(1.0, 2.0)
-    assert ck.age_scaler.mean == 1.0 / 3.0
-    assert ck.age_scaler.std == np.nextafter(4.5, 5.0)
+    assert ck.age_scaler.center[0] == 1.0 / 3.0
+    assert ck.age_scaler.scale[0] == np.nextafter(4.5, 5.0)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -144,20 +145,20 @@ def test_load_gives_the_training_layout_and_its_predictions(saved):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
-def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path, traced_peak):
+def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path, traced_peak, age_scaler):
     config = ModelConfig(input_dim=1024)
     std = Standardizer(mode="zscore", center=np.zeros(1024), scale=np.ones(1024))
     path = tmp_path / "wide.pmck"
-    save_checkpoint(path, init_params(config, RngStream(2)), config, AgeScaler(30.0, 5.0), std)
+    save_checkpoint(path, init_params(config, RngStream(2)), config, age_scaler(30.0, 5.0), std)
     _, peak = traced_peak(lambda: load_checkpoint(path))
     assert peak <= 2.2 * path.stat().st_size
 
 
-def test_load_checks_finiteness_in_fixed_scratch(tmp_path, traced_peak):
+def test_load_checks_finiteness_in_fixed_scratch(tmp_path, traced_peak, age_scaler):
     config = ModelConfig(input_dim=1024)
     std = Standardizer(mode="zscore", center=np.zeros(1024), scale=np.ones(1024))
     path = tmp_path / "wide.pmck"
-    save_checkpoint(path, init_params(config, RngStream(2)), config, AgeScaler(30.0, 5.0), std)
+    save_checkpoint(path, init_params(config, RngStream(2)), config, age_scaler(30.0, 5.0), std)
     _, peak = traced_peak(lambda: load_checkpoint(path))
     # the file and one copy of each table; a flag per parameter would add 1/8 of the file
     assert peak <= 2.05 * path.stat().st_size
@@ -233,13 +234,13 @@ def test_missing_or_non_finite_tensor_rejected(saved, tmp_path, rewrite_header, 
 
 
 @pytest.fixture(scope="module")
-def checkpoint_bytes(tmp_path_factory):
+def checkpoint_bytes(tmp_path_factory, age_scaler):
     config = ModelConfig(input_dim=3, shared_dims=(2,), age_head_dims=(2, 1),
                          emotion_hidden=2, country_hidden=2)
     path = tmp_path_factory.mktemp("ck") / "real.pmck"
     std = Standardizer(mode="zscore", center=np.zeros(3), scale=np.ones(3))
     save_checkpoint(path, init_params(config, RngStream(0)), config,
-                    AgeScaler(mean=30.0, std=4.0), std)
+                    age_scaler(30.0, 4.0), std)
     return path.read_bytes()
 
 

@@ -450,6 +450,31 @@ def test_score_id_mismatch_exits_2(workspace, capsys):
     assert "id mismatch" in err
 
 
+@pytest.mark.parametrize("extra_in", ["predictions", "labels"])
+def test_score_id_mismatch_names_the_extra_id(workspace, tmp_path, capsys, extra_in):
+    data = workspace / "data"
+    preds = tmp_path / "p.csv"
+    main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+          "--features", str(data / "val_features.csv"), "--out-predictions", str(preds)])
+    labels = load_labels_csv(data / "val_labels.csv")
+    if extra_in == "predictions":  # the labels lose their last id
+        save_labels_csv(LabelTable(labels.ids[:-1], labels.emotion[:-1], labels.age[:-1],
+                                   labels.country[:-1]), tmp_path / "l.csv")
+    else:
+        ids, emotion, age, country = load_predictions_csv(preds)
+        save_predictions_csv(ids[:-1], emotion[:-1], age[:-1], country[:-1], preds)
+        save_labels_csv(labels, tmp_path / "l.csv")
+    capsys.readouterr()
+    code, out, err = run(capsys, ["score", "--predictions", str(preds),
+                                  "--labels", str(tmp_path / "l.csv")])
+    counts = (1, 0) if extra_in == "predictions" else (0, 1)
+    extra = [labels.ids[-1]]
+    assert (code, out) == (2, "")
+    assert err == (f"pmtl: error: id mismatch: {counts[0]} only in predictions "
+                   f"{extra if counts[0] else []}, {counts[1]} only in labels "
+                   f"{extra if counts[1] else []}\n")
+
+
 def test_score_components_direct(capsys):
     code, out, _ = run(capsys, ["score", "--components", "0.3", "0.5", "0.4"])
     assert code == 0
@@ -667,6 +692,39 @@ def test_unusable_out_fails_before_the_run(workspace, tmp_path, capsys, monkeypa
     assert (code, stdout) == (2, "")
     assert err == f"pmtl: error: --out {out}: {regular} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["regular", "spec.json"]
+    assert regular.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command,bad_flag", [
+    ("eval", "--out-predictions"), ("eval", "--out-metrics"), ("score", "--out-metrics"),
+], ids=["eval-predictions", "eval-metrics", "score-metrics"])
+@pytest.mark.parametrize("where", ["under-a-file", "in-a-missing-directory", "a-directory"])
+def test_unusable_output_file_fails_before_any_input_is_read(workspace, tmp_path, capsys,
+                                                             monkeypatch, command, bad_flag,
+                                                             where):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+    for name in ("load_checkpoint", "feature_dim", "load_features", "load_labels_csv",
+                 "load_predictions_csv", "predict"):
+        monkeypatch.setattr(pmtl.cli, name, read)
+    regular = tmp_path / "regular"
+    regular.write_text("kept\n")
+    bad = {"under-a-file": regular / "out", "in-a-missing-directory": tmp_path / "no" / "out",
+           "a-directory": tmp_path}[where]
+    message = "is a directory" if where == "a-directory" else f"{bad.parent} is not a directory"
+    outputs = {"--out-predictions": tmp_path / "p.csv", "--out-metrics": tmp_path / "m.json"}
+    if command == "score":
+        del outputs["--out-predictions"]
+    outputs[bad_flag] = bad
+    inputs = (["--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+               "--features", str(workspace / "data" / "val_features.csv")]
+              if command == "eval" else ["--predictions", str(tmp_path / "regular")])
+    code, stdout, err = run(capsys, [
+        command, *inputs, "--labels", str(workspace / "data" / "val_labels.csv"),
+        *(arg for pair in outputs.items() for arg in map(str, pair))])
+    assert (code, stdout) == (2, "")
+    assert err == f"pmtl: error: {bad_flag} {bad}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
     assert regular.read_text() == "kept\n"
 
 

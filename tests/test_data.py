@@ -23,7 +23,6 @@ from pmtl.data import (
     EMOTIONS,
     FEATURE_MAGIC,
     FIT_CHUNK,
-    AgeScaler,
     FeatureTable,
     FileRows,
     LabelTable,
@@ -907,9 +906,8 @@ def test_join_aligns_labels_by_id():
     features = {"train": make_features(["b", "a"]), "val": make_features(["c"], 50.0)}
     labels = make_labels(["c", "a", "b"])
     ds = join_splits(features, labels)
-    index = labels.index()
     for i, sid in enumerate(ds.train.ids):
-        assert np.array_equal(ds.train.y_emotion[i], labels.emotion[index[sid]])
+        assert np.array_equal(ds.train.y_emotion[i], labels.emotion[labels.ids.index(sid)])
 
 
 def test_join_missing_label_lists_ids():
@@ -943,16 +941,37 @@ def test_age_scaler_fit_on_train_only():
     labels = make_labels(["a", "b", "c"])
     ds = join_splits(features, labels)
     train_ages = ds.train.y_age
-    assert ds.age_scaler.mean == pytest.approx(train_ages.mean())
-    assert ds.age_scaler.std == pytest.approx(train_ages.std())
+    assert ds.age_scaler.mode == "zscore"
+    assert ds.age_scaler.center.tolist() == [train_ages.mean()]
+    assert ds.age_scaler.scale.tolist() == [train_ages.std()]
 
 
-def test_age_scaler_round_trip():
-    scaler = AgeScaler(mean=29.5, std=4.25)
+def test_age_scaler_round_trip(age_scaler):
+    scaler = age_scaler(29.5, 4.25)
     ages = np.array([20.0, 29.5, 39.0])
-    assert np.allclose(scaler.descale(scaler.scale(ages)), ages, atol=1e-12)
+    assert np.allclose(scaler.invert(scaler.apply(ages)), ages, atol=1e-12)
     # degenerate spread falls back to std 1
-    assert AgeScaler.fit(np.array([30, 30, 30])).std == 1.0
+    assert Standardizer.fit(np.array([[30.0], [30.0], [30.0]]), "zscore").scale.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("kind", ["integer", "uniform", "constant"])
+def test_age_scaler_has_the_bits_of_numpys_1d_mean_and_std(kind):
+    # a lone column is summed pairwise, as numpy sums a 1-D array; a fit that
+    # streamed the ages row by row (``_row_stats``) would give other bits
+    rng = np.random.default_rng(29)
+    for n in (*range(1, 300), 1_000, 2_000, 4_097, 20_000, 65_537):
+        years = {"integer": lambda: rng.integers(18, 90, n).astype(np.float64),
+                 "uniform": lambda: rng.uniform(18.0, 90.0, n),
+                 "constant": lambda: np.full(n, 41.0)}[kind]()
+        scaler = Standardizer.fit(years.reshape(-1, 1), "zscore")
+        mean, std = years.mean(), years.std()
+        assert scaler.center.tobytes() == mean.tobytes(), n
+        assert scaler.scale.tobytes() == (std if std > 0 else np.float64(1.0)).tobytes(), n
+        assert scaler.degenerate_columns == (() if std > 0 else (0,))
+        std = std if std > 0 else 1.0
+        scaled = scaler.apply(years.reshape(-1, 1))
+        assert scaled.tobytes() == ((years - mean) / std).tobytes(), n
+        assert scaler.invert(scaled[:, 0]).tobytes() == (scaled[:, 0] * std + mean).tobytes(), n
 
 
 def test_standardize_zscore_train_stats():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import pmtl.model
-from pmtl.data import AgeScaler
 from pmtl.errors import ConfigError, ShapeError
 import pmtl.train
 from pmtl.gradcheck import grad_check
@@ -511,7 +510,7 @@ def test_stacked_layer_reads_and_writes_the_flat_buffers(tiny_config):
     assert not any(np.shares_memory(buf, t.flat) for buf in plan.buffers for t in (params, grads))
 
 
-def test_predict_refuses_params_in_another_layout(tiny_config):
+def test_predict_refuses_params_in_another_layout(tiny_config, age_scaler):
     # filled by name but laid out in reverse: the stacked layer would read
     # the wrong memory
     params = init_params(tiny_config, RngStream(8))
@@ -521,24 +520,16 @@ def test_predict_refuses_params_in_another_layout(tiny_config):
     x, *_ = make_batch(tiny_config, 4)
     for bad in (mislaid, dict(params)):
         with pytest.raises(ShapeError, match="parameter layout"):
-            predict(bad, tiny_config, x, _Scaler(30.0, 5.0))
+            predict(bad, tiny_config, x, age_scaler(30.0, 5.0))
     other = ModelConfig(**{**asdict(tiny_config), "emotion_hidden": 4})
     with pytest.raises(ShapeError, match="parameter layout"):
-        predict(params, other, x, _Scaler(30.0, 5.0))
+        predict(params, other, x, age_scaler(30.0, 5.0))
 
 
-class _Scaler:
-    def __init__(self, mean, std):
-        self.mean, self.std = mean, std
-
-    def descale(self, v):
-        return np.asarray(v) * self.std + self.mean
-
-
-def test_predict_shapes_and_descaling(tiny_config):
+def test_predict_shapes_and_descaling(tiny_config, age_scaler):
     params = init_params(tiny_config, RngStream(9))
     x, *_ = make_batch(tiny_config, 12)
-    preds = predict(params, tiny_config, x, _Scaler(30.0, 5.0))
+    preds = predict(params, tiny_config, x, age_scaler(30.0, 5.0))
     assert preds.emotion.shape == (12, 10)
     assert preds.age_years.shape == (12,)
     assert preds.country.shape == (12,)
@@ -560,13 +551,13 @@ def _prediction_rows(preds, at=slice(None)):
 
 @pytest.mark.parametrize("config", [ModelConfig(input_dim=16), ModelConfig(input_dim=1024),
                                     GOLDEN_MODEL], ids=["w16", "w1024", "golden"])
-def test_a_row_predicts_the_same_bits_whatever_rows_come_with_it(config):
+def test_a_row_predicts_the_same_bits_whatever_rows_come_with_it(config, age_scaler):
     # Every forward pass has PREDICT_ROWS rows, the last block zero-padded,
     # so no row count picks other BLAS kernels: each row of predict(x[:n])
     # is that row of predict(x), and permuted rows give permuted outputs.
     params = init_params(config, RngStream(4))
     x = np.random.default_rng(2).standard_normal((3200, config.input_dim))
-    scaler = AgeScaler(mean=29.5, std=4.25)
+    scaler = age_scaler(29.5, 4.25)
     full = predict(params, config, x, scaler)
     for n in (1, 7, 127, 129, 200, 255, 257, 3000, 3200):
         assert _prediction_rows(predict(params, config, x[:n], scaler)) == \
@@ -576,10 +567,10 @@ def test_a_row_predicts_the_same_bits_whatever_rows_come_with_it(config):
         _prediction_rows(full, permutation)
 
 
-def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_peak):
+def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_peak, age_scaler):
     config = ModelConfig(input_dim=64)
     params = init_params(config, RngStream(5))
-    scaler = AgeScaler(mean=30.0, std=5.0)
+    scaler = age_scaler(30.0, 5.0)
     peaks = {}
     for n in (1000, 16000):
         x = np.random.default_rng(n).standard_normal((n, config.input_dim))
@@ -589,7 +580,7 @@ def test_predict_memory_does_not_grow_with_the_rows_beyond_its_outputs(traced_pe
     assert peaks[16000] - peaks[1000] <= 1.1 * 15000 * outputs
 
 
-def test_predict_keeps_the_traced_forward_path(monkeypatch):
+def test_predict_keeps_the_traced_forward_path(monkeypatch, age_scaler):
     # perfbench's traced runs wrap these names in pmtl.model and need a call of each
     names = ("forward", "linear_forward", "layer_norm_forward", "leaky_relu_forward",
              "sigmoid_forward")
@@ -605,7 +596,7 @@ def test_predict_keeps_the_traced_forward_path(monkeypatch):
         monkeypatch.setattr(pmtl.model, name, counting(name, getattr(pmtl.model, name)))
     config = ModelConfig(input_dim=16)
     x = np.random.default_rng(3).standard_normal((300, config.input_dim))
-    predict(init_params(config, RngStream(6)), config, x, AgeScaler(mean=30.0, std=5.0))
+    predict(init_params(config, RngStream(6)), config, x, age_scaler(30.0, 5.0))
     assert set(calls) == set(names)
     assert calls.count("forward") == -(-300 // PREDICT_ROWS)  # the last block zero-padded
 
@@ -638,11 +629,11 @@ def test_a_training_step_keeps_the_traced_names(monkeypatch, tiny_config):
     assert calls == {(module, name) for module, names in traced.items() for name in names}
 
 
-def test_predict_holds_one_block_and_no_backward_caches(traced_peak):
+def test_predict_holds_one_block_and_no_backward_caches(traced_peak, age_scaler):
     config = ModelConfig(input_dim=64)
     params = init_params(config, RngStream(5))
     x = np.random.default_rng(7).standard_normal((1000, config.input_dim))
-    _, peak = traced_peak(lambda: predict(params, config, x, AgeScaler(mean=30.0, std=5.0)))
+    _, peak = traced_peak(lambda: predict(params, config, x, age_scaler(30.0, 5.0)))
     # the outputs, then at most four arrays as large as the widest layer of the
     # largest block: no backward caches, and no earlier block still held
     outputs = 8 * len(x) * (config.emotion_out + config.country_out + 3)

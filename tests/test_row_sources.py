@@ -20,7 +20,6 @@ from pmtl.data import (
     FIT_CHUNK,
     READ_BUFFER,
     STANDARDIZE_MODES,
-    AgeScaler,
     CsvRows,
     FeatureTable,
     FileRows,
@@ -325,7 +324,8 @@ def _checkpoint(path, d):
     """A small untrained model of width ``d`` whose standardizer doubles every value."""
     config = ModelConfig(input_dim=d, shared_dims=(12, 6), age_head_dims=(6, 3),
                          emotion_hidden=6, country_hidden=6)
-    save_checkpoint(path, init_params(config, RngStream(3)), config, AgeScaler(30.0, 5.0),
+    save_checkpoint(path, init_params(config, RngStream(3)), config,
+                    Standardizer("zscore", np.array([30.0]), np.array([5.0])),
                     Standardizer("zscore", np.zeros(d), np.full(d, 0.5)))
 
 

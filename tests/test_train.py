@@ -338,7 +338,7 @@ def test_epoch_pass_holds_no_copy_of_a_batch(traced_peak):
     config = TrainConfig(model=ModelConfig(input_dim=dim), batch_size=batch)
     params = init_params(config.model, RngStream(0))
     adam = init_adam(params)
-    y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
+    y_age_scaled = ds.age_scaler.apply(ds.train.y_age.reshape(-1, 1))
     plans, grads = step_plans(config.model, len(ds.train), batch), init_grads(config.model)
     original = ds.train.rows.copy()
 
@@ -361,7 +361,7 @@ def test_a_batch_256_step_allocates_no_layer_sized_array(traced_peak):
     params = init_params(config.model, RngStream(0))
     adam = init_adam(params)
     plans, grads = step_plans(config.model, batch, batch), init_grads(config.model)
-    y_age_scaled = ds.age_scaler.scale(ds.train.y_age).reshape(-1, 1)
+    y_age_scaled = ds.age_scaler.apply(ds.train.y_age.reshape(-1, 1))
 
     def one_step():
         return _epoch_pass(params, config, plans, grads, ds.train.rows, ds.train.y_emotion,
