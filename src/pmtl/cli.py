@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -165,17 +166,18 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     raw = _read_json(args.config, "config") if args.config else {}
     raw = _apply_overrides(raw, args)
+    config, mode = parse_train_config(raw, input_dim=feature_dim(args.train_features))
     ds = _load_dataset(args.train_features, args.val_features, load_labels_csv(args.labels))
-    config, mode = parse_train_config(raw, input_dim=ds.dim)
     ds = standardize(ds, mode)
 
+    start = time.perf_counter()
     params, history = train_run(config, ds)
+    wall_seconds = time.perf_counter() - start
 
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.pmck", params, config.model,
                     ds.age_scaler, ds.train.standardizer)
-    write_json({"run": history.canonical_dict(),
-                "wall_seconds": history.wall_seconds}, out / "history.json")
+    write_json({"run": asdict(history), "wall_seconds": wall_seconds}, out / "history.json")
     manifest = {
         "train_config": asdict(config),
         "standardize": mode,
@@ -204,6 +206,8 @@ def cmd_eval(args) -> int:
     outputs, and puts them in id order at the end to write and score them."""
     if args.labels is None and args.out_predictions is None:
         raise ConfigError("eval needs --labels, --out-predictions, or both")
+    if args.out_metrics is not None and args.labels is None:
+        raise ConfigError("eval --out-metrics needs --labels")
     _out_files(args, "--out-predictions", "--out-metrics")
     ck = load_checkpoint(args.checkpoint)
     dim = feature_dim(args.features)
@@ -254,6 +258,8 @@ def score_files(predictions_path, labels_path):
 
 def cmd_score(args) -> int:
     if args.components is not None:
+        if any(v is not None for v in (args.predictions, args.labels, args.out_metrics)):
+            raise ConfigError("--components takes no --predictions, --labels or --out-metrics")
         try:
             score, flagged = multitask_score_detail(*args.components)
         except ValueError as exc:  # a NaN component
@@ -285,6 +291,9 @@ def _feature_paths(raw: dict, args):
     if args.labels is None or not (isinstance(sets, dict) and isinstance(values, list)):
         raise ConfigError("feature_set sweep needs --labels, a 'values' list of names and a "
                           "'feature_sets' mapping {name: {train: path, val: path}}")
+    if args.train_features is not None or args.val_features is not None:
+        raise ConfigError("a feature_set sweep takes its paths from 'feature_sets', "
+                          "not --train-features or --val-features")
     for value in values:
         entry = sets.get(value) if isinstance(value, str) else None
         if not (isinstance(entry, dict) and all(
@@ -467,7 +476,3 @@ def main(argv=None) -> int:
     except (PmtlError, OSError) as exc:  # an OSError is a data error
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

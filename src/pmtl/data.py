@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decimals import parse_decimals
-from .errors import ConfigError, DataError, DataFormatError, ShapeError, check_fields
+from .errors import ConfigError, DataError, DataFormatError, check_fields
 from .rng import RngStream
 
 EMOTIONS = (
@@ -138,7 +138,7 @@ class FeatureTable:
 
     def __post_init__(self):
         if len(self.ids) != self.features.shape[0]:
-            raise ShapeError("FeatureTable", (len(self.ids),), self.features.shape)
+            raise DataError(f"{len(self.ids)} ids for {self.features.shape[0]} feature rows")
 
     @property
     def dim(self) -> int:

@@ -2,9 +2,11 @@
 config records.
 
 Every error raised by the library derives from PmtlError and carries the
-process exit code the CLI should use: 1 for usage/config problems, 2 for
-data problems, 3 for numerical failures. ``check_fields`` checks each field
-of a config record against its annotation and raises ConfigError.
+process exit code the CLI should use: 1 for usage/config problems (such as
+parameters in another layout than the model's), 2 for data problems (such
+as a table with more or fewer ids than rows), 3 for numerical failures.
+``check_fields`` checks each field of a config record against its
+annotation and raises ConfigError.
 """
 
 import functools
@@ -67,13 +69,6 @@ class DataFormatError(DataError):
         loc = ("" if path is None else f"{path}") + ("" if line is None else f":{line}")
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path, self.line = path, line
-
-
-class ShapeError(PmtlError, ValueError):
-    """Operand shapes are incompatible; names both shapes."""
-
-    def __init__(self, op, shape_a, shape_b):
-        super().__init__(f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}")
 
 
 class NumericalError(PmtlError):

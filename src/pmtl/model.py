@@ -39,7 +39,7 @@ from typing import Literal
 import numpy as np
 
 from .data import COUNTRIES, EMOTIONS
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, check_fields
 from .layers import (
     layer_norm_backward,
     layer_norm_forward,
@@ -380,10 +380,10 @@ def predict(params: Params, config: ModelConfig, x, age_scaler,
     ``age_scaler``, the age target's one-column Standardizer, gives years
     through ``invert``. Country is the argmax of the logits; numpy argmax
     resolves ties toward the lowest class index. ``params`` in another
-    layout than ``param_shapes`` raise ShapeError.
+    layout than ``param_shapes`` raise ConfigError.
     """
-    if getattr(params, "layout", ()) != param_shapes(config):
-        raise ShapeError("parameter layout", getattr(params, "layout", ()), param_shapes(config))
+    if (layout := getattr(params, "layout", ())) != param_shapes(config):
+        raise ConfigError(f"parameter layout {layout} is not {param_shapes(config)}")
     n = len(x)
     if out is None or len(out) < PREDICT_ROWS:
         out = np.empty((PREDICT_ROWS, config.input_dim))

@@ -13,17 +13,12 @@ updates, ``p -= alpha * m / (sqrt(v) + eps_hat)`` with
 The gradients are a ``Params`` of the parameters' layout and key order, so
 the update runs over the two flat buffers side by side; no gradient is
 clipped.
-
-The run's wall-clock time in RunHistory is informational only; the
-canonical form used for run comparison (``RunHistory.canonical_dict``)
-excludes it, since timing can never be bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,20 +144,12 @@ class EpochRecord:
 
 
 @dataclass(frozen=True)
-class RunHistory:
+class RunHistory:  # no clock: asdict() is the canonical record of a run
     initial_val: MetricsBundle  # untrained (epoch 0) validation metrics
     epochs: tuple[EpochRecord, ...]
     best_epoch: int
     best_val: MetricsBundle
     stopped_early: bool
-    wall_seconds: float
-
-    def canonical_dict(self) -> dict:
-        """Everything that the determinism contract covers: ``asdict``
-        without the wall-clock time."""
-        record = asdict(self)
-        del record["wall_seconds"]
-        return record
 
 
 # -- evaluation -------------------------------------------------------------
@@ -234,8 +221,8 @@ def train_run(config: TrainConfig, data: SplitDataset):
     age head learns the train ages through ``data.age_scaler.apply``, and
     ``predict`` inverts it. Randomness: sub-seed 0 of ``config.seed``
     initializes parameters, sub-seed 1 drives every epoch's shuffle;
-    identical (config, data) reproduce the history bit for bit, wall-clock
-    time aside. The gradients are written into one ``Params`` of the
+    identical (config, data) reproduce the history, which holds no clock,
+    bit for bit. The gradients are written into one ``Params`` of the
     parameters' layout. A model whose parameters, optimizer moments, step
     buffers or best-parameter copy do not fit in memory raises ConfigError.
     A floating-point fault raises NumericalError naming its epoch; at epoch
@@ -248,7 +235,6 @@ def train_run(config: TrainConfig, data: SplitDataset):
         raise ConfigError(f"model input_dim must be {data.dim} to fit the data, "
                           f"got {config.model.input_dim}")
 
-    t_start = time.perf_counter()
     init_rng = RngStream(derive_subseed(config.seed, 0))
     shuffle_rng = RngStream(derive_subseed(config.seed, 1))
     try:
@@ -295,4 +281,4 @@ def train_run(config: TrainConfig, data: SplitDataset):
 
     return best_params, RunHistory(
         initial_val=initial_val, epochs=tuple(records), best_epoch=best_epoch, best_val=best_val,
-        stopped_early=stopped_early, wall_seconds=time.perf_counter() - t_start)
+        stopped_early=stopped_early)

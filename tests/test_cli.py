@@ -141,11 +141,25 @@ def test_bad_synth_value_exits_1(tmp_path, capsys, config, fragment):
 # -- train ------------------------------------------------------------------
 
 
-def test_train_artifacts(workspace):
-    out = workspace / "run"
+def test_train_artifacts(workspace, tmp_path, capsys, monkeypatch):
+    returned = []
+
+    def recorded(*args):
+        returned.append(pmtl.train.train_run(*args))
+        return returned[-1]
+    monkeypatch.setattr(pmtl.cli, "train_run", recorded)
+    out = tmp_path / "run"
+    code, _, err = run(capsys, ["train", *data_args(workspace), "--out", str(out),
+                                "--config", str(workspace / "train_config.json")])
+    assert code == 0, err
     assert (out / "checkpoint.pmck").exists()
     history = json.loads((out / "history.json").read_text())
-    assert {"run", "wall_seconds"} <= set(history)
+    assert set(history) == {"run", "wall_seconds"}
+    # the run record is the returned history as it stands, with no clock in it
+    [(_, returned_history)] = returned
+    assert (json.dumps(history["run"], sort_keys=True)
+            == json.dumps(asdict(returned_history), sort_keys=True))
+    assert history["wall_seconds"] > 0.0
     assert history["run"]["best_epoch"] >= 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["standardize"] == "zscore"
@@ -726,6 +740,66 @@ def test_unusable_output_file_fails_before_any_input_is_read(workspace, tmp_path
     assert err == f"pmtl: error: {bad_flag} {bad}: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
     assert regular.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"batch_size": 0}, []), ({}, ["--batch-size", "0"]),
+], ids=["in-the-config", "as-a-flag"])
+def test_train_config_is_checked_before_any_data_is_read(workspace, tmp_path, capsys,
+                                                         monkeypatch, config, flags):
+    def read(*args, **kwargs):
+        raise AssertionError("data were read")
+    for name in ("load_features", "load_labels_csv", "join_splits", "train_run"):
+        monkeypatch.setattr(pmtl.cli, name, read)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    data = workspace / "data"
+    code, stdout, err = run(capsys, [
+        "train", "--train-features", str(data / "train_features.csv"),
+        "--val-features", str(tmp_path / "missing.csv"), "--labels", str(data / "labels.csv"),
+        "--config", str(tmp_path / "config.json"), *flags, "--out", str(tmp_path / "o")])
+    assert (code, stdout) == (1, "")
+    assert err == "pmtl: error: bad train config: batch_size must be >= 1, got 0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+COMPONENTS_ALONE = "--components takes no --predictions, --labels or --out-metrics"
+SPEC_PATHS = ("a feature_set sweep takes its paths from 'feature_sets', "
+              "not --train-features or --val-features")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "--out-predictions", "p.csv", "--out-metrics", "m.json"],
+     "eval --out-metrics needs --labels"),
+    (["score", "--predictions", "p.csv"], COMPONENTS_ALONE),
+    (["score", "--labels", "missing.csv"], COMPONENTS_ALONE),
+    (["score", "--out-metrics", "m.json"], COMPONENTS_ALONE),
+    (["sweep", "--train-features", "missing.csv"], SPEC_PATHS),
+    (["sweep", "--val-features", "missing.csv"], SPEC_PATHS),
+], ids=["eval-metrics-without-labels", "score-components-predictions",
+        "score-components-labels", "score-components-metrics",
+        "feature-set-sweep-train-features", "feature-set-sweep-val-features"])
+def test_a_flag_the_command_would_ignore_exits_1_before_anything_is_read(
+        workspace, tmp_path, capsys, monkeypatch, argv, message):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+    for name in ("load_checkpoint", "feature_dim", "load_features", "load_labels_csv",
+                 "load_predictions_csv", "predict", "train_run", "run_sweep"):
+        monkeypatch.setattr(pmtl.cli, name, read)
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    extra = {
+        "eval": ["--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+                 "--features", str(workspace / "data" / "val_features.csv")],
+        "score": ["--components", "0.5", "0.5", "0.5"],
+        "sweep": ["--labels", str(workspace / "data" / "labels.csv"),
+                  "--spec", "spec.json", "--out", "o"],
+    }[command]
+    write_feature_set_spec(workspace, tmp_path / "spec.json",
+                           {"train": "narrow/train.bin", "val": "narrow/val.bin"})
+    code, stdout, err = run(capsys, [command, *extra, *flags])
+    assert (code, stdout) == (1, "")
+    assert err == f"pmtl: error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 def test_unknown_flag_exits_1(capsys):

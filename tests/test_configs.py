@@ -34,8 +34,9 @@ def test_shipped_config_parses(path):
         config, _ = parse_train_config(raw, input_dim=INPUT_DIM)
         assert isinstance(config, TrainConfig)
     elif kind == "sweep":
-        flags = argparse.Namespace(train_features="train.csv", val_features="val.csv",
-                                   labels="labels.csv")
+        # a feature_set sweep takes its paths from the spec and refuses the flags
+        train, val = (None, None) if raw["axis"] == "feature_set" else ("train.csv", "val.csv")
+        flags = argparse.Namespace(train_features=train, val_features=val, labels="labels.csv")
         _feature_paths(raw, flags)
         spec = dict(raw)
         spec.pop("feature_sets", None)

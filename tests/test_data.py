@@ -127,6 +127,14 @@ def test_load_features_dispatches_on_magic(tmp_path, rng_np):
     assert np.array_equal(values(load_features(csv_path)), values(load_features(bin_path)))
 
 
+@pytest.mark.parametrize("ids", [("a",), ("a", "b", "c")], ids=["fewer", "more"])
+def test_feature_table_with_another_count_of_ids_than_rows_is_a_data_error(ids):
+    with pytest.raises(DataError) as info:
+        FeatureTable(ids=ids, features=np.zeros((2, 3)))
+    assert str(info.value) == f"{len(ids)} ids for 2 feature rows"
+    assert info.value.exit_code == 2
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("id,f0\na,1.0\na,2.0\n", "duplicate id"),
     ("id,f0\na,1.0,9.9\n", "expected 2 fields"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pmtl.model
-from pmtl.errors import ConfigError, ShapeError
+from pmtl.errors import ConfigError
 import pmtl.train
 from pmtl.gradcheck import grad_check
 from pmtl.layers import (
@@ -519,10 +519,10 @@ def test_predict_refuses_params_in_another_layout(tiny_config, age_scaler):
         mislaid[name][...] = params[name]
     x, *_ = make_batch(tiny_config, 4)
     for bad in (mislaid, dict(params)):
-        with pytest.raises(ShapeError, match="parameter layout"):
+        with pytest.raises(ConfigError, match="parameter layout"):
             predict(bad, tiny_config, x, age_scaler(30.0, 5.0))
     other = ModelConfig(**{**asdict(tiny_config), "emotion_hidden": 4})
-    with pytest.raises(ShapeError, match="parameter layout"):
+    with pytest.raises(ConfigError, match="parameter layout"):
         predict(params, other, x, age_scaler(30.0, 5.0))
 
 

@@ -236,7 +236,7 @@ def test_train_run_deterministic(train_dataset):
     params_b, hist_b = train_run(config, train_dataset)
     for name in params_a:
         assert params_a[name].tobytes() == params_b[name].tobytes()
-    assert json.dumps(hist_a.canonical_dict()) == json.dumps(hist_b.canonical_dict())
+    assert json.dumps(dataclasses.asdict(hist_a)) == json.dumps(dataclasses.asdict(hist_b))
 
 
 def test_train_run_seed_changes_results(train_dataset):
@@ -254,10 +254,9 @@ def test_history_structure(train_dataset):
     assert history.best_val.score == max(scores)
     # ties resolve to the earliest epoch
     assert history.best_epoch == 1 + scores.index(max(scores))
-    assert set(history.canonical_dict()) == {
+    assert set(dataclasses.asdict(history)) == {
         "initial_val", "epochs", "best_epoch", "best_val", "stopped_early",
     }
-    assert history.wall_seconds > 0.0
 
 
 def test_patience_zero_runs_exactly_one_epoch(train_dataset):
