@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -143,15 +144,23 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _out_files(args, *flags) -> None:
-    """Check each output file given for ``flags`` before any input is read:
-    its directory must exist, and it must not be a directory itself."""
-    for flag in flags:
+def _out_files(args, outputs, inputs) -> None:
+    """Check each output file given for ``outputs`` before any input is read:
+    its directory must exist, it must not be a directory itself, and it must
+    not be the file of an ``inputs`` flag or of another output (compared by
+    ``realpath``: ``Path.resolve`` raises on a symlink loop)."""
+    named = {}  # real path -> the first flag that names it
+    for flag in (*inputs, *outputs):
         path = getattr(args, flag[2:].replace("-", "_"))
-        if path and Path(path).is_dir():
+        other = named.setdefault(os.path.realpath(path), flag) if path else flag
+        if not path or flag not in outputs:
+            continue
+        if Path(path).is_dir():
             raise DataError(f"{flag} {path}: is a directory")
-        if path and not Path(path).parent.is_dir():
+        if not Path(path).parent.is_dir():
             raise DataError(f"{flag} {path}: {Path(path).parent} is not a directory")
+        if other != flag:
+            raise ConfigError(f"{flag} {path}: the same file as {other}")
 
 
 def _load_dataset(train_path, val_path, labels):
@@ -208,7 +217,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --labels, --out-predictions, or both")
     if args.out_metrics is not None and args.labels is None:
         raise ConfigError("eval --out-metrics needs --labels")
-    _out_files(args, "--out-predictions", "--out-metrics")
+    _out_files(args, ("--out-predictions", "--out-metrics"),
+               ("--checkpoint", "--features", "--labels"))
     ck = load_checkpoint(args.checkpoint)
     dim = feature_dim(args.features)
     if dim != ck.config.input_dim:
@@ -224,9 +234,8 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.features}: {exc}") from None
     labels = load_labels_csv(args.labels) if args.labels else None
     part = build_part(features, labels, "eval")
-    if part.order is not None:  # file order into id order
-        preds = PredictionSet(preds.emotion[part.order], preds.age_years[part.order],
-                              preds.country[part.order])
+    preds = PredictionSet(preds.emotion[part.order], preds.age_years[part.order],
+                          preds.country[part.order])  # file order into id order
     if args.out_predictions:
         save_predictions_csv(part.ids, preds.emotion, preds.age_years,
                              preds.country, args.out_predictions)
@@ -251,9 +260,8 @@ def score_files(predictions_path, labels_path):
         raise DataError(f"id mismatch: {len(only_p)} only in predictions {only_p[:5]}, "
                         f"{len(only_l)} only in labels {only_l[:5]}")
     part = build_part(FeatureTable(ids_p, emotion_p), labels, "score")
-    at = slice(None) if part.order is None else part.order  # predictions in id order
-    return compute_bundle(emotion_p[at], part.y_emotion, country_p[at], part.y_country,
-                          age_p[at], part.y_age)
+    return compute_bundle(emotion_p[part.order], part.y_emotion, country_p[part.order],
+                          part.y_country, age_p[part.order], part.y_age)
 
 
 def cmd_score(args) -> int:
@@ -269,7 +277,7 @@ def cmd_score(args) -> int:
         return 0
     if not args.predictions or not args.labels:
         raise ConfigError("score needs --predictions and --labels (or --components)")
-    _out_files(args, "--out-metrics")
+    _out_files(args, ("--out-metrics",), ("--predictions", "--labels"))
     bundle = score_files(args.predictions, args.labels)
     if args.out_metrics:
         write_json(asdict(bundle), args.out_metrics)
@@ -351,17 +359,18 @@ def cmd_sweep(args) -> int:
     write_text(render(table), report_path)
     write_text(sidecar_csv(table), out / "full.csv")
 
+    best = table.best_index()
     print(json.dumps({
         "cells": len(table.cells),
         "failed": [c.label for c in table.cells if c.failed],
-        "best": table.cells[table.best_index()].label
-        if table.best_index() is not None else None,
+        "best": table.cells[best].label if best is not None else None,
         "report": str(report_path),
     }, sort_keys=True))
     return max((c.error_code for c in table.cells if c.failed), default=0)
 
 
 def cmd_synth(args) -> int:
+    out = _out_dir(args.out)
     raw = _read_json(args.config, "synth config") if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -371,7 +380,6 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"bad synth config: {exc}")
     features, labels = synth_tables(spec)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
     for split, table in features.items():
@@ -393,6 +401,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _out_files(args, ("--out",), ("--results",))
     table = load_results(args.results)
     text = REPORTS[args.format][1](table)
     if args.out:

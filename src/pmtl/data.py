@@ -37,8 +37,8 @@ rows are parsed into predict's block. A CSV file that the fast pass refuses,
 even part-way, is read afresh from the csv-module loop's array, once the refused
 pass and its array or block are freed. An (n, d) array that cannot be allocated
 is a DataError naming the file. Only the csv-module loop, which reports value
-errors by line, holds rows plus a stacked copy. Joining keeps the loaded rows,
-with a map from id order to them where the ids are unsorted. The standardization
+errors by line, holds rows plus a stacked copy. Joining keeps the loaded rows;
+every part keeps a map from id order to its loaded rows. The standardization
 fit streams the train rows through a FIT_CHUNK scratch. Finiteness checks
 (``all_finite``) take one sum and, only if it overflows, scan fixed blocks, with
 no flag per value. A sweep holds one cell's features at a time: it loads a
@@ -322,16 +322,15 @@ class FileRows:
 class SplitPart:
     """One aligned partition in id order, labeled or not. ``rows`` are the
     loaded rows (an array or a FileRows), never written: the part's row i
-    is ``rows[order[i]]``, or ``rows[i]`` where ``order`` is None (sorted
-    ids). ``take`` reads the part's rows by ndarray's call and applies
-    ``standardizer``, if any, to them in ``out``."""
+    is ``rows[order[i]]``. ``take`` reads the part's rows by ndarray's call
+    and applies ``standardizer``, if any, to them in ``out``."""
 
     ids: tuple[str, ...]
     rows: np.ndarray | FileRows
     y_emotion: np.ndarray | None
     y_age: np.ndarray | None
     y_country: np.ndarray | None
-    order: np.ndarray | None = None
+    order: np.ndarray
     standardizer: Standardizer | None = None
 
     @property
@@ -348,8 +347,8 @@ class SplitPart:
     def take(self, indices, axis=0, out=None, mode="raise") -> np.ndarray:
         """Rows ``indices`` of the part, standardized, into ``out`` (None: a
         new array). Mode "none" is the identity, so it is not applied."""
-        at = indices if self.order is None else self.order[indices]
-        out, std = self.rows.take(at, axis=axis, out=out, mode=mode), self.standardizer
+        out = self.rows.take(self.order[indices], axis=axis, out=out, mode=mode)
+        std = self.standardizer
         return out if std is None or std.mode == "none" else std.apply(out, out=out)
 
 
@@ -699,8 +698,8 @@ def save_predictions_csv(ids, emotion, age_years, country_ids, path) -> None:
 
 def build_part(features: FeatureTable, labels: LabelTable | None, split: str) -> SplitPart:
     """The rows of ``features`` in id order, labeled if ``labels`` is given.
-    The rows stay as loaded; unsorted ids give the part an ``order``."""
-    ids, order = features.ids, None
+    The rows stay as loaded; ``order`` maps id order to them (arange for sorted ids)."""
+    ids, order = features.ids, np.arange(len(features.ids))
     if any(a >= b for a, b in zip(ids, ids[1:])):  # else already sorted
         order = np.argsort(np.array(ids, dtype=object))
         ids = tuple(ids[i] for i in order)
@@ -747,12 +746,11 @@ def join_splits(features: dict[str, FeatureTable], labels: LabelTable) -> SplitD
 
 def standardize(ds: SplitDataset, mode: str) -> SplitDataset:
     """``ds`` with feature standardization under ``mode``, fit on the train
-    rows and set as both parts' ``standardizer``, which each part's ``take``
-    applies to the rows it reads. The rows are shared, and ``ds`` is left as
-    it was."""
-    train = ds.train  # rows in id order are fit as they are: an array keeps numpy's bits
-    std = Standardizer.fit(train.rows if train.order is None else train, mode)
-    return replace(ds, train=replace(train, standardizer=std),
+    part's rows as loaded and set as both parts' ``standardizer``, which each
+    part's ``take`` applies to the rows it reads. The rows are shared, and
+    ``ds`` is left as it was."""
+    std = Standardizer.fit(replace(ds.train, standardizer=None), mode)
+    return replace(ds, train=replace(ds.train, standardizer=std),
                    val=replace(ds.val, standardizer=std))
 
 

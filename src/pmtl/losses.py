@@ -87,19 +87,11 @@ def cross_entropy_loss(logits: np.ndarray, classes: np.ndarray, out=None):
     return loss, exp
 
 
-def total_loss(l_emotion: float, l_country: float, l_age: float, cfg: LossConfig) -> float:
-    """Weighted sum of the three task losses plus the constant a_i/2 terms."""
+def combine(l_emotion: float, l_country: float, l_age: float, cfg: LossConfig) -> LossBreakdown:
+    """The task losses and their weighted total; a non-finite one is a NumericalError."""
     parts = (l_emotion, l_country, l_age)
     if not all(math.isfinite(v) for v in parts):
         raise NumericalError(f"total_loss: non-finite component losses {parts}")
     w_e, w_c, w_a = cfg.weights()
-    return l_emotion * w_e + l_country * w_c + l_age * w_a + cfg.constant_term()
-
-
-def combine(l_emotion: float, l_country: float, l_age: float, cfg: LossConfig) -> LossBreakdown:
-    return LossBreakdown(
-        l_emotion=l_emotion,
-        l_country=l_country,
-        l_age=l_age,
-        l_total=total_loss(l_emotion, l_country, l_age, cfg),
-    )
+    return LossBreakdown(*parts, l_emotion * w_e + l_country * w_c + l_age * w_a
+                         + cfg.constant_term())

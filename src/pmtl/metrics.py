@@ -90,12 +90,16 @@ def uar(pred_classes, true_classes, n_classes: int = len(COUNTRIES)) -> float:
 
 
 def mae(pred, true) -> float:
-    """Mean absolute error of two equal-length series."""
+    """Mean absolute error of two equal-length series; DataError if it overflows."""
     pred = _as_series(pred)
     true = _as_series(true)
     if pred.size == 0:
         raise DataError("mae needs at least 1 point")
-    return float(np.mean(np.abs(pred - true)))
+    with np.errstate(over="ignore"):  # checked for finiteness below
+        value = float(np.mean(np.abs(pred - true)))
+    if not math.isfinite(value):
+        raise DataError("mae: values too large, the mean is not finite")
+    return value
 
 
 def multitask_score(mean_ccc_value: float, uar_value: float, inv_mae_value: float) -> float:

@@ -25,7 +25,7 @@ from pmtl.layers import (
     sigmoid_backward,
     sigmoid_forward,
 )
-from pmtl.losses import LossConfig, combine, cross_entropy_loss, mse_loss, total_loss
+from pmtl.losses import LossConfig, combine, cross_entropy_loss, mse_loss
 from pmtl.metrics import ccc, mae, multitask_score, uar
 from pmtl.model import ModelConfig, StepPlan, backward, forward, init_grads, init_params
 from pmtl.rng import RngStream
@@ -349,12 +349,12 @@ def test_criterion_6_metric_properties():
     if abs(multitask_score(0.3, 0.3, 0.3) - 0.3) > 1e-12:
         failures.append("equal-component fixed point broken")
 
-    zero = total_loss(0.0, 0.0, 0.0, LossConfig())
+    zero = combine(0.0, 0.0, 0.0, LossConfig()).l_total
     if abs(zero - 0.5) > 1e-12:
         failures.append(f"zero-loss constant {zero!r} != 0.5")
-    base = total_loss(1.0, 1.0, 1.0, LossConfig())
+    base = combine(1.0, 1.0, 1.0, LossConfig()).l_total
     for bump in ((1.1, 1.0, 1.0), (1.0, 1.1, 1.0), (1.0, 1.0, 1.1)):
-        if not total_loss(*bump, LossConfig()) > base:
+        if not combine(*bump, LossConfig()).l_total > base:
             failures.append("combined loss not strictly monotone")
             break
 
@@ -375,10 +375,14 @@ def test_criterion_7_loss_weighting_contract():
     # d(total)/d(l_i) must equal the task weight exactly (total is linear
     # in the component losses)
     h = 0.5
+
+    def total(*losses):
+        return combine(*losses, loss_config).l_total
+
     sensitivities = (
-        (total_loss(1 + h, 1, 1, loss_config) - total_loss(1 - h, 1, 1, loss_config)),
-        (total_loss(1, 1 + h, 1, loss_config) - total_loss(1, 1 - h, 1, loss_config)),
-        (total_loss(1, 1, 1 + h, loss_config) - total_loss(1, 1, 1 - h, loss_config)),
+        (total(1 + h, 1, 1) - total(1 - h, 1, 1)),
+        (total(1, 1 + h, 1) - total(1, 1 - h, 1)),
+        (total(1, 1, 1 + h) - total(1, 1, 1 - h)),
     )
     for slope_2h, weight in zip(sensitivities, weights):
         if abs(slope_2h / (2 * h) - weight) > 1e-10:

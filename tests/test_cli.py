@@ -537,6 +537,19 @@ def test_score_overflowing_emotion_exits_2(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_score_overflowing_age_exits_2(workspace, tmp_path, capsys):
+    # two predicted ages of 1e308 overflow the sum that the mean divides
+    labels = load_labels_csv(workspace / "data" / "val_labels.csv")
+    age = labels.age.astype(float)
+    age[:2] = 1e308
+    preds = tmp_path / "huge.csv"
+    save_predictions_csv(labels.ids, labels.emotion, age, labels.country, preds)
+    code, stdout, err = run(capsys, ["score", "--predictions", str(preds),
+                                     "--labels", str(workspace / "data" / "val_labels.csv")])
+    assert (code, stdout) == (2, "")
+    assert err == "pmtl: error: mae: values too large, the mean is not finite\n"
+
+
 def test_eval_without_outputs_exits_1(workspace, capsys):
     data = workspace / "data"
     code, _, err = run(capsys, [
@@ -686,23 +699,23 @@ def test_sweep_cell_failure_sets_exit_code(tmp_path, capsys):
 # -- exit codes and bad input -----------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("command", ["train", "sweep", "synth"])
 @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
 def test_unusable_out_fails_before_the_run(workspace, tmp_path, capsys, monkeypatch,
                                            command, where):
     def started(*args):
         raise AssertionError("the run started")
-    monkeypatch.setattr(pmtl.cli, "train_run", started)
-    monkeypatch.setattr(pmtl.cli, "run_sweep", started)
+    for name in ("train_run", "run_sweep", "synth_tables"):
+        monkeypatch.setattr(pmtl.cli, name, started)
     regular = tmp_path / "regular"
     regular.write_text("kept\n")
     out = regular if where == "a-file" else regular / "run"
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"axis": "seed", "values": [1], "runs_per_cell": 1,
                                 "base": TRAIN_CONFIG}))
-    given = (["--config", str(workspace / "train_config.json")] if command == "train"
-             else ["--spec", str(spec)])
-    code, stdout, err = run(capsys, [command, *data_args(workspace), *given, "--out", str(out)])
+    given = {"train": [*data_args(workspace), "--config", str(workspace / "train_config.json")],
+             "sweep": [*data_args(workspace), "--spec", str(spec)], "synth": []}[command]
+    code, stdout, err = run(capsys, [command, *given, "--out", str(out)])
     assert (code, stdout) == (2, "")
     assert err == f"pmtl: error: --out {out}: {regular} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["regular", "spec.json"]
@@ -711,15 +724,16 @@ def test_unusable_out_fails_before_the_run(workspace, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("command,bad_flag", [
     ("eval", "--out-predictions"), ("eval", "--out-metrics"), ("score", "--out-metrics"),
-], ids=["eval-predictions", "eval-metrics", "score-metrics"])
+    ("report", "--out"),
+], ids=["eval-predictions", "eval-metrics", "score-metrics", "report-out"])
 @pytest.mark.parametrize("where", ["under-a-file", "in-a-missing-directory", "a-directory"])
-def test_unusable_output_file_fails_before_any_input_is_read(workspace, tmp_path, capsys,
-                                                             monkeypatch, command, bad_flag,
-                                                             where):
+def test_unusable_output_file_fails_before_any_input_is_read(workspace, sweep_out, tmp_path,
+                                                             capsys, monkeypatch, command,
+                                                             bad_flag, where):
     def read(*args, **kwargs):
         raise AssertionError("an input was read")
     for name in ("load_checkpoint", "feature_dim", "load_features", "load_labels_csv",
-                 "load_predictions_csv", "predict"):
+                 "load_predictions_csv", "predict", "load_results"):
         monkeypatch.setattr(pmtl.cli, name, read)
     regular = tmp_path / "regular"
     regular.write_text("kept\n")
@@ -727,15 +741,18 @@ def test_unusable_output_file_fails_before_any_input_is_read(workspace, tmp_path
            "a-directory": tmp_path}[where]
     message = "is a directory" if where == "a-directory" else f"{bad.parent} is not a directory"
     outputs = {"--out-predictions": tmp_path / "p.csv", "--out-metrics": tmp_path / "m.json"}
-    if command == "score":
+    if command != "eval":
         del outputs["--out-predictions"]
+    if command == "report":
+        del outputs["--out-metrics"]
     outputs[bad_flag] = bad
-    inputs = (["--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
-               "--features", str(workspace / "data" / "val_features.csv")]
-              if command == "eval" else ["--predictions", str(tmp_path / "regular")])
+    labels = ["--labels", str(workspace / "data" / "val_labels.csv")]
+    inputs = {"eval": ["--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+                       "--features", str(workspace / "data" / "val_features.csv"), *labels],
+              "score": ["--predictions", str(tmp_path / "regular"), *labels],
+              "report": ["--results", str(sweep_out / "results.json")]}[command]
     code, stdout, err = run(capsys, [
-        command, *inputs, "--labels", str(workspace / "data" / "val_labels.csv"),
-        *(arg for pair in outputs.items() for arg in map(str, pair))])
+        command, *inputs, *(arg for pair in outputs.items() for arg in map(str, pair))])
     assert (code, stdout) == (2, "")
     assert err == f"pmtl: error: {bad_flag} {bad}: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
@@ -800,6 +817,124 @@ def test_a_flag_the_command_would_ignore_exits_1_before_anything_is_read(
     assert (code, stdout) == (1, "")
     assert err == f"pmtl: error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+EVAL_INPUTS = ["eval", "--checkpoint", "c.pmck", "--features", "f.csv", "--labels", "l.csv"]
+SAME_FILE = {  # argv, the refused output flag and path, and the flag it collides with
+    "eval-predictions-on-labels":
+        ([*EVAL_INPUTS, "--out-predictions", "l.csv"], "--out-predictions", "l.csv", "--labels"),
+    "eval-predictions-on-checkpoint":
+        ([*EVAL_INPUTS, "--out-predictions", "sub/../c.pmck"], "--out-predictions",
+         "sub/../c.pmck", "--checkpoint"),
+    "eval-metrics-on-features":
+        ([*EVAL_INPUTS, "--out-metrics", "./f.csv"], "--out-metrics", "./f.csv", "--features"),
+    "eval-predictions-through-a-symlink":
+        ([*EVAL_INPUTS, "--out-predictions", "link.csv"], "--out-predictions", "link.csv",
+         "--labels"),
+    "eval-metrics-on-predictions":
+        ([*EVAL_INPUTS, "--out-predictions", "p.csv", "--out-metrics", "p.csv"],
+         "--out-metrics", "p.csv", "--out-predictions"),
+    "score-metrics-on-predictions":
+        (["score", "--predictions", "p.csv", "--labels", "l.csv", "--out-metrics", "p.csv"],
+         "--out-metrics", "p.csv", "--predictions"),
+    "score-metrics-on-labels":
+        (["score", "--predictions", "p.csv", "--labels", "l.csv", "--out-metrics", "l.csv"],
+         "--out-metrics", "l.csv", "--labels"),
+    "report-on-results":
+        (["report", "--results", "r.json", "--out", "r.json"], "--out", "r.json", "--results"),
+}
+
+
+@pytest.mark.parametrize("case", SAME_FILE)
+def test_an_output_that_names_an_input_or_another_output_exits_1(
+        workspace, sweep_out, tmp_path, capsys, monkeypatch, case):
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+    for name in ("load_checkpoint", "feature_dim", "load_features", "load_labels_csv",
+                 "load_predictions_csv", "predict", "load_results"):
+        monkeypatch.setattr(pmtl.cli, name, read)
+    sources = {"c.pmck": workspace / "run" / "checkpoint.pmck",
+               "f.csv": workspace / "data" / "val_features.csv",
+               "l.csv": workspace / "data" / "val_labels.csv",
+               "p.csv": workspace / "data" / "val_labels.csv",  # labels read as predictions
+               "r.json": sweep_out / "results.json"}
+    for name, source in sources.items():
+        (tmp_path / name).write_bytes(source.read_bytes())
+    (tmp_path / "link.csv").symlink_to(tmp_path / "l.csv")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv, flag, path, other = SAME_FILE[case]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert err == f"pmtl: error: {flag} {path}: the same file as {other}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*sources, "link.csv", "sub"])
+    for name, source in sources.items():
+        assert (tmp_path / name).read_bytes() == source.read_bytes(), name
+
+
+def test_eval_out_metrics_writes_the_bundle_it_prints(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    metrics = tmp_path / "m.json"
+    code, out, _ = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(data / "val_features.csv"), "--labels", str(data / "labels.csv"),
+        "--out-metrics", str(metrics)])
+    assert code == 0
+    assert json.loads(metrics.read_text()) == last_json(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+    code, again, _ = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(data / "val_features.csv"), "--labels", str(data / "labels.csv")])
+    assert (code, again) == (0, out)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_report_out_writes_what_report_prints(sweep_out, tmp_path, capsys, fmt):
+    results = str(sweep_out / "results.json")
+    code, printed, _ = run(capsys, ["report", "--results", results, "--format", fmt])
+    assert code == 0
+    out = tmp_path / "report.txt"
+    code, stdout, _ = run(capsys, ["report", "--results", results, "--format", fmt,
+                                   "--out", str(out)])
+    assert code == 0
+    assert json.loads(stdout) == {"report": str(out)}
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("non-finite", "non-finite feature values"), ("repeated-id", "duplicate id 'val_00001'"),
+])
+def test_binary_features_with_a_bad_value_or_a_repeated_id_exit_2(workspace, tmp_path, capsys,
+                                                                  fault, message):
+    table = load_features(workspace / "data" / "val_features.bin")
+    rows = table.features.take(np.arange(len(table)), axis=0)
+    ids = list(table.ids)
+    if fault == "non-finite":
+        rows[3, 5] = math.inf
+    else:
+        ids[2] = ids[1]
+    bad = tmp_path / "bad.bin"
+    save_features_binary(FeatureTable(tuple(ids), rows), bad)
+    code, stdout, err = run(capsys, [
+        "eval", "--checkpoint", str(workspace / "run" / "checkpoint.pmck"),
+        "--features", str(bad), "--labels", str(workspace / "data" / "labels.csv")])
+    assert (code, stdout) == (2, "")
+    assert err == f"pmtl: error: {bad}: {message}\n"
+
+
+def test_train_on_splits_of_different_widths_exits_2(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    table = load_features(data / "val_features.csv")
+    narrow = tmp_path / "val.csv"
+    save_features_csv(FeatureTable(table.ids, table.features[:, :8]), narrow)
+    code, stdout, err = run(capsys, [
+        "train", "--train-features", str(data / "train_features.csv"),
+        "--val-features", str(narrow), "--labels", str(data / "labels.csv"),
+        "--config", str(workspace / "train_config.json"), "--out", str(tmp_path / "o")])
+    assert (code, stdout) == (2, "")
+    assert err == ("pmtl: error: feature dimensionality differs across splits: "
+                   "{'train': 16, 'val': 8}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["val.csv"]
 
 
 def test_unknown_flag_exits_1(capsys):

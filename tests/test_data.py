@@ -931,6 +931,17 @@ def test_join_rejects_shared_ids_across_splits():
         join_splits(features, make_labels(["a", "b"]))
 
 
+def test_build_part_maps_sorted_ids_to_their_rows_in_place():
+    # every part carries its map from id order to the loaded rows; sorted ids
+    # map each row to itself
+    features = make_features(["a", "b", "c"])
+    for labels in (None, make_labels(["c", "b", "a"])):
+        part = build_part(features, labels, "eval")
+        assert part.order.dtype == np.arange(3).dtype
+        assert part.order.tolist() == [0, 1, 2]
+        assert rows_of(part).tobytes() == features.features.tobytes()
+
+
 def test_join_unlabeled_test_passes_through():
     # the part ``eval`` predicts on may lack labels: its ids pass through,
     # sorted, with their feature rows
@@ -1006,6 +1017,21 @@ def test_standardize_none_is_identity():
         assert rows_of(getattr(out, split)).tobytes() == x.tobytes()
         assert getattr(ds, split).rows.tobytes() == x.tobytes()  # the input is left as it was
     assert out.train.standardizer.mode == "none"
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "c", "d"], ["d", "b", "a", "c"]],
+                         ids=["sorted", "unsorted"])
+def test_standardize_fits_the_loaded_rows_of_a_standardized_dataset(ids):
+    # a dataset that already carries a standardizer is refit on its raw
+    # rows, whatever the order of its ids
+    rows = np.array([[1.0, 10.0], [2.0, 30.0], [4.0, 20.0], [8.0, 50.0]])
+    features = {"train": FeatureTable(tuple(ids), rows),
+                "val": FeatureTable(("v",), np.zeros((1, 2)))}
+    ds = join_splits(features, make_labels([*ids, "v"]))
+    fresh = standardize(ds, "minmax").train.standardizer
+    again = standardize(standardize(ds, "zscore"), "minmax").train.standardizer
+    assert again.center.tobytes() == fresh.center.tobytes()
+    assert again.scale.tobytes() == fresh.scale.tobytes()
 
 
 def test_standardize_no_leakage():

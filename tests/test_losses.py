@@ -13,7 +13,6 @@ from pmtl.losses import (
     combine,
     cross_entropy_loss,
     mse_loss,
-    total_loss,
 )
 
 # Frozen from the closed forms: w_i = 1 / (2 e^{a_i}) with a = (0.34, 0.33, 0.33)
@@ -181,11 +180,11 @@ def test_loss_config_weights_finite_and_positive_at_the_alpha_bounds():
 
 def test_total_loss_zero_components():
     # all task losses zero leaves only the constant sum(a_i)/2 = 0.5
-    assert total_loss(0.0, 0.0, 0.0, LossConfig()) == 0.5
+    assert combine(0.0, 0.0, 0.0, LossConfig()).l_total == 0.5
 
 
 def test_total_loss_all_ones_frozen():
-    total = total_loss(1.0, 1.0, 1.0, LossConfig())
+    total = combine(1.0, 1.0, 1.0, LossConfig()).l_total
     assert total == pytest.approx(1.5748088948132312, abs=1e-12)
     assert round(total, 6) == 1.574809
 
@@ -195,34 +194,35 @@ def test_total_loss_is_weighted_sum(rng_np):
     for _ in range(10):
         le, lc, la = rng_np.uniform(0, 5, size=3)
         expected = le * W_EMOTION + lc * W_COUNTRY + la * W_AGE + 0.5
-        assert total_loss(le, lc, la, cfg) == pytest.approx(expected, abs=1e-12)
+        assert combine(le, lc, la, cfg).l_total == pytest.approx(expected, abs=1e-12)
 
 
 def test_total_loss_strictly_monotone():
     cfg = LossConfig()
-    base = total_loss(1.0, 1.0, 1.0, cfg)
-    assert total_loss(1.5, 1.0, 1.0, cfg) > base
-    assert total_loss(1.0, 1.5, 1.0, cfg) > base
-    assert total_loss(1.0, 1.0, 1.5, cfg) > base
+    base = combine(1.0, 1.0, 1.0, cfg).l_total
+    assert combine(1.5, 1.0, 1.0, cfg).l_total > base
+    assert combine(1.0, 1.5, 1.0, cfg).l_total > base
+    assert combine(1.0, 1.0, 1.5, cfg).l_total > base
 
 
 def test_total_loss_custom_alphas():
     cfg = LossConfig(alpha_emotion=0.0, alpha_country=0.0, alpha_age=0.0)
     # all weights collapse to 1/2 and the constant vanishes
-    assert total_loss(2.0, 4.0, 6.0, cfg) == pytest.approx(6.0, abs=1e-12)
+    assert combine(2.0, 4.0, 6.0, cfg).l_total == pytest.approx(6.0, abs=1e-12)
 
 
 def test_total_loss_rejects_nonfinite():
     cfg = LossConfig()
     with pytest.raises(NumericalError):
-        total_loss(float("nan"), 0.0, 0.0, cfg)
+        combine(float("nan"), 0.0, 0.0, cfg)
     with pytest.raises(NumericalError):
-        total_loss(0.0, float("inf"), 0.0, cfg)
+        combine(0.0, float("inf"), 0.0, cfg)
 
 
 def test_combine_breakdown_consistent():
     b = combine(1.0, 2.0, 3.0, LossConfig())
     assert (b.l_emotion, b.l_country, b.l_age) == (1.0, 2.0, 3.0)
-    assert b.l_total == total_loss(1.0, 2.0, 3.0, LossConfig())
+    w_e, w_c, w_a = LossConfig().weights()
+    assert b.l_total == 1.0 * w_e + 2.0 * w_c + 3.0 * w_a + LossConfig().constant_term()
     d = asdict(b)
     assert set(d) == {"l_emotion", "l_country", "l_age", "l_total"}
